@@ -29,11 +29,12 @@ trace-replay processes and the disk model:
 
 Hot-path structure: columnar frames, run-coalesced bookkeeping
 --------------------------------------------------------------
-Requests are decomposed into 4-8 KB blocks, so a single venus-sized
-request touches ~100 frames.  Representing each frame as a Python object
-(the approach kept verbatim in :mod:`repro.sim.cache_legacy`) makes the
+Request sizes span two regimes.  A staged venus request covers ~100
+4 KB frames; section 6.3's applications on the 32 KB-block SSD mostly
+ask for 1-2 blocks.  Representing each frame as a Python object (the
+approach kept verbatim in :mod:`repro.sim.cache_legacy`) makes the
 simulator allocate and destroy millions of objects per run; this
-implementation stores frame metadata in per-file numpy columns instead:
+implementation stores frame metadata in per-file columns instead:
 
 * ``st`` -- block state (absent / reading / valid / dirty / flushing),
 * ``own`` -- owning process, ``pf`` -- prefetched flag,
@@ -44,21 +45,30 @@ implementation stores frame metadata in per-file numpy columns instead:
   ``Block`` objects still present in the block map,
 * ``nid`` -- id of the clean-LRU run node currently holding the block.
 
-Classification, allocation, eviction, settle and flush are then slice
-operations over ``(first_block, n_blocks)`` extents instead of per-block
-loops.  The clean-LRU is a doubly-linked list of :class:`_CleanRun`
-nodes, one per run of blocks that became evictable together; eviction
-pops whole nodes off the LRU head, splitting at most one per allocation.
-Per-block LRU order is preserved by construction -- runs enter in
-ascending block order, and partial touches extract a slice to the MRU
-end while the remainder keeps its node's place -- so eviction victims,
-hence the disk request sequence and the seeded rotational-delay RNG
-stream, are bit-identical to the legacy implementation (asserted by the
+``st``, ``pf`` and ``nid`` live in a ``bytearray`` or ``array('q')``
+under a zero-copy NumPy view (see :class:`_FileFrames`).  Spans wider
+than ``_SHORT_SPAN`` blocks are classified, allocated, evicted, settled
+and flushed with slice operations over ``(first_block, n_blocks)``
+extents.  Shorter spans -- where NumPy's fixed per-call cost would
+dominate -- take a scalar branch on the same buffers:
+``bytearray.count``/``find`` classify the span (an all-clean read hit,
+a prefetch window with nothing absent, a rewrite of resident blocks)
+and the few blocks are walked in plain Python.  The clean-LRU
+is a doubly-linked list of :class:`_CleanRun` nodes, one per run of
+blocks that became evictable together; eviction pops whole nodes off
+the LRU head, splitting at most one per allocation, and a hit that
+covers a whole node relinks it in O(1).  Per-block LRU order is
+preserved by construction -- runs enter in ascending block order, and
+partial touches extract a slice to the MRU end while the remainder
+keeps its node's place -- so eviction victims, hence the disk request
+sequence and the seeded rotational-delay RNG stream, are bit-identical
+to the legacy implementation on both branches (asserted by the
 differential digest tests in ``tests/sim/test_hotpath_differential.py``).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -92,27 +102,51 @@ _VALID = BlockState.VALID.value
 _DIRTY = BlockState.DIRTY.value
 _FLUSHING = BlockState.FLUSHING.value
 
+#: Spans of at most this many blocks are classified and updated in plain
+#: Python over the frame buffers; wider ones use NumPy slice operations.
+#: NumPy's fixed cost per call (~1 us) outweighs a scalar loop below
+#: about this width.  Section 6.3's per-app SSD runs (1-2 block
+#: requests) fall below it, the Figure 8 sweep (57-128 blocks) above.
+_SHORT_SPAN = 16
+
 
 class _FileFrames:
-    """Columnar frame metadata for one file, grown on demand."""
+    """Columnar frame metadata for one file, grown on demand.
 
-    __slots__ = ("st", "own", "pf", "gen", "nid")
+    ``st``, ``pf`` and ``nid`` are zero-copy NumPy views of the
+    ``st_buf``/``pf_buf`` bytearrays and the ``nid_buf`` ``array('q')``,
+    which short spans index as plain ints.  ``own`` and ``gen`` stay
+    NumPy arrays: short spans touch them rarely, and ``np.zeros`` leaves
+    the never-used tail of a file-sized table unresident where an
+    ``array('q')`` would fill it.
+    """
+
+    __slots__ = ("st_buf", "pf_buf", "nid_buf", "st", "pf", "nid", "own", "gen")
 
     def __init__(self, n_blocks: int):
-        self.st = np.zeros(n_blocks, dtype=np.uint8)
         self.own = np.zeros(n_blocks, dtype=np.int64)
-        self.pf = np.zeros(n_blocks, dtype=bool)
         self.gen = np.zeros(n_blocks, dtype=np.int64)
-        self.nid = np.full(n_blocks, -1, dtype=np.int64)
+        self._bind(
+            bytearray(n_blocks), bytearray(n_blocks), array("q", [-1]) * n_blocks
+        )
 
     def grow(self, n_blocks: int) -> None:
-        old = self.st.size
-        extra = n_blocks - old
-        self.st = np.concatenate([self.st, np.zeros(extra, dtype=np.uint8)])
+        extra = n_blocks - self.st.size
         self.own = np.concatenate([self.own, np.zeros(extra, dtype=np.int64)])
-        self.pf = np.concatenate([self.pf, np.zeros(extra, dtype=bool)])
         self.gen = np.concatenate([self.gen, np.zeros(extra, dtype=np.int64)])
-        self.nid = np.concatenate([self.nid, np.full(extra, -1, dtype=np.int64)])
+        # A buffer under a live view cannot resize in place: concatenate
+        # into new buffers and rebind the views to them.
+        self._bind(
+            self.st_buf + bytearray(extra),
+            self.pf_buf + bytearray(extra),
+            self.nid_buf + array("q", [-1]) * extra,
+        )
+
+    def _bind(self, st: bytearray, pf: bytearray, nid: array) -> None:
+        self.st_buf, self.pf_buf, self.nid_buf = st, pf, nid
+        self.st = np.frombuffer(st, dtype=np.uint8)
+        self.pf = np.frombuffer(pf, dtype=bool)
+        self.nid = np.frombuffer(nid, dtype=np.int64)
 
 
 class _Run:
@@ -415,10 +449,11 @@ class BufferCache:
         counts = self._owner_counts
         n = idx.size
         if n == 1:
-            first_owner = int(frames.own[int(idx[0])])
+            b = int(idx[0])
+            first_owner = int(frames.own[b])
             counts[first_owner] = counts.get(first_owner, 1) - 1
-            frames.st[idx] = _ABSENT
-            frames.gen[idx] += 1
+            frames.st_buf[b] = _ABSENT
+            frames.gen[b] += 1
             self._resident -= 1
             self.epoch += 1
             return
@@ -463,89 +498,92 @@ class BufferCache:
             nxt.prev = prev
         node.prev = node.next = None
 
-    def _clean_append(self, frames: _FileFrames, fid: int, idx: np.ndarray) -> None:
-        """Make frames clean-resident as one MRU run (O(1) list ops)."""
+    def _clean_append(self, frames: _FileFrames, fid: int, idx) -> None:
+        """Make frames clean-resident as one MRU run (O(1) list ops);
+        ``idx`` is as for :meth:`_clean_touch`."""
         node_id = self._next_node_id
         self._next_node_id = node_id + 1
-        node = _CleanRun(fid, idx, node_id)
+        node = _CleanRun(fid, np.asarray(idx, dtype=np.int64), node_id)
         self._nodes[node_id] = node
-        frames.st[idx] = _VALID
-        frames.nid[idx] = node_id
+        n = len(idx)
+        if n <= _SHORT_SPAN:
+            st, nid = frames.st_buf, frames.nid_buf
+            for b in idx:
+                st[b] = _VALID
+                nid[b] = node_id
+        else:
+            frames.st[idx] = _VALID
+            frames.nid[idx] = node_id
         self._lru_append(node)
-        self._clean_count += idx.size
+        self._clean_count += n
         self.epoch += 1
 
-    def _clean_touch(self, frames: _FileFrames, idx: np.ndarray) -> None:
+    def _node_runs(self, frames: _FileFrames, idx):
+        """Yield ``(i, j, node)`` for each maximal run ``idx[i:j]`` on one
+        clean-LRU node.  Short spans read the ``nid`` buffer lazily (a
+        caller's split renumbers only blocks already yielded); wide spans
+        group one vectorized snapshot.
+        """
+        n = len(idx)
+        nodes = self._nodes
+        if n > _SHORT_SPAN:
+            nids = frames.nid[idx]
+            cuts = (np.flatnonzero(nids[1:] != nids[:-1]) + 1).tolist()
+            bounds = [0, *cuts, n]
+            for k in range(len(bounds) - 1):
+                yield bounds[k], bounds[k + 1], nodes[int(nids[bounds[k]])]
+            return
+        nid = frames.nid_buf
+        i = 0
+        while i < n:
+            node_id = nid[idx[i]]
+            j = i + 1
+            while j < n and nid[idx[j]] == node_id:
+                j += 1
+            yield i, j, nodes[node_id]
+            i = j
+
+    def _clean_touch(self, frames: _FileFrames, idx) -> None:
         """Move already-clean frames to MRU, preserving per-block order.
 
-        ``idx`` is in encounter (ascending block) order.  Runs of
-        consecutive frames sharing a node move together: a whole node is
-        relinked in O(1); a partial slice is extracted to a new MRU node
-        while the remainder keeps the node's LRU position -- exactly the
-        per-block order the legacy ``move_to_end`` loop produced.
+        ``idx`` is ascending block numbers: an int64 array, or on short
+        spans any sequence of ints (the all-clean read hit passes a
+        ``range``).  Runs of consecutive frames sharing a node move
+        together: a whole node is relinked in O(1); a partial slice is
+        extracted to a new MRU node while the remainder keeps the node's
+        LRU position -- exactly the per-block order the legacy
+        ``move_to_end`` loop produced.
         """
-        nids = frames.nid[idx]
-        n = nids.size
-        if n == 0:
-            return
-        nodes = self._nodes
-        # Group boundaries (consecutive equal node ids): one vectorized
-        # pass for wide spans, a plain-list scan for narrow ones (where
-        # the numpy call overhead would dominate).
-        if n > 16:
-            starts = np.flatnonzero(nids[1:] != nids[:-1]) + 1
-            bounds = [0, *starts.tolist(), n]
-        elif n > 1:
-            lst = nids.tolist()
-            bounds = [0]
-            bounds += [i for i in range(1, n) if lst[i] != lst[i - 1]]
-            bounds.append(n)
-        else:
-            bounds = [0, n]
-        for k in range(len(bounds) - 1):
-            i = bounds[k]
-            j = bounds[k + 1]
-            node = nodes[int(nids[i])]
-            group = idx[i:j]
+        for i, j, node in self._node_runs(frames, idx):
             if j - i == node.idx.size:
                 if node is not self._lru_tail:
                     self._lru_unlink(node)
                     self._lru_append(node)
             else:
+                group = np.asarray(idx[i:j], dtype=np.int64)
                 node.idx = np.setdiff1d(node.idx, group, assume_unique=True)
                 node_id = self._next_node_id
                 self._next_node_id = node_id + 1
                 new_node = _CleanRun(node.fid, group, node_id)
-                nodes[node_id] = new_node
+                self._nodes[node_id] = new_node
                 frames.nid[group] = node_id
                 self._lru_append(new_node)
 
-    def _clean_remove(self, frames: _FileFrames, idx: np.ndarray) -> None:
+    def _clean_remove(self, frames: _FileFrames, idx) -> None:
         """Take specific clean frames out of the LRU (state untouched by
         this call; callers transition it right after).  Remaining frames
         of each affected node keep their relative order and the node
-        keeps its LRU position.
+        keeps its LRU position.  ``idx`` is as for :meth:`_clean_touch`.
         """
-        nids = frames.nid[idx]
-        n = nids.size
-        if n == 0:
-            return
         nodes = self._nodes
-        if n > 1:
-            starts = np.flatnonzero(nids[1:] != nids[:-1]) + 1
-            bounds = [0, *starts.tolist(), n]
-        else:
-            bounds = [0, n]
-        for k in range(len(bounds) - 1):
-            i = bounds[k]
-            j = bounds[k + 1]
-            node = nodes[int(nids[i])]
+        for i, j, node in self._node_runs(frames, idx):
             if j - i == node.idx.size:
                 self._lru_unlink(node)
                 del nodes[node.id]
             else:
-                node.idx = np.setdiff1d(node.idx, idx[i:j], assume_unique=True)
-        self._clean_count -= n
+                group = np.asarray(idx[i:j], dtype=np.int64)
+                node.idx = np.setdiff1d(node.idx, group, assume_unique=True)
+        self._clean_count -= len(idx)
 
     # ------------------------------------------------------------------
     # Frame management
@@ -563,7 +601,8 @@ class BufferCache:
         frames can be freed.  With an ownership cap, an over-cap process
         may only recycle its *own* clean frames.  Eviction pops whole
         runs off the LRU head (splitting at most one), so the per-request
-        cost is O(runs), not O(blocks).
+        cost is O(runs), not O(blocks).  ``state`` is ``_READING`` or
+        ``_DIRTY``: new frames are pinned, never on the clean LRU.
         """
         needed = idx.size
         frames = self._files[fid]
@@ -626,16 +665,23 @@ class BufferCache:
                         remaining = 0
                 self._clean_count -= must_evict
 
-        frames.st[idx] = state
-        frames.own[idx] = owner
-        frames.pf[idx] = False
-        gen = frames.gen[idx] + 1
-        frames.gen[idx] = gen
+        if needed <= _SHORT_SPAN:
+            st, pf, own, gens = frames.st_buf, frames.pf_buf, frames.own, frames.gen
+            for b in idx.tolist():
+                st[b] = state
+                own[b] = owner
+                pf[b] = 0
+                gens[b] += 1
+            gen = frames.gen[idx]
+        else:
+            frames.st[idx] = state
+            frames.own[idx] = owner
+            frames.pf[idx] = False
+            gen = frames.gen[idx] + 1
+            frames.gen[idx] = gen
         counts[owner] = counts.get(owner, 0) + needed
         self._resident += needed
         self.epoch += 1
-        if state == _VALID:
-            self._clean_append(frames, fid, idx)
         return _Run(fid, idx, gen)
 
     def park_for_frames(self, retry: Callable[[], bool]) -> None:
@@ -747,25 +793,41 @@ class BufferCache:
         """
         frames = self._files[file_id]
         idx = run.idx
-        alive = idx[frames.gen[idx] == run.gen]
-        clean = alive[frames.st[alive] == _VALID]
-        if clean.size:
-            self._clean_remove(frames, clean)
-        frames.st[alive] = _FLUSHING
+        short = idx.size <= _SHORT_SPAN
+        if short:
+            # (block, generation) pairs of the allocation snapshot
+            snapshot = list(zip(idx.tolist(), run.gen.tolist()))
+            st, gen = frames.st_buf, frames.gen
+            alive = [b for b, g in snapshot if gen[b] == g]
+            clean = [b for b in alive if st[b] == _VALID]
+            if clean:
+                self._clean_remove(frames, clean)
+            for b in alive:
+                st[b] = _FLUSHING
+        else:
+            alive = idx[frames.gen[idx] == run.gen]
+            clean = alive[frames.st[alive] == _VALID]
+            if clean.size:
+                self._clean_remove(frames, clean)
+            frames.st[alive] = _FLUSHING
         self.epoch += 1
         self.outstanding_flushes += 1
         self._g_wb_queue.set_max(self.outstanding_flushes)
 
         def finished(ok: bool) -> None:
             frames = self._files[file_id]
-            mask = (frames.gen[idx] == run.gen) & (frames.st[idx] == _FLUSHING)
-            live = idx[mask]
+            if short:
+                st, gen = frames.st_buf, frames.gen
+                live = [b for b, g in snapshot if gen[b] == g and st[b] == _FLUSHING]
+            else:
+                live = idx[(frames.gen[idx] == run.gen) & (frames.st[idx] == _FLUSHING)]
             if not ok:
+                live = np.asarray(live, dtype=np.int64)
                 if live.size and reflush < self.recovery.max_reflushes:
                     self.metrics.faults.reflushes += 1
                     frames.st[live] = _DIRTY
                     self.epoch += 1
-                    live_gen = run.gen[mask]
+                    live_gen = frames.gen[live]  # == the snapshot's: live matched it
 
                     def redo() -> None:
                         self.outstanding_flushes -= 1
@@ -792,7 +854,7 @@ class BufferCache:
                         int(live.size) * self.config.block_bytes
                     )
                     self._drop_frames(frames, live)
-            elif live.size:
+            elif len(live):
                 self._clean_append(frames, file_id, live)
             self.outstanding_flushes -= 1
             if on_done is not None:
@@ -933,7 +995,7 @@ class BufferCache:
         this many bytes.
         """
         n = sum(
-            int(np.count_nonzero((f.st == _DIRTY) | (f.st == _FLUSHING)))
+            f.st_buf.count(_DIRTY) + f.st_buf.count(_FLUSHING)
             for f in self._files.values()
         )
         return n * self.config.block_bytes
@@ -991,6 +1053,15 @@ class BufferCache:
         file_end = self._file_sizes.get(file_id, 0)
         window_end = min(window_end, file_end)
         start = max(stream.prefetch_until, stream.next_offset)
+        if start >= window_end:
+            return
+        first, last = self._block_span(start, window_end - start)
+        st = self._files[file_id].st_buf
+        if last < len(st) and st.find(_ABSENT, first, last + 1) < 0:
+            # Nothing absent in the window: the scan below would issue
+            # nothing and march straight to its end.
+            stream.prefetch_until = window_end
+            return
         bs = self.config.block_bytes
         while start < window_end:
             length = min(stream.length, window_end - start)
@@ -998,10 +1069,10 @@ class BufferCache:
             frames = self._file(file_id, last + 1)
             # Only prefetch runs of absent blocks; stop growing the window
             # when frames are unavailable (prefetch never parks).
-            absent = (
-                np.flatnonzero(frames.st[first:last + 1] == _ABSENT) + first
-            )
-            if absent.size:
+            if frames.st_buf.find(_ABSENT, first, last + 1) >= 0:
+                absent = (
+                    np.flatnonzero(frames.st[first:last + 1] == _ABSENT) + first
+                )
                 run = self.try_allocate_run(file_id, absent, owner, _READING)
                 if run is None:
                     break
@@ -1053,16 +1124,31 @@ class _PendingRead:
         cache.epoch += 1  # clears prefetch bits / touches LRU below
         stats = cache._stats
         first, last = cache._block_span(self.offset, self.length)
+        end = last + 1
+        span = end - first
         fid = self.file_id
-        frames = cache._file(fid, last + 1)
-        seg = frames.st[first:last + 1]
-        span = seg.size
+        frames = cache._file(fid, end)
+        if span <= _SHORT_SPAN and frames.st_buf.count(_VALID, first, end) == span:
+            # All-clean short hit (section 6.3's common case): count and
+            # clear prefetch bits, touch the LRU, complete inline.
+            pf = frames.pf_buf
+            n_ra_hit = pf.count(1, first, end)
+            if n_ra_hit:
+                pf[first:end] = bytes(span)
+            cache._clean_touch(frames, range(first, end))
+            if not self.counted:
+                stats.block_hits += span
+                stats.readahead_hits += n_ra_hit
+                self.counted = True
+            self._finish()
+            return True
+        seg = frames.st[first:end]
 
         if not seg.any():
             # Cold read: the whole span is one missing run.
             n_miss = span
             n_hit = n_inflight = n_ra_hit = 0
-            missing: list[np.ndarray] = [np.arange(first, last + 1)]
+            missing: list[np.ndarray] = [np.arange(first, end)]
             reading = _EMPTY_IDX
         else:
             absent = np.flatnonzero(seg == _ABSENT)
@@ -1169,30 +1255,38 @@ class _PendingWrite:
         cache = self.cache
         cache.epoch += 1  # dirties frames / clears prefetch bits below
         first, last = cache._block_span(self.offset, self.length)
+        end = last + 1
+        span = end - first
         fid = self.file_id
-        frames = cache._file(fid, last + 1)
-        seg = frames.st[first:last + 1]
+        frames = cache._file(fid, end)
         # Snapshot the whole span's generations before allocating: if the
         # allocation evicts one of this request's own present frames, its
         # bumped generation no longer matches and the extent write treats
         # it as dead (the legacy dead-Block ride-along case).
-        gen_span = frames.gen[first:last + 1].copy()
-        if seg.any():
-            absent = np.flatnonzero(seg == _ABSENT) + first
+        gen_span = frames.gen[first:end].copy()
+        if span <= _SHORT_SPAN and frames.st_buf.find(_ABSENT, first, end) < 0:
+            # Short rewrite of resident blocks: nothing to allocate, and
+            # every block's prefetch bit is cleared.
+            frames.pf_buf[first:end] = bytes(span)
         else:
-            absent = np.arange(first, last + 1)
-        # New frames go straight to dirty: every write path immediately
-        # transitions them out of the clean pool anyway, and nothing
-        # observes the LRU between allocation and that transition, so
-        # skipping the clean-LRU round trip changes no behavior.
-        new_run = cache.try_allocate_run(fid, absent, self.owner, _DIRTY)
-        if new_run is None:
-            return False
-        if absent.size != seg.size:
-            present = np.flatnonzero(frames.st[first:last + 1] != _ABSENT) + first
-            frames.pf[present] = False
-        gen_span[absent - first] = new_run.gen
-        run = _Run(fid, np.arange(first, last + 1), gen_span)
+            seg = frames.st[first:end]
+            if seg.any():
+                absent = np.flatnonzero(seg == _ABSENT) + first
+            else:
+                absent = np.arange(first, end)
+            # New frames go straight to dirty: every write path
+            # immediately transitions them out of the clean pool anyway,
+            # and nothing observes the LRU between allocation and that
+            # transition, so skipping the clean-LRU round trip changes no
+            # behavior.
+            new_run = cache.try_allocate_run(fid, absent, self.owner, _DIRTY)
+            if new_run is None:
+                return False
+            if absent.size != span:
+                present = np.flatnonzero(frames.st[first:end] != _ABSENT) + first
+                frames.pf[present] = False
+            gen_span[absent - first] = new_run.gen
+        run = _Run(fid, np.arange(first, end), gen_span)
 
         if cache.config.write_behind:
             # Data lands in the cache; the writer continues immediately,

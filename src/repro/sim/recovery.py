@@ -47,11 +47,15 @@ def backoff_delay(config: RecoveryConfig, attempt: int, jitter_u: float) -> floa
     ``min(cap, base * factor**attempt * (1 + jitter * u))`` -- monotone
     non-decreasing in ``attempt`` for any draws ``u`` in [0, 1) because
     ``jitter <= factor - 1`` (enforced by :class:`RecoveryConfig`), and
-    never above ``backoff_cap_s``.
+    never above ``backoff_cap_s``.  In floating point the jittered value
+    can round one ulp past the next attempt's un-jittered one, so it is
+    clamped to ``base * factor**(attempt + 1)`` -- the very expression
+    the next attempt starts from, so rounding cannot invert the pair.
     """
-    raw = config.backoff_base_s * config.backoff_factor**attempt
+    base, factor = config.backoff_base_s, config.backoff_factor
+    raw = base * factor**attempt
     raw *= 1.0 + config.backoff_jitter * jitter_u
-    return min(config.backoff_cap_s, raw)
+    return min(config.backoff_cap_s, raw, base * factor ** (attempt + 1))
 
 
 class RecoveringDevice:

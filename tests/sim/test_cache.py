@@ -214,6 +214,53 @@ class TestFrames:
         )
 
 
+class TestShortSpans:
+    def test_one_block_hit_splits_a_two_block_clean_run(self):
+        # Cache of 4 blocks.  Blocks 0-1 of file 1 arrive as one clean
+        # run, then block 0 of file 2 as another.  A 1-block hit on file
+        # 1's block 1 must split it off to the MRU end, leaving block 0
+        # in the oldest slot: LRU order is f1b0, f2b0, f1b1.  Relinking
+        # the whole run instead would make f2b0 the next victim.
+        h = Harness(size_bytes=16 * KB, read_ahead=False)
+        h.read(0, 8 * KB)
+        h.run()
+        h.read(0, 4 * KB, fid=2)
+        h.run()
+        frames = h.cache._files[1]
+        assert frames.nid[0] == frames.nid[1]  # one clean run
+        h.read(4 * KB, 4 * KB)  # all-clean short hit on block 1 alone
+        assert frames.nid[0] != frames.nid[1]
+        # Two new blocks with one frame free: exactly one eviction.
+        h.read(8 * KB, 8 * KB, fid=2)
+        h.run()
+        assert frames.st[0] == 0  # f1b0 was the LRU victim
+        misses = h.metrics.cache.block_misses
+        h.read(4 * KB, 4 * KB)  # f1b1 still resident
+        h.read(0, 4 * KB, fid=2)  # f2b0 still resident
+        assert h.metrics.cache.block_misses == misses
+
+    def test_grow_keeps_buffers_and_views_aliased(self):
+        from repro.sim.cache import _FileFrames
+
+        frames = _FileFrames(4)
+        frames.st_buf[1] = 3
+        frames.nid[2] = 7
+        frames.gen[3] = 5
+        frames.grow(10)
+        for name in ("st", "pf", "nid"):
+            buf, view = getattr(frames, name + "_buf"), getattr(frames, name)
+            assert view.size == len(buf) == 10, name
+            # Writes through the buffer show in the view and vice versa.
+            buf[9] = 1
+            assert view[9] == 1, name
+            view[8] = 0
+            assert buf[8] == 0, name
+        assert frames.own.size == frames.gen.size == 10
+        # Contents survive the grow; new frames are absent, on no node.
+        assert frames.st[1] == 3 and frames.nid_buf[2] == 7 and frames.gen[3] == 5
+        assert list(frames.nid_buf[4:8]) == [-1] * 4
+
+
 class TestSSDPenalties:
     def test_hit_penalty_returned(self):
         h = Harness(ssd=True, size_bytes=4 * MB)

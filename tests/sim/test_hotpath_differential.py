@@ -7,8 +7,10 @@ keeping the per-block reference implementation
 ``SimulatedSystem(..., cache_impl="legacy")``.  Equivalence is not
 approximate: every digest -- which hashes the full scalar result set and
 the binned rate series -- must match across every cache policy, on
-multi-process and async workloads, and under an active fault plan where
-failed reads abandon frames and failed flushes re-queue dirty blocks.
+multi-process and async workloads, under an active fault plan where
+failed reads abandon frames and failed flushes re-queue dirty blocks,
+and on both sides of the cache's short-span threshold: venus's
+57-128-block requests and bvi/forma's 1-2-block ones.
 
 These tests are the contract that lets the legacy implementation be
 deleted eventually: any behavioral drift in the fast path shows up here
@@ -108,6 +110,40 @@ def test_fast_cache_matches_legacy_through_ssd_failure(venus_pair):
     assert _digest(venus_pair, config, "fast") == _digest(
         venus_pair, config, "legacy"
     )
+
+
+#: Section 6.3's regime, 1-2 block requests (32 KB blocks): one copy
+#: alone on the 256 MB SSD, where nearly every read is an all-clean hit
+#: and rewrites land on clean or still-flushing blocks; and two copies
+#: contending for an 8-frame main-memory cache, which evicts on almost
+#: every miss -- there LRU order decides the victims, so a short-span
+#: touch that misorders a split run changes the digest.
+SHORT_SPAN_CELLS = {
+    "ssd-256mb": (SimConfig(cache=ssd_cache(256 * MB)), 1),
+    "memory-256kb-2-copies": (
+        SimConfig(cache=CacheConfig(size_bytes=256 * KB, block_bytes=32 * KB)),
+        2,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def short_span_traces():
+    # At most 20k records (forma has 18,972): one read sweep and the
+    # write phase after it -- bvi's writes start at record 15,457,
+    # forma's at 8,201.
+    return {
+        app: generate_workload(app, scale=0.005, seed=DEFAULT_SEED).trace[:20_000]
+        for app in ("bvi", "forma")
+    }
+
+
+@pytest.mark.parametrize("cell", sorted(SHORT_SPAN_CELLS))
+@pytest.mark.parametrize("app", ["bvi", "forma"])
+def test_fast_cache_matches_legacy_on_short_spans(short_span_traces, app, cell):
+    config, copies = SHORT_SPAN_CELLS[cell]
+    traces = relabel_copies(short_span_traces[app], copies)
+    assert _digest(traces, config, "fast") == _digest(traces, config, "legacy")
 
 
 def test_unknown_cache_impl_rejected(venus_pair):

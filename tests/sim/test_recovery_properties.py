@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro.sim.config import CacheConfig, RecoveryConfig, SimConfig  # noqa: E402
 from repro.sim.recovery import backoff_delay  # noqa: E402
@@ -122,10 +122,28 @@ recovery_params = st.fixed_dictionaries(
 )
 
 
+#: One jitter draw per attempt (``recovery_params`` allows up to 12).
+jitter_draws = st.lists(
+    st.floats(0.0, 1.0, exclude_max=True), min_size=12, max_size=12
+)
+
+
 class TestMonotoneBackoff:
     @settings(max_examples=200, deadline=None)
-    @given(params=recovery_params, data=st.data())
-    def test_delays_monotone_nondecreasing_up_to_cap(self, params, data):
+    @given(params=recovery_params, draws=jitter_draws)
+    # Last-ulp rounding once made delay(1) = 0.023437500000000014 exceed
+    # delay(2) = 0.02343750000000001 with a factor a hair above 1.
+    @example(
+        params={
+            "base": 0.0234375,
+            "factor": 1.0 + 2.0**-52,
+            "cap": 1.0,
+            "jitter_frac": 0.5187,
+            "attempts": 3,
+        },
+        draws=[0.0, 0.999999] + [0.0] * 10,
+    )
+    def test_delays_monotone_nondecreasing_up_to_cap(self, params, draws):
         # Any jitter fraction the config validator admits: the sequence
         # of delays must never shrink, whatever the draws.
         jitter = params["jitter_frac"] * (params["factor"] - 1.0)
@@ -135,10 +153,7 @@ class TestMonotoneBackoff:
             backoff_cap_s=params["cap"],
             backoff_jitter=jitter,
         )
-        draws = [
-            data.draw(st.floats(0.0, 1.0, exclude_max=True))
-            for _ in range(params["attempts"])
-        ]
+        draws = draws[: params["attempts"]]
         delays = [backoff_delay(cfg, i, u) for i, u in enumerate(draws)]
         for earlier, later in zip(delays, delays[1:]):
             assert later >= earlier
