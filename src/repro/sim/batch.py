@@ -573,7 +573,7 @@ class BatchKernel:
             stats.readahead_hits += q - p
             frames.pf[a:b + 1] = False
             memo.pf_ptr = q
-        cache._clean_touch(frames, np.arange(a, b + 1))
+        cache._clean_touch(frames, a, b + 1)
         if stream is not None:
             stream.next_offset = end
             stream.length = length
@@ -638,14 +638,8 @@ class BatchKernel:
         if npf:
             stats.readahead_hits += npf
             frames.pf[a:b + 1] = False
-        if seg.max() == _VALID:
-            # No dirty/flushing block in the span: every frame is clean
-            # and the touch covers the whole range.
-            cache._clean_touch(frames, np.arange(a, b + 1))
-        else:
-            touched = np.flatnonzero(seg == _VALID) + a
-            if touched.size:
-                cache._clean_touch(frames, touched)
+        # The touch skips the span's dirty/flushing frames.
+        cache._clean_touch(frames, a, b + 1)
         if cfg.read_ahead:
             if matched:
                 stream.next_offset = end
@@ -958,9 +952,7 @@ class BatchKernel:
             ([ps.cpu_seconds], dsp)))[-1])
         cache = self.cache
         if other is None:
-            cache._clean_touch(
-                frames0, np.arange(int(a0[0]), int(b0[-1]) + 1)
-            )
+            cache._clean_touch(frames0, int(a0[0]), int(b0[-1]) + 1)
         else:
             a1, b1, frames1 = self._bulk_commit_proc(
                 other, memo1, c1, off1, L1, m1
@@ -973,13 +965,14 @@ class BatchKernel:
             # the two files' touches interleave record by record -- so
             # touch per record, in issue order, not per file.
             touch = cache._clean_touch
-            ar = np.arange
+            a0, b0 = a0.tolist(), b0.tolist()
+            a1, b1 = a1.tolist(), b1.tolist()
             for k in range(j):
                 i = k >> 1
                 if k & 1:
-                    touch(frames1, ar(a1[i], b1[i] + 1))
+                    touch(frames1, a1[i], b1[i] + 1)
                 else:
-                    touch(frames0, ar(a0[i], b0[i] + 1))
+                    touch(frames0, a0[i], b0[i] + 1)
         # Scheduler tail: leave the real machinery to schedule the
         # follow-on dispatch (and charge its switch) exactly as if the
         # last emulated slice-done had just returned.
@@ -1138,7 +1131,7 @@ class BatchKernel:
         pre_epoch = cache.epoch
         cache.epoch += 1
         gen_span = frames.gen[first:last + 1].copy()
-        run = _Run(file_id, np.arange(first, last + 1), gen_span)
+        run = _Run(file_id, first, last + 1, gen_span)
         stats.writes_absorbed += 1
         if cfg.flush_delay_s > 0:
             cache.schedule_delayed_flush(file_id, offset, length, run)
@@ -1264,7 +1257,7 @@ class BatchKernel:
         pre_epoch = cache.epoch
         cache.epoch += 1
         gen_span = frames.gen[first:last + 1].copy()
-        run = _Run(file_id, np.arange(first, last + 1), gen_span)
+        run = _Run(file_id, first, last + 1, gen_span)
         stats.writes_absorbed += 1
         if cfg.flush_delay_s > 0:
             cache.schedule_delayed_flush(file_id, offset, length, run)

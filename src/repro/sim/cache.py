@@ -27,47 +27,49 @@ trace-replay processes and the disk model:
   own did not relieve the problem, and actually worsened CPU
   utilization").
 
-Hot-path structure: columnar frames, run-coalesced bookkeeping
---------------------------------------------------------------
-Request sizes span two regimes.  A staged venus request covers ~100
-4 KB frames; section 6.3's applications on the 32 KB-block SSD mostly
-ask for 1-2 blocks.  Representing each frame as a Python object (the
-approach kept verbatim in :mod:`repro.sim.cache_legacy`) makes the
-simulator allocate and destroy millions of objects per run; this
-implementation stores frame metadata in per-file columns instead:
+Hot-path structure: extent-native frames
+----------------------------------------
+A staged venus request covers ~100 4 KB frames; section 6.3's
+applications on the 32 KB-block SSD mostly ask for 1-2 blocks.  Rather
+than a Python object per frame (the approach kept in
+:mod:`repro.sim.cache_legacy`), frame metadata lives in per-file
+columns:
 
 * ``st`` -- block state (absent / reading / valid / dirty / flushing),
 * ``own`` -- owning process, ``pf`` -- prefetched flag,
-* ``gen`` -- a generation counter bumped on every allocate/drop, which
-  replaces the legacy per-object identity checks: an in-flight disk
-  completion only settles positions whose generation still matches its
-  allocation snapshot, exactly as the legacy closures only settled
-  ``Block`` objects still present in the block map,
-* ``nid`` -- id of the clean-LRU run node currently holding the block.
+* ``gen`` -- a generation counter bumped on every allocation: a disk
+  completion settles only blocks still at its allocation's generation
+  and in the state it left them (a dropped block is absent),
+* ``nid`` -- id of the clean-LRU node holding the block.
 
-``st``, ``pf`` and ``nid`` live in a ``bytearray`` or ``array('q')``
-under a zero-copy NumPy view (see :class:`_FileFrames`).  Spans wider
-than ``_SHORT_SPAN`` blocks are classified, allocated, evicted, settled
-and flushed with slice operations over ``(first_block, n_blocks)``
-extents.  Shorter spans -- where NumPy's fixed per-call cost would
-dominate -- take a scalar branch on the same buffers:
-``bytearray.count``/``find`` classify the span (an all-clean read hit,
-a prefetch window with nothing absent, a rewrite of resident blocks)
-and the few blocks are walked in plain Python.  The clean-LRU
-is a doubly-linked list of :class:`_CleanRun` nodes, one per run of
-blocks that became evictable together; eviction pops whole nodes off
-the LRU head, splitting at most one per allocation, and a hit that
-covers a whole node relinks it in O(1).  Per-block LRU order is
-preserved by construction -- runs enter in ascending block order, and
-partial touches extract a slice to the MRU end while the remainder
-keeps its node's place -- so eviction victims, hence the disk request
-sequence and the seeded rotational-delay RNG stream, are bit-identical
-to the legacy implementation on both branches (asserted by the
-differential digest tests in ``tests/sim/test_hotpath_differential.py``).
+``st`` and ``pf`` are ``bytearray`` buffers and ``nid`` an
+``array('q')``, each under a zero-copy NumPy view (:class:`_FileFrames`).
+Every set the cache handles is a contiguous block range ``[lo, hi)`` or
+an ascending list of them, and every span -- one block or a hundred --
+takes the same path: ``bytearray.count`` recognises an all-clean hit or
+a cold miss, a compiled regular expression splits a mixed span into
+runs of one state, and installs, drops and settles are slice
+assignments.  A :class:`_Run` is ``(fid, lo, hi, gen)`` with -1 in
+``gen`` where a block is not part of it, which no generation equals.
+
+The clean LRU is a doubly-linked list of :class:`_CleanRun` nodes, each
+a range of clean blocks in per-block LRU order (ascending).  Touches
+and removals walk a span node by node (``nodes[nid[b]]``, then
+``b = node.hi``); cutting the middle out of a node leaves its left and
+right parts as two adjacent nodes in its slot.  Per-block LRU order --
+which picks eviction victims, hence the disk request sequence and the
+seeded rotational-delay RNG stream -- is therefore exactly that of a
+per-block LRU.  Eviction pops whole nodes off the head, trimming at most
+one.
+
+The behavioural contract is a set of recorded digests: the random cache
+corpus (``tests/harness/cache_corpus.py``), the golden tables and the
+benchmark's ``perfbench/digests.json``.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -101,23 +103,25 @@ _READING = BlockState.READING.value
 _VALID = BlockState.VALID.value
 _DIRTY = BlockState.DIRTY.value
 _FLUSHING = BlockState.FLUSHING.value
+_VALID_BYTE = bytes((_VALID,))
+_DIRTY_BYTE = bytes((_DIRTY,))
 
-#: Spans of at most this many blocks are classified and updated in plain
-#: Python over the frame buffers; wider ones use NumPy slice operations.
-#: NumPy's fixed cost per call (~1 us) outweighs a scalar loop below
-#: about this width.  Section 6.3's per-app SSD runs (1-2 block
-#: requests) fall below it, the Figure 8 sweep (57-128 blocks) above.
-_SHORT_SPAN = 16
+#: Maximal runs of one state (or class of states) in an ``st`` buffer.
+_ABSENTS = re.compile(b"\x00+")
+_RESIDENTS = re.compile(b"[\x02-\x04]+")  # valid, dirty or flushing
+_UNPINNED = re.compile(b"[\x02\x03]+")  # valid or dirty
+_RUNS_OF = {state: re.compile(b"%c+" % state) for state in (_READING, _DIRTY, _FLUSHING)}
+#: Reading runs; also the true runs of a boolean mask's bytes.
+_ONES = _RUNS_OF[_READING]
 
 
 class _FileFrames:
     """Columnar frame metadata for one file, grown on demand.
 
     ``st``, ``pf`` and ``nid`` are zero-copy NumPy views of the
-    ``st_buf``/``pf_buf`` bytearrays and the ``nid_buf`` ``array('q')``,
-    which short spans index as plain ints.  ``own`` and ``gen`` stay
-    NumPy arrays: short spans touch them rarely, and ``np.zeros`` leaves
-    the never-used tail of a file-sized table unresident where an
+    ``st_buf``/``pf_buf`` bytearrays and the ``nid_buf`` ``array('q')``.
+    ``own`` and ``gen`` stay NumPy arrays: ``np.zeros`` leaves the
+    never-used tail of a file-sized table unresident where an
     ``array('q')`` would fill it.
     """
 
@@ -149,53 +153,49 @@ class _FileFrames:
         self.nid = np.frombuffer(nid, dtype=np.int64)
 
 
+@dataclass(slots=True, eq=False)
 class _Run:
-    """Handle to a set of frames captured at allocation time.
+    """Handle to frames ``[lo, hi)`` of one file as allocated.
 
-    ``idx`` holds ascending block numbers (possibly with gaps, for
-    prefetch over partially-resident spans); ``gen`` is the generation
-    snapshot.  Disk completions act only on positions whose current
-    generation still equals the snapshot -- the columnar equivalent of
-    the legacy ``self._blocks.get(b.key) is b`` identity checks.
+    ``gen`` is the generation snapshot, with -1 at positions that are not
+    part of the run: the gaps of a prefetch over a partly resident
+    window, blocks a write's own allocation evicted, blocks a re-flush
+    leaves out.  Disk completions act only on blocks whose current
+    generation still equals the snapshot: the same incarnation, not a
+    later reallocation.
     """
 
-    __slots__ = ("fid", "idx", "gen")
-
-    def __init__(self, fid: int, idx: np.ndarray, gen: np.ndarray):
-        self.fid = fid
-        self.idx = idx
-        self.gen = gen
+    fid: int
+    lo: int
+    hi: int
+    gen: np.ndarray
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class _CleanRun:
-    """A run of clean blocks occupying one slot of the LRU list.
+    """Clean blocks ``[lo, hi)`` of one file in one slot of the LRU list.
 
-    ``idx`` is in per-block LRU order (ascending block numbers for
-    blocks that entered together).  Eviction takes whole nodes off the
-    LRU head, slicing the last one when only part of it is needed.
+    Per-block LRU order within a node is ascending block order; every
+    block in the range is clean and carries the node's id in ``nid``.
     """
 
-    __slots__ = ("fid", "idx", "id", "prev", "next")
-
-    def __init__(self, fid: int, idx: np.ndarray, node_id: int):
-        self.fid = fid
-        self.idx = idx
-        self.id = node_id
-        self.prev: _CleanRun | None = None
-        self.next: _CleanRun | None = None
+    fid: int
+    lo: int
+    hi: int
+    id: int
+    prev: _CleanRun | None = None
+    next: _CleanRun | None = None
 
 
+@dataclass(slots=True, eq=False)
 class _DelayedFlush:
     """A dirty extent waiting out its Sprite-style delay."""
 
-    __slots__ = ("file_id", "offset", "length", "run", "cancelled")
-
-    def __init__(self, file_id: int, offset: int, length: int, run: _Run):
-        self.file_id = file_id
-        self.offset = offset
-        self.length = length
-        self.run = run
-        self.cancelled = False
+    file_id: int
+    offset: int
+    length: int
+    run: _Run
+    cancelled: bool = False
 
 
 @dataclass(slots=True)
@@ -245,9 +245,13 @@ class BufferCache:
         self._c_parks = reg.counter("sim.cache.frame_wait_parks")
         self._g_wb_queue = reg.gauge("sim.cache.writebehind_queue_depth")
         # Hot-path locals: resolved once so the per-request code performs
-        # zero registry lookups and no repeated attribute chains.
+        # zero registry lookups and no repeated attribute chains.  The
+        # config is frozen, so its derived geometry is too.
         self._stats = metrics.cache
         self._record_demand = metrics.record_demand
+        self._bs = config.block_bytes
+        self._n_blocks = config.n_blocks
+        self._cap = config.max_blocks_per_process
         #: Mutation epoch: bumped whenever block states, prefetch bits,
         #: stream state, frame-table geometry or known file sizes change
         #: through the full (slow) request paths.  The batch kernel
@@ -355,12 +359,9 @@ class BufferCache:
         requests go straight to the disk (the classic bypass), otherwise
         they would park forever.
         """
-        first, last = self._block_span(offset, length)
-        needed = last - first + 1
-        if needed > self.config.n_blocks:
-            return True
-        cap = self.config.max_blocks_per_process
-        return cap is not None and needed > cap
+        first, end = self._block_range(offset, length)
+        needed, cap = end - first, self._cap
+        return needed > self._n_blocks or (cap is not None and needed > cap)
 
     def _bypass_read(
         self, file_id: int, offset: int, length: int, on_complete
@@ -414,17 +415,16 @@ class BufferCache:
     # ------------------------------------------------------------------
     # Geometry / bookkeeping
     # ------------------------------------------------------------------
-    def _block_span(self, offset: int, length: int) -> tuple[int, int]:
-        """(first_block, last_block) covering [offset, offset+length)."""
-        bs = self.config.block_bytes
-        return offset // bs, (offset + length - 1) // bs
+    def _block_range(self, offset: int, length: int) -> tuple[int, int]:
+        """Blocks ``[first, end)`` covering bytes [offset, offset+length)."""
+        bs = self._bs
+        return offset // bs, (offset + length - 1) // bs + 1
 
     def _file(self, file_id: int, n_blocks: int) -> _FileFrames:
         """The file's frame columns, grown to cover ``n_blocks``."""
         frames = self._files.get(file_id)
         if frames is None:
-            bs = self.config.block_bytes
-            hint = -(-self._file_sizes.get(file_id, 0) // bs)
+            hint = -(-self._file_sizes.get(file_id, 0) // self._bs)
             frames = _FileFrames(max(n_blocks, hint, 64))
             self._files[file_id] = frames
             self.epoch += 1
@@ -440,37 +440,45 @@ class BufferCache:
     def owner_blocks(self, owner: int) -> int:
         return self._owner_counts.get(owner, 0)
 
-    def _drop_frames(self, frames: _FileFrames, idx: np.ndarray) -> None:
-        """Free frames (state -> absent, generation bumped) and settle
-        the owner accounting.  The clean-LRU is NOT touched: callers
-        either evicted via the LRU already or are dropping pinned
-        (reading/dirty/flushing) frames that were never on it.
+    def _drop_frames(self, frames: _FileFrames, lo: int, hi: int) -> None:
+        """Free frames ``[lo, hi)`` (state -> absent) and settle the
+        owner accounting.  The clean-LRU is NOT touched:
+        callers either took the frames off it already or are dropping
+        pinned (reading/dirty/flushing) frames that were never on it.
         """
         counts = self._owner_counts
-        n = idx.size
-        if n == 1:
-            b = int(idx[0])
-            first_owner = int(frames.own[b])
-            counts[first_owner] = counts.get(first_owner, 1) - 1
-            frames.st_buf[b] = _ABSENT
-            frames.gen[b] += 1
-            self._resident -= 1
-            self.epoch += 1
-            return
-        own = frames.own[idx]
+        n = hi - lo
+        own = frames.own[lo:hi]
         first_owner = int(own[0])
-        if own[-1] == first_owner and (own == first_owner).all():
-            # Runs are allocated by a single process, so most nodes are
-            # single-owner; only write-extent settles can mix owners.
+        # Runs are allocated by a single process, so most ranges are
+        # single-owner; only write-extent settles can mix owners.
+        if own.tobytes() == own[:1].tobytes() * n:
             counts[first_owner] = counts.get(first_owner, n) - n
         else:
             owners, counts_per = np.unique(own, return_counts=True)
-            for owner, n in zip(owners, counts_per):
-                counts[int(owner)] = counts.get(int(owner), int(n)) - int(n)
-        frames.st[idx] = _ABSENT
-        frames.gen[idx] += 1
-        self._resident -= idx.size
+            for owner, k in zip(owners.tolist(), counts_per.tolist()):
+                counts[owner] = counts.get(owner, k) - k
+        frames.st_buf[lo:hi] = bytes(n)
+        self._resident -= n
         self.epoch += 1
+
+    def _live(
+        self, frames: _FileFrames, run: _Run, state: int | None = None
+    ) -> list[tuple[int, int]]:
+        """The blocks of ``run`` not reallocated since (and, given
+        ``state``, in that state), as ascending ``[lo, hi)`` ranges."""
+        lo, hi = run.lo, run.hi
+        gen = frames.gen[lo:hi]
+        if gen.tobytes() == run.gen.tobytes():
+            # The whole run is still this incarnation (the usual case):
+            # only the state splits it.
+            if state is None:
+                return [(lo, hi)]
+            return [m.span() for m in _RUNS_OF[state].finditer(frames.st_buf, lo, hi)]
+        mask = gen == run.gen
+        if state is not None:
+            mask &= frames.st[lo:hi] == state
+        return [(lo + m.start(), lo + m.end()) for m in _ONES.finditer(mask.tobytes())]
 
     # ------------------------------------------------------------------
     # Clean-LRU run structure
@@ -498,191 +506,176 @@ class BufferCache:
             nxt.prev = prev
         node.prev = node.next = None
 
-    def _clean_append(self, frames: _FileFrames, fid: int, idx) -> None:
-        """Make frames clean-resident as one MRU run (O(1) list ops);
-        ``idx`` is as for :meth:`_clean_touch`."""
+    def _new_node(self, frames: _FileFrames, fid: int, lo: int, hi: int) -> _CleanRun:
+        """An unlinked node over ``[lo, hi)``, stamped into ``nid``."""
         node_id = self._next_node_id
         self._next_node_id = node_id + 1
-        node = _CleanRun(fid, np.asarray(idx, dtype=np.int64), node_id)
+        node = _CleanRun(fid, lo, hi, node_id)
         self._nodes[node_id] = node
-        n = len(idx)
-        if n <= _SHORT_SPAN:
-            st, nid = frames.st_buf, frames.nid_buf
-            for b in idx:
-                st[b] = _VALID
-                nid[b] = node_id
+        frames.nid[lo:hi] = node_id
+        return node
+
+    def _node_cut(self, frames: _FileFrames, node: _CleanRun, b: int, e: int) -> None:
+        """Take blocks ``[b, e)`` out of ``node``.  What remains keeps
+        the node's LRU slot; a middle cut leaves the right part as a new
+        node linked straight after it."""
+        if b == node.lo:
+            if e == node.hi:
+                self._lru_unlink(node)
+                del self._nodes[node.id]
+            else:
+                node.lo = e
+        elif e == node.hi:
+            node.hi = b
         else:
-            frames.st[idx] = _VALID
-            frames.nid[idx] = node_id
-        self._lru_append(node)
-        self._clean_count += n
+            right = self._new_node(frames, node.fid, e, node.hi)
+            nxt = node.next
+            right.prev = node
+            right.next = nxt
+            node.next = right
+            if nxt is None:
+                self._lru_tail = right
+            else:
+                nxt.prev = right
+            node.hi = b
+
+    def _clean_append(self, frames: _FileFrames, fid: int, lo: int, hi: int) -> None:
+        """Make frames ``[lo, hi)`` clean-resident as one MRU node."""
+        frames.st_buf[lo:hi] = _VALID_BYTE * (hi - lo)
+        self._lru_append(self._new_node(frames, fid, lo, hi))
+        self._clean_count += hi - lo
         self.epoch += 1
 
-    def _node_runs(self, frames: _FileFrames, idx):
-        """Yield ``(i, j, node)`` for each maximal run ``idx[i:j]`` on one
-        clean-LRU node.  Short spans read the ``nid`` buffer lazily (a
-        caller's split renumbers only blocks already yielded); wide spans
-        group one vectorized snapshot.
-        """
-        n = len(idx)
-        nodes = self._nodes
-        if n > _SHORT_SPAN:
-            nids = frames.nid[idx]
-            cuts = (np.flatnonzero(nids[1:] != nids[:-1]) + 1).tolist()
-            bounds = [0, *cuts, n]
-            for k in range(len(bounds) - 1):
-                yield bounds[k], bounds[k + 1], nodes[int(nids[bounds[k]])]
-            return
-        nid = frames.nid_buf
-        i = 0
-        while i < n:
-            node_id = nid[idx[i]]
-            j = i + 1
-            while j < n and nid[idx[j]] == node_id:
-                j += 1
-            yield i, j, nodes[node_id]
-            i = j
+    def _clean_touch(self, frames: _FileFrames, lo: int, hi: int) -> None:
+        """Move the clean frames in ``[lo, hi)`` to MRU, preserving
+        per-block order; other frames in the range are skipped.
 
-    def _clean_touch(self, frames: _FileFrames, idx) -> None:
-        """Move already-clean frames to MRU, preserving per-block order.
-
-        ``idx`` is ascending block numbers: an int64 array, or on short
-        spans any sequence of ints (the all-clean read hit passes a
-        ``range``).  Runs of consecutive frames sharing a node move
-        together: a whole node is relinked in O(1); a partial slice is
-        extracted to a new MRU node while the remainder keeps the node's
-        LRU position -- exactly the per-block order the legacy
-        ``move_to_end`` loop produced.
+        The range is walked node by node: a whole node is relinked in
+        O(1); part of one moves to a new MRU node while the rest keeps
+        the node's LRU position -- exactly the per-block order of a
+        ``move_to_end`` per block in ascending order.
         """
-        for i, j, node in self._node_runs(frames, idx):
-            if j - i == node.idx.size:
+        st, nid, nodes = frames.st_buf, frames.nid_buf, self._nodes
+        b = st.find(_VALID, lo, hi)
+        while b >= 0:
+            node = nodes[nid[b]]
+            e = node.hi if node.hi < hi else hi
+            if b == node.lo and e == node.hi:
                 if node is not self._lru_tail:
                     self._lru_unlink(node)
                     self._lru_append(node)
             else:
-                group = np.asarray(idx[i:j], dtype=np.int64)
-                node.idx = np.setdiff1d(node.idx, group, assume_unique=True)
-                node_id = self._next_node_id
-                self._next_node_id = node_id + 1
-                new_node = _CleanRun(node.fid, group, node_id)
-                self._nodes[node_id] = new_node
-                frames.nid[group] = node_id
-                self._lru_append(new_node)
+                self._node_cut(frames, node, b, e)
+                self._lru_append(self._new_node(frames, node.fid, b, e))
+            b = st.find(_VALID, e, hi)
 
-    def _clean_remove(self, frames: _FileFrames, idx) -> None:
-        """Take specific clean frames out of the LRU (state untouched by
-        this call; callers transition it right after).  Remaining frames
-        of each affected node keep their relative order and the node
-        keeps its LRU position.  ``idx`` is as for :meth:`_clean_touch`.
+    def _clean_remove(self, frames: _FileFrames, lo: int, hi: int) -> None:
+        """Take the clean frames in ``[lo, hi)`` out of the LRU (state
+        untouched by this call; callers transition it right after).
+        Remaining frames of each affected node keep their LRU position.
         """
-        nodes = self._nodes
-        for i, j, node in self._node_runs(frames, idx):
-            if j - i == node.idx.size:
-                self._lru_unlink(node)
-                del nodes[node.id]
-            else:
-                group = np.asarray(idx[i:j], dtype=np.int64)
-                node.idx = np.setdiff1d(node.idx, group, assume_unique=True)
-        self._clean_count -= len(idx)
+        st, nid, nodes = frames.st_buf, frames.nid_buf, self._nodes
+        b = st.find(_VALID, lo, hi)
+        while b >= 0:
+            node = nodes[nid[b]]
+            e = node.hi if node.hi < hi else hi
+            self._node_cut(frames, node, b, e)
+            self._clean_count -= e - b
+            b = st.find(_VALID, e, hi)
 
     # ------------------------------------------------------------------
     # Frame management
     # ------------------------------------------------------------------
-    def _over_cap(self, owner: int, extra: int) -> bool:
-        cap = self.config.max_blocks_per_process
-        return cap is not None and self.owner_blocks(owner) + extra > cap
-
     def try_allocate_run(
-        self, fid: int, idx: np.ndarray, owner: int, state: int
+        self, fid: int, runs: list[tuple[int, int]], owner: int, state: int
     ) -> _Run | None:
-        """Install a run of absent frames, evicting clean LRU as needed.
+        """Install absent frames ``runs`` (ascending ``[lo, hi)`` ranges
+        of one file), evicting clean LRU as needed.
 
-        All-or-nothing: returns None (no side effects) when not enough
-        frames can be freed.  With an ownership cap, an over-cap process
-        may only recycle its *own* clean frames.  Eviction pops whole
-        runs off the LRU head (splitting at most one), so the per-request
-        cost is O(runs), not O(blocks).  ``state`` is ``_READING`` or
-        ``_DIRTY``: new frames are pinned, never on the clean LRU.
+        All-or-nothing over the union: returns None (no side effects)
+        when not enough frames can be freed.  With an ownership cap, an
+        over-cap process may only recycle its *own* clean frames.
+        Eviction pops whole nodes off the LRU head (trimming at most
+        one), so the cost is O(nodes), not O(blocks).  ``state`` is
+        ``_READING`` or ``_DIRTY``: new frames are pinned, never on the
+        clean LRU.  The returned run spans ``runs`` with -1 in the gaps.
         """
-        needed = idx.size
+        needed = 0
+        for lo, hi in runs:
+            needed += hi - lo
         frames = self._files[fid]
-        if needed == 0:
-            return _Run(fid, idx, frames.gen[idx].copy())
         counts = self._owner_counts
-        nodes = self._nodes
-        if self._over_cap(owner, needed):
-            cap = self.config.max_blocks_per_process
-            assert cap is not None
-            allowed_new = max(0, cap - counts.get(owner, 0))
-            must_recycle = needed - allowed_new
-            # Scan runs from the LRU head collecting this owner's clean
-            # frames in per-block LRU order (node order, then in-node
-            # order -- the order the legacy per-block scan visited).
-            victims: list[tuple[_CleanRun, np.ndarray]] = []
+        cap = self._cap
+        if cap is not None and counts.get(owner, 0) + needed > cap:
+            must_recycle = needed - max(0, cap - counts.get(owner, 0))
+            # Collect this owner's clean frames from the LRU head in
+            # per-block LRU order (node order, then block order).
+            victims: list[tuple[_FileFrames, int, int]] = []
             n_found = 0
             node = self._lru_head
             while node is not None and n_found < must_recycle:
                 vf = self._files[node.fid]
-                mine = node.idx[vf.own[node.idx] == owner]
-                if mine.size:
-                    take = min(mine.size, must_recycle - n_found)
-                    victims.append((node, mine[:take]))
+                mine = vf.own[node.lo:node.hi] == owner
+                for m in _ONES.finditer(mine.tobytes()):
+                    b = node.lo + m.start()
+                    take = min(m.end() - m.start(), must_recycle - n_found)
+                    victims.append((vf, b, b + take))
                     n_found += take
+                    if n_found == must_recycle:
+                        break
                 node = node.next
             if n_found < must_recycle:
                 return None
             self._c_evictions.inc(n_found)
-            for node, vidx in victims:
-                vframes = self._files[node.fid]
-                if vidx.size == node.idx.size:
-                    self._lru_unlink(node)
-                    del nodes[node.id]
-                else:
-                    node.idx = np.setdiff1d(node.idx, vidx, assume_unique=True)
-                self._drop_frames(vframes, vidx)
-            self._clean_count -= n_found
+            for vf, b, e in victims:
+                self._clean_remove(vf, b, e)
+                self._drop_frames(vf, b, e)
         else:
-            must_evict = needed - (self.config.n_blocks - self._resident)
+            must_evict = needed - (self._n_blocks - self._resident)
             if must_evict > 0:
                 if must_evict > self._clean_count:
                     return None
                 self._c_evictions.inc(must_evict)
-                node = self._lru_head
-                remaining = must_evict
-                while remaining:
-                    k = node.idx.size
-                    vframes = self._files[node.fid]
-                    if k <= remaining:
-                        self._drop_frames(vframes, node.idx)
-                        remaining -= k
-                        nxt = node.next
-                        self._lru_unlink(node)
-                        del nodes[node.id]
-                        node = nxt
-                    else:
-                        self._drop_frames(vframes, node.idx[:remaining])
-                        node.idx = node.idx[remaining:]
-                        remaining = 0
                 self._clean_count -= must_evict
+                nodes = self._nodes
+                node = self._lru_head
+                while must_evict:
+                    vframes = self._files[node.fid]
+                    k = node.hi - node.lo
+                    if k > must_evict:
+                        self._drop_frames(vframes, node.lo, node.lo + must_evict)
+                        node.lo += must_evict
+                        break
+                    self._drop_frames(vframes, node.lo, node.hi)
+                    must_evict -= k
+                    del nodes[node.id]
+                    nxt = node.next
+                    node.next = None
+                    node = nxt
+                # ``node`` heads what is left of the LRU.
+                self._lru_head = node
+                if node is None:
+                    self._lru_tail = None
+                else:
+                    node.prev = None
 
-        if needed <= _SHORT_SPAN:
-            st, pf, own, gens = frames.st_buf, frames.pf_buf, frames.own, frames.gen
-            for b in idx.tolist():
-                st[b] = state
-                own[b] = owner
-                pf[b] = 0
-                gens[b] += 1
-            gen = frames.gen[idx]
-        else:
-            frames.st[idx] = state
-            frames.own[idx] = owner
-            frames.pf[idx] = False
-            gen = frames.gen[idx] + 1
-            frames.gen[idx] = gen
+        st, pf, own, gens = frames.st_buf, frames.pf_buf, frames.own, frames.gen
+        fill = bytes((state,))
+        lo0, hi0 = runs[0][0], runs[-1][1]
+        gen = gens[lo0:hi0] + 1
+        prev = lo0
+        for lo, hi in runs:
+            st[lo:hi] = fill * (hi - lo)
+            pf[lo:hi] = bytes(hi - lo)
+            own[lo:hi] = owner
+            gens[lo:hi] = gen[lo - lo0:hi - lo0]
+            if lo > prev:
+                gen[prev - lo0:lo - lo0] = -1
+            prev = hi
         counts[owner] = counts.get(owner, 0) + needed
         self._resident += needed
         self.epoch += 1
-        return _Run(fid, idx, gen)
+        return _Run(fid, lo0, hi0, gen)
 
     def park_for_frames(self, retry: Callable[[], bool]) -> None:
         """Queue a retry closure to run when frames may be available."""
@@ -702,33 +695,18 @@ class BufferCache:
     # ------------------------------------------------------------------
     def _fire_waiters(self, run: _Run) -> None:
         """Release demand reads waiting on frames of ``run``, in
-        ascending block order (the order the legacy per-block loop fired
-        them).  Generation matching scopes the firing to this run's
-        incarnation of each block, like the legacy per-object waiter
-        lists; the state may have moved on (e.g. overwritten to
+        ascending block order.  Generation matching scopes the firing to
+        this run's incarnation of each block (gap positions hold -1 and
+        match nothing); the state may have moved on (e.g. overwritten to
         flushing) and the waiters are still released -- their data is in
         the cache either way.
         """
-        fid = run.fid
-        idx = run.idx
-        lo = int(idx[0])
-        hi = int(idx[-1])
-        # Runs are usually gap-free; then membership is index arithmetic
-        # instead of a searchsorted call per candidate key.
-        contiguous = idx.size == hi - lo + 1
-        matched: list[tuple[int, tuple[int, int, int]]] = []
-        for key in self._waiters:
-            kf, kb, kg = key
-            if kf != fid or kb < lo or kb > hi:
-                continue
-            if contiguous:
-                if run.gen[kb - lo] == kg:
-                    matched.append((kb, key))
-                continue
-            pos = int(np.searchsorted(idx, kb))
-            if pos < idx.size and idx[pos] == kb and run.gen[pos] == kg:
-                matched.append((kb, key))
-        matched.sort()
+        fid, lo, hi, gen = run.fid, run.lo, run.hi, run.gen
+        matched = sorted(
+            (kb, (kf, kb, kg))
+            for kf, kb, kg in self._waiters
+            if kf == fid and lo <= kb < hi and gen[kb - lo] == kg
+        )
         for _, key in matched:
             for waiter in self._waiters.pop(key):
                 waiter()
@@ -754,15 +732,11 @@ class BufferCache:
             # flight (state flushing); only still-reading frames of this
             # allocation settle to VALID (or, on failure, get abandoned).
             frames = self._files[file_id]
-            idx = run.idx
-            live = idx[
-                (frames.gen[idx] == run.gen) & (frames.st[idx] == _READING)
-            ]
-            if ok:
-                if live.size:
-                    self._clean_append(frames, file_id, live)
-            elif live.size:
-                self._drop_frames(frames, live)
+            for lo, hi in self._live(frames, run, _READING):
+                if ok:
+                    self._clean_append(frames, file_id, lo, hi)
+                else:
+                    self._drop_frames(frames, lo, hi)
             if self._waiters:
                 self._fire_waiters(run)
             if on_done is not None:
@@ -771,6 +745,17 @@ class BufferCache:
                 self._kick_frame_waiters()
 
         self.device.submit(file_id, offset, length, is_write=False, on_done=arrive)
+
+    def _pin(self, run: _Run, state: int) -> None:
+        """Move ``run``'s frames to a pinned ``state``, taking any clean
+        ones off the LRU first.  Runs are pinned as they are issued,
+        when every block they cover is resident."""
+        frames = self._files[run.fid]
+        fill = bytes((state,))
+        for lo, hi in self._live(frames, run):
+            self._clean_remove(frames, lo, hi)
+            frames.st_buf[lo:hi] = fill * (hi - lo)
+        self.epoch += 1
 
     def issue_disk_write(
         self,
@@ -791,71 +776,43 @@ class BufferCache:
         the whole retry saga so the drain callback cannot fire while a
         re-flush is pending.
         """
-        frames = self._files[file_id]
-        idx = run.idx
-        short = idx.size <= _SHORT_SPAN
-        if short:
-            # (block, generation) pairs of the allocation snapshot
-            snapshot = list(zip(idx.tolist(), run.gen.tolist()))
-            st, gen = frames.st_buf, frames.gen
-            alive = [b for b, g in snapshot if gen[b] == g]
-            clean = [b for b in alive if st[b] == _VALID]
-            if clean:
-                self._clean_remove(frames, clean)
-            for b in alive:
-                st[b] = _FLUSHING
-        else:
-            alive = idx[frames.gen[idx] == run.gen]
-            clean = alive[frames.st[alive] == _VALID]
-            if clean.size:
-                self._clean_remove(frames, clean)
-            frames.st[alive] = _FLUSHING
-        self.epoch += 1
+        self._pin(run, _FLUSHING)
         self.outstanding_flushes += 1
         self._g_wb_queue.set_max(self.outstanding_flushes)
 
         def finished(ok: bool) -> None:
             frames = self._files[file_id]
-            if short:
-                st, gen = frames.st_buf, frames.gen
-                live = [b for b, g in snapshot if gen[b] == g and st[b] == _FLUSHING]
-            else:
-                live = idx[(frames.gen[idx] == run.gen) & (frames.st[idx] == _FLUSHING)]
+            live = self._live(frames, run, _FLUSHING)
             if not ok:
-                live = np.asarray(live, dtype=np.int64)
-                if live.size and reflush < self.recovery.max_reflushes:
+                if live and reflush < self.recovery.max_reflushes:
                     self.metrics.faults.reflushes += 1
-                    frames.st[live] = _DIRTY
+                    # The re-flush covers exactly the blocks live now.
+                    gen = np.full(run.hi - run.lo, -1, dtype=np.int64)
+                    for lo, hi in live:
+                        frames.st_buf[lo:hi] = _DIRTY_BYTE * (hi - lo)
+                        gen[lo - run.lo:hi - run.lo] = run.gen[lo - run.lo:hi - run.lo]
                     self.epoch += 1
-                    live_gen = frames.gen[live]  # == the snapshot's: live matched it
+                    retry = _Run(file_id, run.lo, run.hi, gen)
 
                     def redo() -> None:
                         self.outstanding_flushes -= 1
-                        f2 = self._files[file_id]
-                        still_mask = (f2.gen[live] == live_gen) & (
-                            f2.st[live] == _DIRTY
-                        )
                         self._issue_flush_runs(
-                            file_id,
-                            _Run(file_id, live[still_mask], live_gen[still_mask]),
-                            on_done,
-                            reflush=reflush + 1,
+                            file_id, retry, on_done, reflush=reflush + 1
                         )
 
                     # Latch stays held until redo() runs (decrement and
                     # re-issue are back to back, so drain cannot slip in).
                     self.engine.schedule(self.recovery.reflush_delay_s, redo)
                     return
-                if live.size:
-                    # Retries and re-flushes exhausted: write-behind data
-                    # is dropped -- this is the data-at-risk turning into
-                    # data lost.
-                    self.metrics.faults.lost_bytes += (
-                        int(live.size) * self.config.block_bytes
-                    )
-                    self._drop_frames(frames, live)
-            elif len(live):
-                self._clean_append(frames, file_id, live)
+                # Retries and re-flushes exhausted: write-behind data is
+                # dropped -- this is the data-at-risk turning into data
+                # lost.
+                for lo, hi in live:
+                    self.metrics.faults.lost_bytes += (hi - lo) * self._bs
+                    self._drop_frames(frames, lo, hi)
+            else:
+                for lo, hi in live:
+                    self._clean_append(frames, file_id, lo, hi)
             self.outstanding_flushes -= 1
             if on_done is not None:
                 on_done()
@@ -874,33 +831,28 @@ class BufferCache:
         *,
         reflush: int = 0,
     ) -> None:
-        """Flush a (possibly sparse) set of dirty frames as contiguous runs.
+        """Flush the frames of ``run`` still dirty in its incarnation,
+        one disk write per contiguous range.
 
         Used when only part of an extent still needs writing -- a re-flush
         after failure, or a delayed flush some of whose frames were
         already flushed by an overlapping extent.  ``on_done`` rides on
-        the last run; with no runs at all it fires synchronously along
+        the last write; with none at all it fires synchronously along
         with the drain check the skipped write would have performed.
         """
-        idx = run.idx
-        if idx.size == 0:
+        dirty = self._live(self._files[file_id], run, _DIRTY)
+        if not dirty:
             if on_done is not None:
                 on_done()
             if self.outstanding_flushes == 0 and self.on_drained is not None:
                 self.on_drained()
             return
-        bs = self.config.block_bytes
-        cut = np.flatnonzero(np.diff(idx) > 1) + 1
-        starts = np.concatenate([[0], cut, [idx.size]])
-        n_runs = starts.size - 1
-        for i in range(n_runs):
-            a, b = int(starts[i]), int(starts[i + 1])
-            sub = _Run(file_id, idx[a:b], run.gen[a:b])
-            run_off = int(idx[a]) * bs
-            run_len = (b - a) * bs
-            done = on_done if i == n_runs - 1 else None
+        bs = self._bs
+        for lo, hi in dirty:
+            sub = _Run(file_id, lo, hi, run.gen[lo - run.lo:hi - run.lo])
+            done = on_done if hi == dirty[-1][1] else None
             self.issue_disk_write(
-                file_id, run_off, run_len, sub, done, reflush=reflush
+                file_id, lo * bs, (hi - lo) * bs, sub, done, reflush=reflush
             )
 
     # ------------------------------------------------------------------
@@ -916,14 +868,7 @@ class BufferCache:
         never happens: "temporary files which exist for less than 30
         seconds ... [are] never written to disk".
         """
-        frames = self._files[file_id]
-        idx = run.idx
-        alive = idx[frames.gen[idx] == run.gen]
-        clean = alive[frames.st[alive] == _VALID]
-        if clean.size:
-            self._clean_remove(frames, clean)
-        frames.st[alive] = _DIRTY
-        self.epoch += 1
+        self._pin(run, _DIRTY)
         handle = _DelayedFlush(file_id, offset, length, run)
         self._delayed_flushes.setdefault(file_id, []).append(handle)
         self.outstanding_flushes += 1  # keeps drain accounting honest
@@ -945,18 +890,24 @@ class BufferCache:
             # one already flushed or evicted is flushing/valid/absent and
             # writing it again would double-count the bytes in the write
             # statistics.
-            f2 = self._files[file_id]
-            live = idx[(f2.gen[idx] == run.gen) & (f2.st[idx] == _DIRTY)]
-            if live.size == idx.size:
+            if self._live(self._files[file_id], run, _DIRTY) == [(run.lo, run.hi)]:
                 # Whole extent intact: one contiguous write, exactly as
                 # originally queued.
                 self.issue_disk_write(file_id, offset, length, run)
             else:
-                self._issue_flush_runs(
-                    file_id, _Run(file_id, live, f2.gen[live].copy()), None
-                )
+                self._issue_flush_runs(file_id, run, None)
 
         self.engine.schedule(self.config.flush_delay_s, fire)
+
+    def _drop_unpinned(self, frames: _FileFrames) -> int:
+        """Drop every clean and dirty frame of one file (frames with a
+        transfer in flight settle normally); returns the dirty count."""
+        n_dirty = frames.st_buf.count(_DIRTY)
+        for m in list(_UNPINNED.finditer(frames.st_buf)):
+            lo, hi = m.span()
+            self._clean_remove(frames, lo, hi)
+            self._drop_frames(frames, lo, hi)
+        return n_dirty
 
     def discard_file(self, file_id: int) -> int:
         """Drop a deleted file: cancel its pending delayed flushes and
@@ -972,12 +923,7 @@ class BufferCache:
                 self._stats.writes_cancelled += 1
         frames = self._files.get(file_id)
         if frames is not None:
-            clean = np.flatnonzero(frames.st == _VALID)
-            if clean.size:
-                self._clean_remove(frames, clean)
-            gone = np.flatnonzero((frames.st == _VALID) | (frames.st == _DIRTY))
-            if gone.size:
-                self._drop_frames(frames, gone)
+            self._drop_unpinned(frames)
         self._streams.pop(file_id, None)
         self.epoch += 1
         if cancelled:
@@ -998,7 +944,7 @@ class BufferCache:
             f.st_buf.count(_DIRTY) + f.st_buf.count(_FLUSHING)
             for f in self._files.values()
         )
-        return n * self.config.block_bytes
+        return n * self._bs
 
     def enter_degraded(self) -> None:
         """The SSD died: dump its contents, route everything to disk.
@@ -1014,17 +960,8 @@ class BufferCache:
         self.degraded = True
         self.epoch += 1
         self.metrics.faults.degraded_at_s = self.engine.now
-        lost = 0
-        for frames in self._files.values():
-            clean = np.flatnonzero(frames.st == _VALID)
-            if clean.size:
-                self._clean_remove(frames, clean)
-            dirty = np.flatnonzero(frames.st == _DIRTY)
-            lost += int(dirty.size)
-            gone = np.flatnonzero((frames.st == _VALID) | (frames.st == _DIRTY))
-            if gone.size:
-                self._drop_frames(frames, gone)
-        self.metrics.faults.lost_bytes += lost * self.config.block_bytes
+        lost = sum(self._drop_unpinned(f) for f in self._files.values())
+        self.metrics.faults.lost_bytes += lost * self._bs
         # Parked requests retry through their original (cache-mediated)
         # closure; the pool just emptied, so let them finish that way.
         self._kick_frame_waiters()
@@ -1055,33 +992,33 @@ class BufferCache:
         start = max(stream.prefetch_until, stream.next_offset)
         if start >= window_end:
             return
-        first, last = self._block_span(start, window_end - start)
+        first, end = self._block_range(start, window_end - start)
         st = self._files[file_id].st_buf
-        if last < len(st) and st.find(_ABSENT, first, last + 1) < 0:
+        if end <= len(st) and st.find(_ABSENT, first, end) < 0:
             # Nothing absent in the window: the scan below would issue
             # nothing and march straight to its end.
             stream.prefetch_until = window_end
             return
-        bs = self.config.block_bytes
+        bs = self._bs
         while start < window_end:
             length = min(stream.length, window_end - start)
-            first, last = self._block_span(start, length)
-            frames = self._file(file_id, last + 1)
-            # Only prefetch runs of absent blocks; stop growing the window
-            # when frames are unavailable (prefetch never parks).
-            if frames.st_buf.find(_ABSENT, first, last + 1) >= 0:
-                absent = (
-                    np.flatnonzero(frames.st[first:last + 1] == _ABSENT) + first
-                )
-                run = self.try_allocate_run(file_id, absent, owner, _READING)
+            first, end = self._block_range(start, length)
+            frames = self._file(file_id, end)
+            # Only prefetch runs of absent blocks, as one disk read over
+            # their extent; stop growing the window when frames are
+            # unavailable (prefetch never parks).
+            runs = [m.span() for m in _ABSENTS.finditer(frames.st_buf, first, end)]
+            if runs:
+                run = self.try_allocate_run(file_id, runs, owner, _READING)
                 if run is None:
                     break
-                frames.pf[absent] = True
-                run_off = int(absent[0]) * bs
-                run_len = (int(absent[-1]) - int(absent[0]) + 1) * bs
+                for lo, hi in runs:
+                    frames.pf_buf[lo:hi] = b"\x01" * (hi - lo)
                 self._stats.prefetch_issued += 1
-                self._stats.prefetch_blocks += int(absent.size)
-                self.issue_disk_read(file_id, run_off, run_len, run)
+                self._stats.prefetch_blocks += sum(hi - lo for lo, hi in runs)
+                self.issue_disk_read(
+                    file_id, run.lo * bs, (run.hi - run.lo) * bs, run
+                )
             start += length
             stream.prefetch_until = start
 
@@ -1122,93 +1059,75 @@ class _PendingRead:
         """Classify the span and issue disk reads; False to retry later."""
         cache = self.cache
         cache.epoch += 1  # clears prefetch bits / touches LRU below
-        stats = cache._stats
-        first, last = cache._block_span(self.offset, self.length)
-        end = last + 1
+        bs = cache._bs
+        first = self.offset // bs
+        end = (self.offset + self.length - 1) // bs + 1
         span = end - first
         fid = self.file_id
         frames = cache._file(fid, end)
-        if span <= _SHORT_SPAN and frames.st_buf.count(_VALID, first, end) == span:
-            # All-clean short hit (section 6.3's common case): count and
-            # clear prefetch bits, touch the LRU, complete inline.
-            pf = frames.pf_buf
+        st, pf = frames.st_buf, frames.pf_buf
+        n_valid = st.count(_VALID, first, end)
+        if n_valid == span:
+            # All clean (section 6.3's common case): spend the prefetch
+            # bits, touch the LRU, complete inline.
             n_ra_hit = pf.count(1, first, end)
             if n_ra_hit:
                 pf[first:end] = bytes(span)
-            cache._clean_touch(frames, range(first, end))
+            cache._clean_touch(frames, first, end)
             if not self.counted:
+                stats = cache._stats
                 stats.block_hits += span
                 stats.readahead_hits += n_ra_hit
                 self.counted = True
             self._finish()
             return True
-        seg = frames.st[first:end]
-
-        if not seg.any():
-            # Cold read: the whole span is one missing run.
-            n_miss = span
-            n_hit = n_inflight = n_ra_hit = 0
-            missing: list[np.ndarray] = [np.arange(first, end)]
-            reading = _EMPTY_IDX
+        n_miss = st.count(_ABSENT, first, end)
+        n_inflight = st.count(_READING, first, end)
+        if n_miss == span:
+            # Cold: the whole span is one missing run.
+            missing, reading, resident = [(first, end)], [], []
         else:
-            absent = np.flatnonzero(seg == _ABSENT)
-            reading = np.flatnonzero(seg == _READING) + first
-            n_miss = int(absent.size)
-            n_inflight = int(reading.size)
-            n_hit = span - n_miss - n_inflight
-            if n_hit:
-                resident = np.flatnonzero(seg >= _VALID) + first
-                pf_hits = resident[frames.pf[resident]]
-                n_ra_hit = int(pf_hits.size)
-                if n_ra_hit:
-                    frames.pf[pf_hits] = False
-                touched = resident[frames.st[resident] == _VALID]
-                if touched.size:
-                    cache._clean_touch(frames, touched)
-            else:
-                n_ra_hit = 0
-            if n_miss:
-                cut = np.flatnonzero(np.diff(absent) > 1) + 1
-                missing = [
-                    part + first for part in np.split(absent, cut)
-                ]
-            else:
-                missing = []
+            missing = [m.span() for m in _ABSENTS.finditer(st, first, end)]
+            reading = [m.span() for m in _ONES.finditer(st, first, end)]
+            resident = [m.span() for m in _RESIDENTS.finditer(st, first, end)]
+        # Resident prefetched blocks are read-ahead hits; their bits are
+        # spent (in-flight ones keep theirs until they are resident).
+        n_ra_hit = 0
+        for lo, hi in resident:
+            k = pf.count(1, lo, hi)
+            if k:
+                n_ra_hit += k
+                pf[lo:hi] = bytes(hi - lo)
+        if n_valid:
+            cache._clean_touch(frames, first, end)
 
         # Allocate every missing run up front; all-or-nothing.
         allocated: list[_Run] = []
-        for idx in missing:
-            run = cache.try_allocate_run(fid, idx, self.owner, _READING)
+        for lo, hi in missing:
+            run = cache.try_allocate_run(fid, [(lo, hi)], self.owner, _READING)
             if run is None:
                 for done in allocated:
-                    cache._drop_frames(frames, done.idx)
+                    cache._drop_frames(frames, done.lo, done.hi)
                 return False
             allocated.append(run)
 
         if not self.counted:
-            stats.block_hits += n_hit
+            stats = cache._stats
+            stats.block_hits += span - n_miss - n_inflight
             stats.block_misses += n_miss
             stats.block_inflight_hits += n_inflight
             stats.readahead_hits += n_ra_hit
             self.counted = True
 
         self.outstanding = len(allocated) + n_inflight
-
-        if n_inflight:
-            waiters = cache._waiters
-            gens = frames.gen[reading]
-            for b, g in zip(reading, gens):
-                key = (fid, int(b), int(g))
-                lst = waiters.get(key)
-                if lst is None:
-                    waiters[key] = [self._one_arrived]
-                else:
-                    lst.append(self._one_arrived)
-        bs = cache.config.block_bytes
+        waiters = cache._waiters
+        for lo, hi in reading:
+            for b, g in zip(range(lo, hi), frames.gen[lo:hi].tolist()):
+                waiters.setdefault((fid, b, g), []).append(self._one_arrived)
         for run in allocated:
-            run_off = int(run.idx[0]) * bs
-            run_len = int(run.idx.size) * bs
-            cache.issue_disk_read(fid, run_off, run_len, run, self._one_arrived)
+            cache.issue_disk_read(
+                fid, run.lo * bs, (run.hi - run.lo) * bs, run, self._one_arrived
+            )
 
         if self.outstanding == 0:
             self._finish()
@@ -1225,9 +1144,6 @@ class _PendingRead:
         # suspending the process" -- so it is handed to the caller to
         # charge as computation.
         self.on_complete(self.cache.config.hit_penalty_s(self.length))
-
-
-_EMPTY_IDX = np.empty(0, dtype=np.int64)
 
 
 class _PendingWrite:
@@ -1254,39 +1170,28 @@ class _PendingWrite:
     def start(self) -> bool:
         cache = self.cache
         cache.epoch += 1  # dirties frames / clears prefetch bits below
-        first, last = cache._block_span(self.offset, self.length)
-        end = last + 1
-        span = end - first
+        bs = cache._bs
+        first = self.offset // bs
+        end = (self.offset + self.length - 1) // bs + 1
         fid = self.file_id
         frames = cache._file(fid, end)
-        # Snapshot the whole span's generations before allocating: if the
-        # allocation evicts one of this request's own present frames, its
-        # bumped generation no longer matches and the extent write treats
-        # it as dead (the legacy dead-Block ride-along case).
-        gen_span = frames.gen[first:end].copy()
-        if span <= _SHORT_SPAN and frames.st_buf.find(_ABSENT, first, end) < 0:
-            # Short rewrite of resident blocks: nothing to allocate, and
-            # every block's prefetch bit is cleared.
-            frames.pf_buf[first:end] = bytes(span)
-        else:
-            seg = frames.st[first:end]
-            if seg.any():
-                absent = np.flatnonzero(seg == _ABSENT) + first
-            else:
-                absent = np.arange(first, end)
-            # New frames go straight to dirty: every write path
-            # immediately transitions them out of the clean pool anyway,
-            # and nothing observes the LRU between allocation and that
-            # transition, so skipping the clean-LRU round trip changes no
-            # behavior.
-            new_run = cache.try_allocate_run(fid, absent, self.owner, _DIRTY)
-            if new_run is None:
-                return False
-            if absent.size != span:
-                present = np.flatnonzero(frames.st[first:end] != _ABSENT) + first
-                frames.pf[present] = False
-            gen_span[absent - first] = new_run.gen
-        run = _Run(fid, np.arange(first, end), gen_span)
+        st = frames.st_buf
+        absent = [m.span() for m in _ABSENTS.finditer(st, first, end)]
+        # New frames go straight to dirty: every write path immediately
+        # transitions them out of the clean pool anyway, and nothing
+        # observes the LRU between allocation and that transition, so
+        # skipping the clean-LRU round trip changes no behavior.
+        if absent and cache.try_allocate_run(fid, absent, self.owner, _DIRTY) is None:
+            return False
+        # A block still absent now was present but evicted by this very
+        # allocation: it is dead to this write (-1 matches no generation).
+        gen = frames.gen[first:end].copy()
+        for m in _ABSENTS.finditer(st, first, end):
+            gen[m.start() - first:m.end() - first] = -1
+        # Prefetch bits of the span are spent (absent blocks' bits are
+        # never read, so clearing the whole span is exact).
+        frames.pf_buf[first:end] = bytes(end - first)
+        run = _Run(fid, first, end, gen)
 
         if cache.config.write_behind:
             # Data lands in the cache; the writer continues immediately,

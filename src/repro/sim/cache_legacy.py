@@ -1,15 +1,17 @@
 """Reference buffer cache: per-block bookkeeping, retained for testing.
 
 This is the pre-optimization implementation of :mod:`repro.sim.cache`,
-kept verbatim as the semantic reference.  The production cache coalesces
+kept as a per-block reference (its write completion now settles blocks
+by identity and in block order, as the production cache always did).
+The production cache coalesces
 block runs through the LRU and allocator; this one pays O(blocks) dict
 and ``OrderedDict`` operations per request.  The differential digest
 tests (``tests/sim/test_hotpath_differential.py``) replay identical
 workloads through both and assert bit-identical
-:meth:`~repro.sim.metrics.SimulationResult.digest` values, so any
-behavioral drift in the fast path is caught against this file.  Select
-it at run time with ``REPRO_CACHE_IMPL=legacy`` or
-``SimulatedSystem(..., cache_impl="legacy")``.
+:meth:`~repro.sim.metrics.SimulationResult.digest` values, and both
+must reproduce the recorded random corpus
+(``tests/sim/test_cache_corpus.py``).  Select it at run time with
+``REPRO_CACHE_IMPL=legacy`` or ``SimulatedSystem(..., cache_impl="legacy")``.
 
 The cache sits between the trace-replay processes and the disk model:
 
@@ -503,7 +505,10 @@ class BufferCache:
                         self._drop(b)
             else:
                 for block in blocks:
-                    if block.state is _FLUSHING and block.key in self._blocks:
+                    if (
+                        block.state is _FLUSHING
+                        and self._blocks.get(block.key) is block
+                    ):
                         self.make_valid(block)
             self.outstanding_flushes -= 1
             if on_done is not None:
@@ -870,7 +875,9 @@ class _PendingWrite:
             return False
         for block in present:
             block.prefetched = False
-        blocks = present + new_blocks
+        # Settle in block order: it is the order the blocks join the
+        # clean LRU when the write completes.
+        blocks = sorted(present + new_blocks, key=lambda b: b.key[1])
 
         if cache.config.write_behind:
             # Data lands in the cache; the writer continues immediately,

@@ -239,6 +239,24 @@ class TestShortSpans:
         h.read(0, 4 * KB, fid=2)  # f2b0 still resident
         assert h.metrics.cache.block_misses == misses
 
+    def test_middle_hit_leaves_both_remainders_in_the_node_slot(self):
+        # Cache of 4 blocks.  Blocks 0-2 of file 1 arrive as one clean
+        # run, then block 0 of file 2.  A hit on f1b1 cuts the middle out
+        # of the run: LRU order becomes f1b0, f1b2, f2b0, f1b1.  Linking
+        # the right remainder f1b2 at the MRU end instead would make
+        # f2b0 the second victim.
+        h = Harness(size_bytes=16 * KB, read_ahead=False)
+        h.read(0, 12 * KB)
+        h.run()
+        h.read(0, 4 * KB, fid=2)
+        h.run()
+        h.read(4 * KB, 4 * KB)
+        h.read(16 * KB, 8 * KB, fid=2)  # two frames needed, none free
+        h.run()
+        frames = h.cache._files[1]
+        assert list(frames.st[:3]) == [0, BlockState.VALID.value, 0]
+        assert h.cache._files[2].st[0] == BlockState.VALID.value
+
     def test_grow_keeps_buffers_and_views_aliased(self):
         from repro.sim.cache import _FileFrames
 

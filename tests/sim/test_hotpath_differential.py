@@ -1,20 +1,20 @@
-"""Differential guard: the run-coalesced cache is bit-identical to legacy.
+"""Differential guard: the extent-native cache is bit-identical to legacy.
 
-The hot-path overhaul rewrote the buffer cache around columnar frame
-tables and extent-level bookkeeping (:mod:`repro.sim.cache`) while
-keeping the per-block reference implementation
-(:mod:`repro.sim.cache_legacy`) selectable via
-``SimulatedSystem(..., cache_impl="legacy")``.  Equivalence is not
-approximate: every digest -- which hashes the full scalar result set and
-the binned rate series -- must match across every cache policy, on
-multi-process and async workloads, under an active fault plan where
-failed reads abandon frames and failed flushes re-queue dirty blocks,
-and on both sides of the cache's short-span threshold: venus's
-57-128-block requests and bvi/forma's 1-2-block ones.
+The production cache (:mod:`repro.sim.cache`) keeps columnar frame
+tables and handles every request as block ranges; the per-block
+reference implementation (:mod:`repro.sim.cache_legacy`) stays
+selectable via ``SimulatedSystem(..., cache_impl="legacy")``.
+Equivalence is not approximate: every digest -- which hashes the full
+scalar result set and the binned rate series -- must match across every
+cache policy, on multi-process and async workloads, under an active
+fault plan where failed reads abandon frames and failed flushes re-queue
+dirty blocks, and on both request regimes: venus's 57-128-block
+requests and bvi/forma's 1-2-block ones.
 
-These tests are the contract that lets the legacy implementation be
-deleted eventually: any behavioral drift in the fast path shows up here
-as a digest mismatch long before it would corrupt a golden figure.
+Agreement between two implementations is not the whole contract: both
+must also reproduce the recorded digest corpus
+(``tests/sim/test_cache_corpus.py``), which reaches paths these fixed
+traces miss.
 """
 
 import pytest
@@ -24,6 +24,7 @@ from repro.sim.config import CacheConfig, SimConfig, ssd_cache
 from repro.sim.faults import FaultPlan
 from repro.sim.procmodel import relabel_copies
 from repro.sim.system import SimulatedSystem
+from repro.trace.array import TraceArray
 from repro.util.rng import DEFAULT_SEED
 from repro.util.units import KB, MB
 from repro.workloads.base import generate_workload
@@ -116,8 +117,8 @@ def test_fast_cache_matches_legacy_through_ssd_failure(venus_pair):
 #: alone on the 256 MB SSD, where nearly every read is an all-clean hit
 #: and rewrites land on clean or still-flushing blocks; and two copies
 #: contending for an 8-frame main-memory cache, which evicts on almost
-#: every miss -- there LRU order decides the victims, so a short-span
-#: touch that misorders a split run changes the digest.
+#: every miss -- there LRU order decides the victims, so a 1-block
+#: touch that misorders a split clean-LRU node changes the digest.
 SHORT_SPAN_CELLS = {
     "ssd-256mb": (SimConfig(cache=ssd_cache(256 * MB)), 1),
     "memory-256kb-2-copies": (
@@ -144,6 +145,35 @@ def test_fast_cache_matches_legacy_on_short_spans(short_span_traces, app, cell):
     config, copies = SHORT_SPAN_CELLS[cell]
     traces = relabel_copies(short_span_traces[app], copies)
     assert _digest(traces, config, "fast") == _digest(traces, config, "legacy")
+
+
+def test_fast_cache_matches_legacy_when_a_write_evicts_its_own_block():
+    # The write of file 1's blocks 10-17 gets its frames by evicting
+    # block 12 (clean, inside its own span), and a read of blocks 10-14
+    # brings block 12 back before the write completes.  The completion
+    # must settle only the write's live blocks: the legacy cache once
+    # settled the dead block 12 too, putting a phantom on its clean LRU
+    # under the live block's key.
+    trace = TraceArray.from_columns(
+        record_type=[136, 128, 136, 136, 136, 136, 136, 136,
+                     200, 200, 200, 200, 136, 136, 136],
+        file_id=[1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1],
+        offset=[0, 0, 45056, 49152, 8192, 40960, 73728, 0,
+                13653, 42325, 70997, 99669, 0, 20480, 40960],
+        length=[4096, 4096, 4096, 4096, 32768, 32768, 32768, 4096,
+                28672, 28672, 28672, 28672, 20480, 20480, 20480],
+        process_clock=[0] * 6 + [141] * 9,
+        process_id=[1] * 15,
+    )
+    config = SimConfig(
+        cache=CacheConfig(
+            size_bytes=128 * KB, block_bytes=4 * KB,
+            read_ahead=False, write_behind=False,
+        )
+    )
+    assert _digest([trace], config, "fast") == _digest(
+        [trace], config, "legacy"
+    )
 
 
 def test_unknown_cache_impl_rejected(venus_pair):
