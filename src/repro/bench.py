@@ -400,50 +400,6 @@ def bench_fig8(scale: float = 0.1, *, jobs: int = 1) -> BenchResult:
     )
 
 
-def bench_fig8_batch(scale: float = 0.1, *, jobs: int = 1) -> BenchResult:
-    """The Figure 8 sweep under the run-level batch kernel.
-
-    Identical measurement protocol to :func:`bench_fig8` -- cold trace
-    cache, same scale, same digest over the sweep rows -- with
-    ``REPRO_ENGINE_IMPL=batch`` pinned for the section.  The digest in
-    the detail must equal the ``fig8`` section's digest (bit-identical
-    results are the batch kernel's contract); the wall-clock ratio
-    against ``fig8`` is the kernel's speedup on this hardware.
-    """
-    saved_cache = os.environ.get("REPRO_TRACE_CACHE")
-    saved_engine = os.environ.get("REPRO_ENGINE_IMPL")
-    os.environ["REPRO_TRACE_CACHE"] = "off"
-    os.environ["REPRO_ENGINE_IMPL"] = "batch"
-    try:
-        t0 = time.perf_counter()
-        points = cache_size_sweep(scale=scale, seed=DEFAULT_SEED, jobs=jobs)
-        wall = time.perf_counter() - t0
-    finally:
-        if saved_cache is None:
-            os.environ.pop("REPRO_TRACE_CACHE", None)
-        else:
-            os.environ["REPRO_TRACE_CACHE"] = saved_cache
-        if saved_engine is None:
-            os.environ.pop("REPRO_ENGINE_IMPL", None)
-        else:
-            os.environ["REPRO_ENGINE_IMPL"] = saved_engine
-    digest = _fig8_digest(points)
-    return BenchResult(
-        name="fig8_batch",
-        value=wall,
-        unit="s",
-        wall_s=wall,
-        higher_is_better=False,
-        detail={
-            "points": len(points),
-            "scale": scale,
-            "jobs": jobs,
-            "engine_impl": "batch",
-            "digest": digest[:16],
-        },
-    )
-
-
 @contextmanager
 def _temp_trace_cache():
     """Point ``$REPRO_TRACE_CACHE`` at a throwaway dir for one benchmark."""
@@ -545,7 +501,6 @@ _SUITE: dict[str, tuple[Callable[..., BenchResult], dict, dict]] = {
         {"scale": 0.1, "min_mb": 4.0},
     ),
     "fig8": (bench_fig8, {"scale": 0.05}, {"scale": 0.1}),
-    "fig8_batch": (bench_fig8_batch, {"scale": 0.05}, {"scale": 0.1}),
     "fig8_warm": (bench_fig8_warm, {"scale": 0.05}, {"scale": 0.1}),
 }
 
@@ -574,7 +529,7 @@ def run_suite(
     profiles: dict[str, cProfile.Profile] = {}
     for name, (fn, quick_kwargs, full_kwargs) in _SUITE.items():
         kwargs = dict(quick_kwargs if quick else full_kwargs)
-        if name in ("fig8", "fig8_batch"):
+        if name == "fig8":
             kwargs["jobs"] = jobs
         prof = cProfile.Profile() if profile_to is not None else None
         best: BenchResult | None = None
@@ -593,7 +548,6 @@ def run_suite(
         results[name] = best
         if prof is not None:
             profiles[name] = prof
-    _annotate_batch_speedup(results)
     payload = {
         "schema": SCHEMA,
         "quick": quick,
@@ -625,27 +579,6 @@ def write_profile_report(
         buf.write("\n")
     path.write_text(buf.getvalue())
     return path
-
-
-def _annotate_batch_speedup(results: dict[str, BenchResult]) -> None:
-    """Record the batch kernel's speedup over the event engine.
-
-    Writes ``speedup_vs_event`` (event wall / batch wall; > 1 means the
-    batch kernel is faster) and ``digests_match`` into the
-    ``fig8_batch`` detail, so the payload itself says whether the batch
-    variant pulled its weight -- the regression a PR once shipped
-    silently (batch 3.89 s vs event 3.74 s) is now visible in every
-    bench artifact.  The CI bench job flags (non-gating) on
-    ``speedup_vs_event < 1``.
-    """
-    event = results.get("fig8")
-    batch = results.get("fig8_batch")
-    if event is None or batch is None or not batch.wall_s:
-        return
-    batch.detail["speedup_vs_event"] = round(event.wall_s / batch.wall_s, 3)
-    batch.detail["digests_match"] = (
-        event.detail.get("digest") == batch.detail.get("digest")
-    )
 
 
 def compare_to_baseline(
@@ -701,13 +634,16 @@ def _table_suffix(name: str, detail: dict) -> str:
     The ``cache`` section runs 10k requests in quick mode but 40k in
     full mode; without the request count (and the hit fraction it
     implies) on the line, a quick run reads as a 4x regression against
-    a full baseline.
+    a full baseline.  The sweep sections carry their result digest, so
+    the table also says whether a timing came from the same simulation.
     """
     if name == "cache" and "requests" in detail:
         suffix = f"  requests={detail['requests']:,}"
         if "hit_fraction" in detail:
             suffix += f" hits={detail['hit_fraction']:.2%}"
         return suffix
+    if "digest" in detail:
+        return f"  digest={detail['digest']}"
     return ""
 
 
@@ -723,14 +659,6 @@ def render_table(payload: dict) -> str:
             f"{name:8s} {entry['value']:>12,.1f} {entry['unit']:<9s}"
             f" [{entry['wall_s']:.2f} s]"
             + _table_suffix(name, entry.get("detail", {}))
-        )
-    batch = payload["benchmarks"].get("fig8_batch", {}).get("detail", {})
-    speedup = batch.get("speedup_vs_event")
-    if speedup is not None:
-        verdict = "faster" if speedup > 1.0 else "SLOWER (flag)"
-        lines.append(
-            f"batch kernel: {speedup:.2f}x vs event engine ({verdict}),"
-            f" digests {'match' if batch.get('digests_match') else 'DIFFER'}"
         )
     return "\n".join(lines)
 

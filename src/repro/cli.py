@@ -259,11 +259,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.engine_impl:
-        # Same plumbing as $REPRO_ENGINE_IMPL (deliberately not a
-        # SimConfig field -- results are bit-identical, so the result
-        # cache must key both implementations the same).
-        os.environ["REPRO_ENGINE_IMPL"] = args.engine_impl
     config = build_sim_config(
         cache_mb=args.cache_mb,
         block_kb=args.block_kb,
@@ -521,13 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="route ASCII traces through the compiled trace store "
         "(decode once, memory-map on every later run; point keys and "
         "results are identical either way)",
-    )
-    p_sim.add_argument(
-        "--engine-impl", choices=("event", "batch"), default=None,
-        help="replay engine: 'event' (default) runs one calendar event "
-        "at a time; 'batch' layers the run-level batch kernel on top "
-        "(bit-identical results, faster on hit-dominated configs) -- "
-        "equivalent to setting $REPRO_ENGINE_IMPL",
     )
     p_sim.add_argument(
         "--metrics-out", default=None,

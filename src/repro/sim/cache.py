@@ -31,8 +31,7 @@ Hot-path structure: extent-native frames
 ----------------------------------------
 A staged venus request covers ~100 4 KB frames; section 6.3's
 applications on the 32 KB-block SSD mostly ask for 1-2 blocks.  Rather
-than a Python object per frame (the approach kept in
-:mod:`repro.sim.cache_legacy`), frame metadata lives in per-file
+than a Python object per frame, frame metadata lives in per-file
 columns:
 
 * ``st`` -- block state (absent / reading / valid / dirty / flushing),
@@ -43,7 +42,8 @@ columns:
 * ``nid`` -- id of the clean-LRU node holding the block.
 
 ``st`` and ``pf`` are ``bytearray`` buffers and ``nid`` an
-``array('q')``, each under a zero-copy NumPy view (:class:`_FileFrames`).
+``array('q')``; ``st`` and ``nid`` also have zero-copy NumPy views
+(:class:`_FileFrames`).
 Every set the cache handles is a contiguous block range ``[lo, hi)`` or
 an ascending list of them, and every span -- one block or a hundred --
 takes the same path: ``bytearray.count`` recognises an all-clean hit or
@@ -118,14 +118,15 @@ _ONES = _RUNS_OF[_READING]
 class _FileFrames:
     """Columnar frame metadata for one file, grown on demand.
 
-    ``st``, ``pf`` and ``nid`` are zero-copy NumPy views of the
-    ``st_buf``/``pf_buf`` bytearrays and the ``nid_buf`` ``array('q')``.
+    ``st`` and ``nid`` are zero-copy NumPy views of the ``st_buf``
+    bytearray and the ``nid_buf`` ``array('q')``; the prefetch flags
+    live in the ``pf_buf`` bytearray alone.
     ``own`` and ``gen`` stay NumPy arrays: ``np.zeros`` leaves the
     never-used tail of a file-sized table unresident where an
     ``array('q')`` would fill it.
     """
 
-    __slots__ = ("st_buf", "pf_buf", "nid_buf", "st", "pf", "nid", "own", "gen")
+    __slots__ = ("st_buf", "pf_buf", "nid_buf", "st", "nid", "own", "gen")
 
     def __init__(self, n_blocks: int):
         self.own = np.zeros(n_blocks, dtype=np.int64)
@@ -149,7 +150,6 @@ class _FileFrames:
     def _bind(self, st: bytearray, pf: bytearray, nid: array) -> None:
         self.st_buf, self.pf_buf, self.nid_buf = st, pf, nid
         self.st = np.frombuffer(st, dtype=np.uint8)
-        self.pf = np.frombuffer(pf, dtype=bool)
         self.nid = np.frombuffer(nid, dtype=np.int64)
 
 
@@ -252,16 +252,6 @@ class BufferCache:
         self._bs = config.block_bytes
         self._n_blocks = config.n_blocks
         self._cap = config.max_blocks_per_process
-        #: Mutation epoch: bumped whenever block states, prefetch bits,
-        #: stream state, frame-table geometry or known file sizes change
-        #: through the full (slow) request paths.  The batch kernel
-        #: (:mod:`repro.sim.batch`) memoises whole-run classifications
-        #: keyed by this counter: while it holds, nothing the memo
-        #: depends on can have changed, because the kernel's own fast
-        #: commits deliberately do not bump it.  Over-bumping is always
-        #: safe (it only forces a re-classification), so the increment
-        #: sites err on the side of coverage.
-        self.epoch = 0
         self._files: dict[int, _FileFrames] = {}
         self._resident = 0
         self._lru_head: _CleanRun | None = None
@@ -306,7 +296,6 @@ class BufferCache:
         self._record_demand(self.engine.now, length)
         if offset + length > self._file_sizes.get(file_id, 0):
             self._file_sizes[file_id] = offset + length
-            self.epoch += 1
 
         if self.degraded:
             self.metrics.faults.degraded_requests += 1
@@ -337,7 +326,6 @@ class BufferCache:
         self._record_demand(self.engine.now, length)
         if offset + length > self._file_sizes.get(file_id, 0):
             self._file_sizes[file_id] = offset + length
-            self.epoch += 1
 
         if self.degraded:
             self.metrics.faults.degraded_requests += 1
@@ -427,10 +415,8 @@ class BufferCache:
             hint = -(-self._file_sizes.get(file_id, 0) // self._bs)
             frames = _FileFrames(max(n_blocks, hint, 64))
             self._files[file_id] = frames
-            self.epoch += 1
         elif frames.st.size < n_blocks:
             frames.grow(max(n_blocks, 2 * frames.st.size))
-            self.epoch += 1
         return frames
 
     @property
@@ -460,7 +446,6 @@ class BufferCache:
                 counts[owner] = counts.get(owner, k) - k
         frames.st_buf[lo:hi] = bytes(n)
         self._resident -= n
-        self.epoch += 1
 
     def _live(
         self, frames: _FileFrames, run: _Run, state: int | None = None
@@ -544,7 +529,6 @@ class BufferCache:
         frames.st_buf[lo:hi] = _VALID_BYTE * (hi - lo)
         self._lru_append(self._new_node(frames, fid, lo, hi))
         self._clean_count += hi - lo
-        self.epoch += 1
 
     def _clean_touch(self, frames: _FileFrames, lo: int, hi: int) -> None:
         """Move the clean frames in ``[lo, hi)`` to MRU, preserving
@@ -674,7 +658,6 @@ class BufferCache:
             prev = hi
         counts[owner] = counts.get(owner, 0) + needed
         self._resident += needed
-        self.epoch += 1
         return _Run(fid, lo0, hi0, gen)
 
     def park_for_frames(self, retry: Callable[[], bool]) -> None:
@@ -755,7 +738,6 @@ class BufferCache:
         for lo, hi in self._live(frames, run):
             self._clean_remove(frames, lo, hi)
             frames.st_buf[lo:hi] = fill * (hi - lo)
-        self.epoch += 1
 
     def issue_disk_write(
         self,
@@ -791,7 +773,6 @@ class BufferCache:
                     for lo, hi in live:
                         frames.st_buf[lo:hi] = _DIRTY_BYTE * (hi - lo)
                         gen[lo - run.lo:hi - run.lo] = run.gen[lo - run.lo:hi - run.lo]
-                    self.epoch += 1
                     retry = _Run(file_id, run.lo, run.hi, gen)
 
                     def redo() -> None:
@@ -925,7 +906,6 @@ class BufferCache:
         if frames is not None:
             self._drop_unpinned(frames)
         self._streams.pop(file_id, None)
-        self.epoch += 1
         if cancelled:
             self._kick_frame_waiters()
         return cancelled
@@ -958,7 +938,6 @@ class BufferCache:
         if self.degraded:
             return
         self.degraded = True
-        self.epoch += 1
         self.metrics.faults.degraded_at_s = self.engine.now
         lost = sum(self._drop_unpinned(f) for f in self._files.values())
         self.metrics.faults.lost_bytes += lost * self._bs
@@ -974,7 +953,6 @@ class BufferCache:
     ) -> None:
         if not self.config.read_ahead:
             return
-        self.epoch += 1
         stream = self._streams.get(file_id)
         end = offset + length
         if stream is not None and offset == stream.next_offset:
@@ -1058,7 +1036,6 @@ class _PendingRead:
     def start(self) -> bool:
         """Classify the span and issue disk reads; False to retry later."""
         cache = self.cache
-        cache.epoch += 1  # clears prefetch bits / touches LRU below
         bs = cache._bs
         first = self.offset // bs
         end = (self.offset + self.length - 1) // bs + 1
@@ -1169,7 +1146,6 @@ class _PendingWrite:
 
     def start(self) -> bool:
         cache = self.cache
-        cache.epoch += 1  # dirties frames / clears prefetch bits below
         bs = cache._bs
         first = self.offset // bs
         end = (self.offset + self.length - 1) // bs + 1

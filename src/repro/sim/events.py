@@ -39,7 +39,6 @@ it, counting it, or advancing the clock -- when it reaches the top.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable
 
 from repro.obs.registry import get_registry
@@ -58,26 +57,6 @@ class Engine:
         self._seq = 0
         self._events_run = 0
         self._cancelled: set[int] = set()
-        # Bounds of the innermost active run() -- published so that batch
-        # kernels emulating event chains inline (see repro.sim.batch) can
-        # tell how far they may advance the clock without running past a
-        # stop condition the caller asked for.  Outside run() they hold
-        # their idle defaults.
-        self.run_until: float = math.inf
-        self.run_max_events: int | None = None
-        self.run_active: bool = False
-        # Optional batch-kernel hook, called at the top of each run()
-        # iteration -- i.e. strictly *between* events, never from inside
-        # a callback -- so emulated chains can never overtake a
-        # callback's trailing effects.  None under the event engine.
-        # ``pump_watch`` is an optional pair of callback identities the
-        # pump acts on (the scheduler's dispatch and slice-expiry
-        # methods): when set, run() invokes the pump only while one of
-        # them heads the calendar, turning the per-event hook cost into
-        # two pointer comparisons on the iterations -- the vast majority
-        # in miss-heavy phases -- where the pump would bail immediately.
-        self.pump: Callable[[], None] | None = None
-        self.pump_watch: tuple[Callable, Callable] | None = None
         reg = obs if obs is not None else get_registry()
         self._c_events = reg.counter("sim.engine.events_run")
         self._c_advanced = reg.counter("sim.engine.time_advanced_s")
@@ -119,39 +98,6 @@ class Engine:
     def pending(self) -> int:
         return len(self._heap)
 
-    def next_event_time(self) -> float:
-        """Time of the earliest calendar entry, or +inf when empty.
-
-        Cancelled entries still pending discard are *included*: treating
-        them as live only makes the bound conservative, which is what the
-        batch kernel's advance barrier needs.
-        """
-        return self._heap[0][0] if self._heap else math.inf
-
-    def advance_inline(self, when: float, count: int, seqs: int | None = None) -> None:
-        """Account ``count`` events as if they ran, ending at ``when``.
-
-        The batch kernel uses this to replace heap push/pop cycles whose
-        outcome it has computed directly: the clock jumps to the chain's
-        end time and the counters advance so ``events_run`` -- which is
-        part of the result digest -- matches the event-at-a-time engine
-        exactly.  ``seqs`` is the number of *sequence numbers* the real
-        engine would have allocated over the same stretch; it differs
-        from ``count`` when some elided events were already scheduled
-        (their seq was consumed at schedule time) -- passing the right
-        value keeps every future tie-break identical to the event
-        engine.  Defaults to ``count`` (no elided event ever scheduled).
-        Callers must guarantee ``when`` does not run past the earliest
-        calendar entry or the active run() bounds.
-        """
-        if when < self.now:
-            raise SimulationError(
-                f"cannot advance inline to {when} before now={self.now}"
-            )
-        self.now = when
-        self._seq += count if seqs is None else seqs
-        self._events_run += count
-
     @property
     def events_run(self) -> int:
         return self._events_run
@@ -179,22 +125,8 @@ class Engine:
         heap = self._heap
         heappop = heapq.heappop
         cancelled = self._cancelled
-        self.run_until = math.inf if until is None else until
-        self.run_max_events = max_events
-        self.run_active = True
-        pump = self.pump
-        if pump is not None and self.pump_watch is not None:
-            watch_a, watch_b = self.pump_watch
-        else:
-            watch_a = watch_b = None
         try:
             while heap:
-                if pump is not None:
-                    fn = heap[0][2]
-                    if watch_a is None or fn is watch_a or fn is watch_b:
-                        pump()
-                        if not heap:
-                            break
                 if max_events is not None and self._events_run >= max_events:
                     raise SimulationError(
                         f"event budget exhausted after {self._events_run} events"
@@ -215,8 +147,5 @@ class Engine:
             if until is not None and advance_clock and self.now < until:
                 self.now = until
         finally:
-            self.run_until = math.inf
-            self.run_max_events = None
-            self.run_active = False
             self._c_events.inc(self._events_run - e0)
             self._c_advanced.add(self.now - t0)

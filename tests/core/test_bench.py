@@ -94,6 +94,12 @@ def test_render_table_mentions_every_benchmark():
     assert "engine" in table and "fig8" in table
 
 
+def test_render_table_shows_the_sweep_digest():
+    payload = _payload(fig8=(9.0, False))
+    payload["benchmarks"]["fig8"]["detail"] = {"digest": "34f8938cf206aa41"}
+    assert "digest=34f8938cf206aa41" in render_table(payload)
+
+
 def test_committed_baseline_is_loadable():
     from pathlib import Path
 
@@ -107,13 +113,8 @@ def test_committed_baseline_is_loadable():
         "decode",
         "store",
         "fig8",
-        "fig8_batch",
         "fig8_warm",
     }
-    fig8 = baseline["benchmarks"]["fig8"]
-    batch = baseline["benchmarks"]["fig8_batch"]
-    # The batch kernel's contract: same sweep, bit-identical rows.
-    assert batch["detail"]["digest"] == fig8["detail"]["digest"]
 
 
 def test_store_bench_pins_trace_cache_cold(monkeypatch, tmp_path):
@@ -148,18 +149,3 @@ def test_store_bench_pins_trace_cache_cold(monkeypatch, tmp_path):
     assert seen["load"] == "off"
     assert os.environ["REPRO_TRACE_CACHE"] == warm
 
-
-def test_fig8_batch_bench_matches_fig8_digest(monkeypatch):
-    # The batch section pins its engine for the measurement, restores
-    # the caller's env, and -- the acceptance contract -- produces the
-    # same sweep digest as the event-engine section.
-    import os
-
-    from repro.bench import bench_fig8, bench_fig8_batch
-
-    monkeypatch.setenv("REPRO_ENGINE_IMPL", "event")
-    batch = bench_fig8_batch(scale=0.02)
-    assert os.environ["REPRO_ENGINE_IMPL"] == "event"
-    assert batch.detail["engine_impl"] == "batch"
-    event = bench_fig8(scale=0.02)
-    assert batch.detail["digest"] == event.detail["digest"]

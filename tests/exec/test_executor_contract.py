@@ -79,7 +79,7 @@ class TestSelection:
 
 class TestKeyInvariance:
     def test_executor_never_enters_the_key(self):
-        """The backend is an execution detail, like shm or engine_impl."""
+        """The backend is an execution detail, like shm or use_store."""
         point = contract_points()[0]
         baseline = point.key(None)
         for name in EXECUTOR_NAMES:

@@ -271,14 +271,13 @@ class TestStoreKeyInvariance:
 class TestKeyInvariance:
     """Execution knobs must never leak into result-cache keys.
 
-    ``engine_impl`` and ``cache_impl`` select bit-identical
-    implementations, ``use_store`` only changes how trace bytes are
-    loaded, and shared-memory fan-out is pure transport -- results for
-    one (config, workload, seed) point are interchangeable across all of
-    them, so none may appear in ``key_material``.
+    ``use_store`` only changes how trace bytes are loaded, and
+    shared-memory fan-out is pure transport -- results for one (config,
+    workload, seed) point are interchangeable across both, so neither
+    may appear in ``key_material``.
     """
 
-    FORBIDDEN = ("engine_impl", "use_store", "shm", "cache_impl")
+    FORBIDDEN = ("use_store", "shm")
 
     @staticmethod
     def _flat_keys(material):
@@ -313,15 +312,6 @@ class TestKeyInvariance:
         path.write_text("")
         files = TraceFileSpec(paths=(str(path),), use_store=True)
         assert knob not in self._flat_keys(files.key_material())
-
-    def test_engine_impl_env_does_not_change_point_keys(self, monkeypatch):
-        point = two_venus_points()[0]
-        monkeypatch.setenv("REPRO_ENGINE_IMPL", "event")
-        key_event = point.key(sweep_seed=7)
-        monkeypatch.setenv("REPRO_ENGINE_IMPL", "batch")
-        key_batch = point.key(sweep_seed=7)
-        monkeypatch.delenv("REPRO_ENGINE_IMPL")
-        assert key_event == key_batch == point.key(sweep_seed=7)
 
 
 class TestProgressHook:

@@ -1,19 +1,7 @@
-"""Reusable differential-testing harness.
+"""Reusable test harnesses.
 
-The simulator now has three implementations that must agree bit for bit
--- the legacy per-block cache, the run-coalesced fast cache, and the
-run-level batch engine layered on either.  :mod:`tests.harness.differential`
-runs any (workload, config, fault-plan, cache-impl, engine-impl) tuple
-through both engines and compares full result digests, with a field-level
-divergence report when they differ.
+:mod:`tests.harness.cache_corpus` and :mod:`tests.harness.system_corpus`
+are recorded digest corpora: seeded random simulations whose digests the
+simulator must reproduce.  :mod:`tests.harness.executor_contract` is the
+conformance matrix every sweep executor must pass.
 """
-
-from tests.harness.differential import (  # noqa: F401
-    DifferentialCase,
-    PairOutcome,
-    QUICK_MATRIX,
-    assert_equivalent,
-    describe_divergence,
-    run_case,
-    run_pair,
-)

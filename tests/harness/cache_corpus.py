@@ -16,10 +16,13 @@ The fixture next to this module holds the first 16 hex digits of
 behavioural contract: any implementation must reproduce every digest.
 Check or re-record it with::
 
-    python -m tests.harness.cache_corpus [--impl fast|legacy]
+    python -m tests.harness.cache_corpus
     python -m tests.harness.cache_corpus --record
 
-Re-record only when a change is *meant* to alter the simulation.
+Re-record only when a change is *meant* to alter the simulation.  The
+whole-simulator corpus (:mod:`tests.harness.system_corpus`) reuses this
+module's trace generator (:func:`draw_traces`), fixture I/O and CLI
+(:func:`corpus_main`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from repro.sim.config import CacheConfig, SimConfig
 from repro.sim.faults import FaultPlan
@@ -49,31 +53,41 @@ FAULT_SPECS = {
 }
 
 
+def pick(u, options):
+    """One of ``options``, chosen by a single draw from ``u``."""
+    return options[int(u() * len(options))]
+
+
 def build_case(seed: int) -> tuple[list[TraceArray], SimConfig]:
     """The traces (one per process) and config of corpus case ``seed``."""
     u = random.Random(seed).random
-
-    def pick(options):
-        return options[int(u() * len(options))]
-
-    block = pick((4 * KB, 8 * KB))
+    block = pick(u, (4 * KB, 8 * KB))
     write_behind = u() < 0.7
     cache = CacheConfig(
-        size_bytes=pick((64, 128, 256, 512, 1024)) * KB,
+        size_bytes=pick(u, (64, 128, 256, 512, 1024)) * KB,
         block_bytes=block,
         read_ahead=u() < 0.6,
-        read_ahead_depth=pick((None, 2, 4)),
+        read_ahead_depth=pick(u, (None, 2, 4)),
         write_behind=write_behind,
-        flush_delay_s=pick((0.0, 0.5)) if write_behind else 0.0,
-        max_blocks_per_process=pick((None, None, 8, 24)),
+        flush_delay_s=pick(u, (0.0, 0.5)) if write_behind else 0.0,
+        max_blocks_per_process=pick(u, (None, None, 8, 24)),
     )
     config = SimConfig(cache=cache, seed=seed)
-    spec = FAULT_SPECS[pick(("none", "none", "transient", "exhaust"))]
+    spec = FAULT_SPECS[pick(u, ("none", "none", "transient", "exhaust"))]
     if spec is not None:
         config = FaultPlan.from_spec(spec.format(seed=seed)).apply(config)
+    return draw_traces(u, block), config
 
+
+def draw_traces(u, block: int) -> list[TraceArray]:
+    """1-3 process traces over 1-3 shared files, drawn from ``u``.
+
+    Each file spans 16, 32 or 64 blocks; each process issues 10-39
+    records in sequential runs broken by jumps, with request sizes that
+    need not be block-aligned and some asynchronous records.
+    """
     n_files = 1 + int(u() * 3)
-    extent = [pick((16, 32, 64)) * block for _ in range(n_files)]
+    extent = [pick(u, (16, 32, 64)) * block for _ in range(n_files)]
     traces = []
     for pid in range(1, 2 + int(u() * 3)):
         cols: dict[str, list[int]] = {
@@ -117,7 +131,7 @@ def build_case(seed: int) -> tuple[list[TraceArray], SimConfig]:
                 process_id=[pid] * len(cols["offset"]), **cols
             )
         )
-    return traces, config
+    return traces
 
 
 @dataclass(frozen=True)
@@ -132,12 +146,12 @@ class CaseOutcome:
     lost_bytes: int
 
 
-def run_case(seed: int, cache_impl: str = "fast") -> CaseOutcome:
+def run_case(seed: int) -> CaseOutcome:
     """Simulate case ``seed``; an exception becomes the digest text, so a
     crashing case is reported like any other mismatch."""
     traces, config = build_case(seed)
     try:
-        result = SimulatedSystem(traces, config, cache_impl=cache_impl).run()
+        result = SimulatedSystem(traces, config).run()
     except Exception as exc:  # reported as a mismatch, not swallowed
         return CaseOutcome(seed, f"raised {type(exc).__name__}: {exc}",
                            False, 0, 0, 0)
@@ -151,16 +165,19 @@ def run_case(seed: int, cache_impl: str = "fast") -> CaseOutcome:
     )
 
 
-def run_corpus(cache_impl: str = "fast") -> list[CaseOutcome]:
-    return [run_case(seed, cache_impl) for seed in range(N_CASES)]
+def run_corpus() -> list[CaseOutcome]:
+    return [run_case(seed) for seed in range(N_CASES)]
 
 
-def load_fixture() -> list[str]:
-    return json.loads(FIXTURE.read_text())["digests"]
+def load_fixture(path: Path = FIXTURE) -> list[str]:
+    return json.loads(path.read_text())["digests"]
 
 
-def mismatches(outcomes: list[CaseOutcome], recorded: list[str]) -> list[str]:
-    """One line per case whose digest differs from the recorded one."""
+def mismatches(outcomes, recorded: list[str]) -> list[str]:
+    """One line per case whose digest differs from the recorded one.
+
+    ``outcomes`` are any records with ``seed`` and ``digest`` fields.
+    """
     return [
         f"seed {o.seed}: {o.digest} != recorded {recorded[o.seed]}"
         for o in outcomes
@@ -168,31 +185,48 @@ def mismatches(outcomes: list[CaseOutcome], recorded: list[str]) -> list[str]:
     ]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Check (or re-record) the buffer-cache digest corpus."
-    )
+def corpus_main(
+    argv: list[str] | None,
+    *,
+    run: Callable[[], list],
+    fixture: Path,
+    about: str,
+    description: str,
+) -> int:
+    """Check every case of a corpus against ``fixture``, or re-record it.
+
+    ``run`` simulates the corpus and returns outcomes with ``seed`` and
+    ``digest`` fields; ``about`` is stored in the fixture to say what the
+    digests are of.
+    """
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument(
         "--record", action="store_true",
-        help=f"run every case and rewrite {FIXTURE.name}",
+        help=f"run every case and rewrite {fixture.name}",
     )
-    parser.add_argument("--impl", default="fast", choices=("fast", "legacy"))
     args = parser.parse_args(argv)
-    outcomes = run_corpus(args.impl)
+    outcomes = run()
     if args.record:
-        payload = {
-            "about": "SimulationResult.digest()[:16] of "
-                     "tests.harness.cache_corpus.build_case(seed), by seed",
-            "digests": [o.digest for o in outcomes],
-        }
-        FIXTURE.write_text(json.dumps(payload, indent=0) + "\n")
-        print(f"recorded {len(outcomes)} digests to {FIXTURE}")
+        payload = {"about": about, "digests": [o.digest for o in outcomes]}
+        fixture.write_text(json.dumps(payload, indent=0) + "\n")
+        print(f"recorded {len(outcomes)} digests to {fixture}")
         return 0
-    bad = mismatches(outcomes, load_fixture())
+    bad = mismatches(outcomes, load_fixture(fixture))
     for line in bad:
         print(line)
-    print(f"{len(outcomes) - len(bad)}/{len(outcomes)} cases match ({args.impl})")
+    print(f"{len(outcomes) - len(bad)}/{len(outcomes)} cases match")
     return 1 if bad else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return corpus_main(
+        argv,
+        run=run_corpus,
+        fixture=FIXTURE,
+        about="SimulationResult.digest()[:16] of "
+              "tests.harness.cache_corpus.build_case(seed), by seed",
+        description="Check (or re-record) the buffer-cache digest corpus.",
+    )
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ supposed to bump.
 
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim.config import CacheConfig, SimConfig
-from repro.sim.system import simulate
+from repro.sim.procmodel import relabel_copies
+from repro.sim.system import SimulatedSystem, simulate
+from repro.util.rng import DEFAULT_SEED
 from repro.util.units import MB
 from repro.workloads.base import generate_workload
 
@@ -64,3 +66,40 @@ class TestInstrumentsPopulated:
         reg = MetricsRegistry(enabled=False)
         simulate(tiny_traces(), tiny_config(), obs=reg)
         assert reg.snapshot() == {}
+
+
+class _CountingRegistry(MetricsRegistry):
+    """Disabled registry that counts instrument resolutions."""
+
+    def __init__(self):
+        super().__init__(enabled=False)
+        self.lookups = 0
+
+    def counter(self, name):
+        self.lookups += 1
+        return super().counter(name)
+
+    def gauge(self, name):
+        self.lookups += 1
+        return super().gauge(name)
+
+    def histogram(self, name):
+        self.lookups += 1
+        return super().histogram(name)
+
+
+def test_disabled_obs_makes_zero_registry_calls_per_event():
+    # Instruments are resolved once at wiring time; with observability
+    # disabled, running millions of events must never go back to the
+    # registry -- the null-object fast path has to be allocation- and
+    # lookup-free.
+    venus = generate_workload("venus", scale=0.05, seed=DEFAULT_SEED)
+    reg = _CountingRegistry()
+    system = SimulatedSystem(
+        relabel_copies(venus.trace, 2), tiny_config(), obs=reg
+    )
+    wired = reg.lookups
+    assert wired > 0  # construction does resolve instruments
+    result = system.run()
+    assert result.events_run > 10_000  # a real run, not a trivial one
+    assert reg.lookups == wired

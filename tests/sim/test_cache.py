@@ -3,10 +3,12 @@
 import pytest
 
 from repro.sim.cache import BlockState, BufferCache
-from repro.sim.config import CacheConfig, DiskConfig, ssd_cache
+from repro.sim.config import CacheConfig, DiskConfig, SimConfig, ssd_cache
 from repro.sim.devices import DiskModel
 from repro.sim.events import Engine
 from repro.sim.metrics import Metrics
+from repro.sim.system import SimulatedSystem
+from repro.trace.array import TraceArray
 from repro.util.units import KB, MB
 
 
@@ -107,6 +109,33 @@ class TestWritePath:
         h.read(0, 16 * KB)
         assert h.metrics.cache.block_misses == misses_before
         assert len(h.completions) == 2
+
+    def test_write_that_evicts_its_own_block_settles_only_live_blocks(self):
+        # The write of file 1's blocks 10-17 gets its frames by evicting
+        # block 12 (clean, inside its own span), and a read of blocks 10-14
+        # brings block 12 back before the write completes.  The completion
+        # must settle only the write's live blocks; settling the dead
+        # block 12 too once put a phantom on the clean LRU under the live
+        # block's key.
+        trace = TraceArray.from_columns(
+            record_type=[136, 128, 136, 136, 136, 136, 136, 136,
+                         200, 200, 200, 200, 136, 136, 136],
+            file_id=[1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1],
+            offset=[0, 0, 45056, 49152, 8192, 40960, 73728, 0,
+                    13653, 42325, 70997, 99669, 0, 20480, 40960],
+            length=[4096, 4096, 4096, 4096, 32768, 32768, 32768, 4096,
+                    28672, 28672, 28672, 28672, 20480, 20480, 20480],
+            process_clock=[0] * 6 + [141] * 9,
+            process_id=[1] * 15,
+        )
+        config = SimConfig(
+            cache=CacheConfig(
+                size_bytes=128 * KB, block_bytes=4 * KB,
+                read_ahead=False, write_behind=False,
+            )
+        )
+        result = SimulatedSystem([trace], config).run()
+        assert result.digest()[:16] == "396556c3182f546b"
 
 
 class TestReadAhead:
@@ -265,7 +294,7 @@ class TestShortSpans:
         frames.nid[2] = 7
         frames.gen[3] = 5
         frames.grow(10)
-        for name in ("st", "pf", "nid"):
+        for name in ("st", "nid"):
             buf, view = getattr(frames, name + "_buf"), getattr(frames, name)
             assert view.size == len(buf) == 10, name
             # Writes through the buffer show in the view and vice versa.
@@ -273,6 +302,7 @@ class TestShortSpans:
             assert view[9] == 1, name
             view[8] = 0
             assert buf[8] == 0, name
+        assert len(frames.pf_buf) == 10
         assert frames.own.size == frames.gen.size == 10
         # Contents survive the grow; new frames are absent, on no node.
         assert frames.st[1] == 3 and frames.nid_buf[2] == 7 and frames.gen[3] == 5

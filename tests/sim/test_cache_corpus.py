@@ -1,4 +1,4 @@
-"""Both buffer caches reproduce the recorded digest corpus.
+"""The buffer cache reproduces the recorded digest corpus.
 
 The corpus (:mod:`tests.harness.cache_corpus`) is 1,000 small random
 simulations whose digests were recorded once and are checked here on
@@ -23,24 +23,19 @@ def recorded():
 
 
 @pytest.fixture(scope="module")
-def fast_outcomes():
-    return run_corpus("fast")
+def outcomes():
+    return run_corpus()
 
 
-def test_fast_cache_reproduces_corpus(fast_outcomes, recorded):
-    bad = mismatches(fast_outcomes, recorded)
+def test_fast_cache_reproduces_corpus(outcomes, recorded):
+    bad = mismatches(outcomes, recorded)
     assert not bad, f"{len(bad)} corpus digests changed:\n" + "\n".join(bad)
 
 
-def test_legacy_cache_reproduces_corpus(recorded):
-    bad = mismatches(run_corpus("legacy"), recorded)
-    assert not bad, f"{len(bad)} corpus digests changed:\n" + "\n".join(bad)
-
-
-def test_corpus_reaches_the_failure_and_contention_paths(fast_outcomes):
+def test_corpus_reaches_the_failure_and_contention_paths(outcomes):
     # A corpus that never fails a flush or parks a request would pass
     # vacuously on the paths most likely to drift.
-    assert sum(o.reflushes > 0 for o in fast_outcomes) >= 50
-    assert sum(o.lost_bytes > 0 for o in fast_outcomes) >= 20
-    assert sum(o.frame_stalls > 0 for o in fast_outcomes) >= 300
-    assert sum(o.capped for o in fast_outcomes) >= 300
+    assert sum(o.reflushes > 0 for o in outcomes) >= 50
+    assert sum(o.lost_bytes > 0 for o in outcomes) >= 20
+    assert sum(o.frame_stalls > 0 for o in outcomes) >= 300
+    assert sum(o.capped for o in outcomes) >= 300

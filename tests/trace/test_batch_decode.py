@@ -111,33 +111,3 @@ def test_replay_columns_match_properties():
     assert asyncs == trace.is_async.tolist()
     assert all(isinstance(w, bool) for w in writes)
 
-
-def test_sequential_runs_detects_spans():
-    w = F.TRACE_WRITE
-    trace = TraceArray.from_columns(
-        record_type=[0, 0, 0, w, w, 0, 0, 0],
-        file_id=[1, 1, 1, 1, 1, 2, 1, 1],
-        offset=[0, 512, 1024, 1536, 2048, 0, 4096, 4608],
-        length=[512] * 8,
-    )
-    # rows 0-2: sequential reads of file 1
-    # row 3: contiguous but direction flips read->write -> new run
-    # row 4: extends the write run
-    # row 5: different file -> new run
-    # row 6: file 1 again but offset jumps -> new run
-    # row 7: extends it
-    np.testing.assert_array_equal(trace.sequential_runs(), [0, 3, 5, 6])
-
-
-def test_sequential_runs_requires_same_size():
-    trace = TraceArray.from_columns(
-        record_type=[0, 0, 0],
-        file_id=[1, 1, 1],
-        offset=[0, 512, 1024],
-        length=[512, 512, 256],  # contiguous, but the size changes
-    )
-    np.testing.assert_array_equal(trace.sequential_runs(), [0, 2])
-
-
-def test_sequential_runs_empty():
-    assert len(TraceArray.empty().sequential_runs()) == 0
