@@ -37,14 +37,6 @@ class FileStats:
     def rw_data_ratio(self) -> float:
         return self.read_bytes / self.write_bytes if self.write_bytes else float("inf")
 
-    @property
-    def is_read_only(self) -> bool:
-        return self.n_writes == 0
-
-    @property
-    def is_write_only(self) -> bool:
-        return self.n_reads == 0
-
 
 def per_file_stats(trace: TraceArray) -> dict[int, FileStats]:
     """Aggregate each file id's accesses."""

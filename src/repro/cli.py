@@ -22,13 +22,12 @@ Usage (``python -m repro <command>``):
   the compile cache so repeat runs skip decode entirely;
 * ``sweep [--cache-mb LIST] [--block-kb LIST] [--read-ahead on,off]
   [--write-behind on,off] [--jobs N] [--executor NAME]
-  [--cache-tier DIR[=BUDGET]] ...`` -- run a configuration grid
+  [--cache-dir DIR | --no-cache] ...`` -- run a configuration grid
   through the parallel sweep runner with on-disk result memoization;
-  ``--executor`` picks the backend (serial/pool/queue) and two
-  ``--cache-tier`` flags stack a budgeted local tier over a shared
-  one (see ``docs/EXECUTORS.md``);
+  ``--executor`` picks the backend (serial/pool/queue, see
+  ``docs/EXECUTORS.md``);
 * ``serve [--host H] [--port P] [--workers N] [--queue-size N]
-  [--cache-dir DIR | --cache-tiers SPEC] [--no-cache]
+  [--cache-dir DIR] [--no-cache]
   [--executor NAME]`` -- run the async sweep server: an
   HTTP/JSON daemon accepting simulate/sweep jobs, streaming progress as
   server-sent events and answering with results bit-identical to the
@@ -64,7 +63,6 @@ from repro.analysis.summary import trace_table1
 from repro.core.registry import EXPERIMENTS, run_experiment
 from repro.core.study import Study
 from repro.exec.cache import ResultCache
-from repro.exec.cache_tiers import resolve_cache_tiers
 from repro.exec.executor import EXECUTOR_NAMES
 from repro.exec.grid import (
     GridSpec,
@@ -287,15 +285,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config=config,
         label=f"simulate {' '.join(args.traces)}",
     )
-    # --cache-tier implies caching; --cached alone honors $REPRO_CACHE_TIERS
-    # before falling back to the flat single-directory cache.
-    tiered = resolve_cache_tiers(args.cache_tier)
-    if args.cache_tier:
-        point_cache = tiered
-    elif args.cached:
-        point_cache = tiered if tiered is not None else ResultCache()
-    else:
-        point_cache = None
+    point_cache = ResultCache() if args.cached else None
     runner = SweepRunner(
         jobs=args.jobs if args.jobs else 1,
         cache=point_cache,
@@ -345,13 +335,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.no_cache:
         result_cache = None
     else:
-        # --cache-tier / $REPRO_CACHE_TIERS selects the tiered stack;
-        # --cache-dir keeps the flat single-directory cache.
-        result_cache = resolve_cache_tiers(args.cache_tier)
-        if result_cache is None:
-            result_cache = (
-                ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-            )
+        result_cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
     jobs = resolve_jobs(args.jobs)
     runner = SweepRunner(jobs=jobs, cache=result_cache, executor=args.executor)
     t0 = time.perf_counter()
@@ -388,7 +372,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         no_cache=args.no_cache,
         drain_timeout_s=args.drain_timeout,
         executor=args.executor,
-        cache_tiers=args.cache_tiers,
     )
     return run_server(config)
 
@@ -506,12 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to setting $REPRO_EXECUTOR",
     )
     p_sim.add_argument(
-        "--cache-tier", action="append", default=None, metavar="DIR[=BUDGET]",
-        help="cache tier directory with optional size budget (64M, 2G); "
-        "repeat for local then shared tier -- implies caching; "
-        "equivalent to $REPRO_CACHE_TIERS",
-    )
-    p_sim.add_argument(
         "--trace-store", action="store_true",
         help="route ASCII traces through the compiled trace store "
         "(decode once, memory-map on every later run; point keys and "
@@ -582,12 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         "job, process pool otherwise; see docs/EXECUTORS.md); equivalent "
         "to setting $REPRO_EXECUTOR",
     )
-    p_sweep.add_argument(
-        "--cache-tier", action="append", default=None, metavar="DIR[=BUDGET]",
-        help="cache tier directory with optional size budget (64M, 2G); "
-        "repeat for local then shared tier (overrides --cache-dir); "
-        "equivalent to $REPRO_CACHE_TIERS",
-    )
 
     p_srv = sub.add_parser(
         "serve",
@@ -626,12 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=EXECUTOR_NAMES, default=None,
         help="default execution backend for jobs that do not name one "
         "(job spec field 'executor' wins; see docs/EXECUTORS.md)",
-    )
-    p_srv.add_argument(
-        "--cache-tiers", default=None, metavar="DIR[=BUDGET],DIR[=BUDGET]",
-        help="tiered result cache: local[,shared] directories with "
-        "optional size budgets (overrides --cache-dir); equivalent to "
-        "$REPRO_CACHE_TIERS",
     )
 
     p_bench = sub.add_parser(

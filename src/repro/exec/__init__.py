@@ -9,9 +9,6 @@ The scaling layer the section-6 experiments run on:
   pool, and the queue of long-lived workers (see docs/EXECUTORS.md);
 * :mod:`repro.exec.cache` -- :class:`ResultCache`, a content-addressed
   on-disk memo of :class:`SimulationResult` pickles;
-* :mod:`repro.exec.cache_tiers` -- :class:`TieredResultCache`, a local
-  tier in front of a shared directory tier with budgeted LRU GC and
-  packfile compaction;
 * :mod:`repro.exec.keys` -- stable point keys (exact-float canonical
   JSON + a code-version tag);
 * :mod:`repro.exec.grid` -- :class:`GridSpec`, the cross-product spec
@@ -23,12 +20,6 @@ eagerly here would be circular.
 """
 
 from repro.exec.cache import CacheCounters, ResultCache, default_cache_dir
-from repro.exec.cache_tiers import (
-    CacheTier,
-    TieredResultCache,
-    resolve_cache_tiers,
-    tiered_cache_from_spec,
-)
 from repro.exec.executor import (
     EXECUTOR_NAMES,
     Executor,
@@ -60,7 +51,6 @@ _GRID_EXPORTS = (
 __all__ = [
     "AppWorkloadSpec",
     "CacheCounters",
-    "CacheTier",
     "EXECUTOR_NAMES",
     "Executor",
     "PointResult",
@@ -71,17 +61,14 @@ __all__ = [
     "SerialExecutor",
     "SweepPointSpec",
     "SweepRunner",
-    "TieredResultCache",
     "TraceFileSpec",
     "canonical_json",
     "code_version_tag",
     "default_cache_dir",
     "make_executor",
     "point_key",
-    "resolve_cache_tiers",
     "resolve_executor_name",
     "resolve_jobs",
-    "tiered_cache_from_spec",
     *_GRID_EXPORTS,
 ]
 

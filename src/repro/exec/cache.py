@@ -92,10 +92,6 @@ class ResultCache:
         every occurrence bumps ``exec.cache.corrupt_entries`` and the
         first occurrence per key emits one RuntimeWarning -- so silent
         cache rot is visible without flooding.
-
-        A hit refreshes the entry's timestamps (``os.utime``), giving
-        tiered caches (:mod:`repro.exec.cache_tiers`) a reliable LRU
-        clock even on ``noatime``/``relatime`` mounts.
         """
         path = self.path_for(key)
         try:
@@ -125,10 +121,6 @@ class ResultCache:
                 )
             return None
         self.counters.hits += 1
-        try:
-            os.utime(path)
-        except OSError:
-            pass
         return result
 
     def put(self, key: str, result: SimulationResult) -> Path | None:

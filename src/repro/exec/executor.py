@@ -16,7 +16,7 @@ Three backends ship:
   (``exec.executor.worker_restarts`` counts the replacements).
 
 The contract every backend honors -- locked down for each executor x
-cache-tier combination by ``tests/harness/executor_contract.py``:
+result-cache arrangement by ``tests/harness/executor_contract.py``:
 
 * every task is simulated exactly once (or re-run verbatim after a
   worker death) and produces the bit-identical result of a direct
@@ -254,7 +254,7 @@ class PoolExecutor(Executor):
             wait,
         )
 
-        from repro.exec.runner import _simulate_point_shared
+        from repro.exec.runner import _simulate_point
 
         t0 = time.perf_counter()
         poll_s = CANCEL_POLL_S if should_cancel is not None else None
@@ -262,7 +262,7 @@ class PoolExecutor(Executor):
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = {
                 pool.submit(
-                    _simulate_point_shared,
+                    _simulate_point,
                     task.point,
                     task.seed,
                     refs.get(task.point.workload),
@@ -336,9 +336,9 @@ def _queue_worker(slot: int, claims, task_q, result_q) -> None:
             claims[slot] = index
         _maybe_kill_for_test()
         try:
-            from repro.exec.runner import _simulate_point_shared
+            from repro.exec.runner import _simulate_point
 
-            result = _simulate_point_shared(point, seed, shared)
+            result = _simulate_point(point, seed, shared)
         except BaseException as exc:
             result_q.put(
                 ("error", slot, index, f"{type(exc).__name__}: {exc}")

@@ -5,8 +5,7 @@ plus a :class:`~repro.sim.config.SimConfig`.  A :class:`SweepRunner`
 resolves cache hits, keys and seeds, then hands the remaining points to
 a pluggable :class:`~repro.exec.executor.Executor` backend (serial /
 process pool / task queue -- see :mod:`repro.exec.executor`) and
-memoizes results in an optional :class:`~repro.exec.cache.ResultCache`
-(or tiered stack, :mod:`repro.exec.cache_tiers`).
+memoizes results in an optional :class:`~repro.exec.cache.ResultCache`.
 
 Determinism
 -----------
@@ -51,19 +50,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 from repro.exec.cache import ResultCache
-from repro.exec.executor import (
-    PointTask,
-    make_executor,
-    publish_workloads,
-    resolve_executor_name,
-)
+from repro.exec.executor import PointTask, make_executor, resolve_executor_name
 from repro.exec.keys import point_key
-from repro.exec.shm import (
-    SegmentPublisher,
-    SharedWorkload,
-    attach_workload,
-    shm_available,
-)
+from repro.exec.shm import SharedWorkload, attach_workload
 from repro.obs.registry import get_registry
 from repro.sim.config import SimConfig
 from repro.sim.metrics import SimulationResult
@@ -195,13 +184,8 @@ class TraceFileSpec:
 WorkloadSpecLike = Union[AppWorkloadSpec, TraceFileSpec]
 
 
-def _memo_capacity() -> int:
-    """Workload-memo bound: ``$REPRO_WORKLOAD_MEMO`` (default 8)."""
-    env = os.environ.get("REPRO_WORKLOAD_MEMO", "").strip()
-    try:
-        return max(1, int(env)) if env else 8
-    except ValueError:
-        return 8
+#: Workloads each process's memo keeps (see :class:`_WorkloadMemo`).
+WORKLOAD_MEMO_CAPACITY = 8
 
 
 class _WorkloadMemo:
@@ -231,8 +215,7 @@ class _WorkloadMemo:
     def put(self, key, value) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
-        capacity = _memo_capacity()
-        while len(self._entries) > capacity:
+        while len(self._entries) > WORKLOAD_MEMO_CAPACITY:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
@@ -391,12 +374,6 @@ class PointResult:
         return self.point.label
 
 
-def _simulate_point(point: SweepPointSpec, sim_seed: int) -> SimulationResult:
-    """Worker entry: materialize the workload and run the simulator."""
-    traces = point.workload.materialize()
-    return simulate(traces, point.config.with_seed(sim_seed))
-
-
 #: Transport errors :func:`~repro.exec.shm.attach_workload` can actually
 #: raise: the segment is gone or was never created (``OSError``, which
 #: covers ``FileNotFoundError``), or its size/layout does not match the
@@ -411,12 +388,13 @@ _ATTACH_ERRORS = (OSError, ValueError)
 _ATTACH_WARNED: set = set()
 
 
-def _simulate_point_shared(
+def _simulate_point(
     point: SweepPointSpec,
     sim_seed: int,
-    shared: SharedWorkload | None,
+    shared: SharedWorkload | None = None,
 ) -> SimulationResult:
-    """Pool-worker entry: attach the published workload, else materialize.
+    """Worker entry: attach the published workload (if any), else
+    materialize it from its spec; then run the simulator.
 
     The attach is strictly an input transport: the views are read-only
     and byte-identical to what ``materialize()`` builds, so results are
@@ -457,7 +435,7 @@ class SweepRunner:
     ``jobs=None`` resolves via :func:`resolve_jobs` (``$REPRO_JOBS`` or
     the CPU count); ``jobs=1`` runs inline with no pool.  ``cache=None``
     disables memoization; any object with the ``get``/``put`` shape
-    works, including :class:`~repro.exec.cache_tiers.TieredResultCache`.
+    works.
     ``seed=None`` (the default) simulates every point with its config's
     own seed; an int overrides all of them with one shared stream (see
     the module docstring).
@@ -640,27 +618,3 @@ class SweepRunner:
         if name is None:
             name = "serial" if n_jobs == 1 else "pool"
         return name
-
-    def _shm_enabled(self) -> bool:
-        if self.shared_memory is False:
-            return False
-        return shm_available()
-
-    def _publish_workloads(
-        self, points: list[SweepPointSpec], todo: list[int]
-    ) -> tuple[SegmentPublisher | None, dict]:
-        """Materialize each distinct todo workload once; publish to shm.
-
-        Thin wrapper over :func:`repro.exec.executor.publish_workloads`
-        (which the backends call directly) honoring this runner's
-        ``shared_memory`` setting.
-        """
-        if not self._shm_enabled():
-            return None, {}
-        tasks = [
-            PointTask(
-                index=i, point=points[i], seed=0, label=points[i].label
-            )
-            for i in todo
-        ]
-        return publish_workloads(tasks, self.shared_memory)

@@ -113,10 +113,6 @@ class BlockAllocator:
         self._next_free = 0
         self.layouts: dict[int, FileLayout] = {}
 
-    @property
-    def blocks_used(self) -> int:
-        return self._next_free
-
     def _extent_cap(self) -> int | None:
         if self.max_extent_blocks is None:
             return None

@@ -21,10 +21,6 @@ class MigrationReport:
     migrated_files: list[int] = field(default_factory=list)
     bytes_freed: int = 0
 
-    @property
-    def n_migrated(self) -> int:
-        return len(self.migrated_files)
-
 
 @dataclass
 class MigrationPolicy:
@@ -44,9 +40,6 @@ class MigrationPolicy:
     def pin(self, file_id: int) -> None:
         """Protect an open file from demotion."""
         self.pinned.add(file_id)
-
-    def unpin(self, file_id: int) -> None:
-        self.pinned.discard(file_id)
 
     @property
     def usage_fraction(self) -> float:

@@ -69,19 +69,10 @@ class ServeConfig:
     #: default execution backend for jobs that do not name one (None ->
     #: the runner's automatic choice; see docs/EXECUTORS.md)
     executor: str | None = None
-    #: tiered-cache spec, ``DIR[=BUDGET][,DIR[=BUDGET]]`` (local first,
-    #: then shared); overrides ``cache_dir`` and honors
-    #: ``$REPRO_CACHE_TIERS`` when unset
-    cache_tiers: str | None = None
 
     def result_cache(self):
         if self.no_cache:
             return None
-        from repro.exec.cache_tiers import resolve_cache_tiers
-
-        tiered = resolve_cache_tiers(self.cache_tiers)
-        if tiered is not None:
-            return tiered
         if self.cache_dir is not None:
             return ResultCache(root=Path(self.cache_dir))
         return ResultCache()

@@ -62,14 +62,6 @@ class DiskConfig:
     #: disks so their head positions interfere
     n_disks: int = 0
 
-    def mean_positioning_s(self) -> float:
-        """Average non-sequential positioning cost (seek + half turn)."""
-        return (
-            self.base_overhead_s
-            + (self.min_seek_s + self.max_seek_s) / 2
-            + self.rotation_period_s / 2
-        )
-
     def to_dict(self) -> dict:
         """Deterministic plain-dict form (stable field order)."""
         return _config_dict(self)

@@ -161,7 +161,3 @@ class RoundRobinScheduler:
     def mark_done(self, proc: Runnable) -> None:
         """The running process finished its trace."""
         self.metrics.process(proc.process_id).finish_time = self.engine.now
-
-    @property
-    def anything_runnable(self) -> bool:
-        return bool(self._running) or bool(self._ready)

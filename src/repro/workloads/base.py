@@ -31,7 +31,6 @@ from repro.trace.record import CommentRecord
 from repro.trace.reconstruct import events_to_records
 from repro.util.errors import CalibrationError
 from repro.util.rng import DEFAULT_SEED, derive_rng
-from repro.util.units import seconds_to_ticks
 from repro.workloads.catalog import PaperAppRow, paper_row
 
 
@@ -201,8 +200,3 @@ def generate_workload(
 ) -> GeneratedWorkload:
     """One-shot: build the named model and generate its trace."""
     return model_for(name, scale=scale, seed=seed).generate(process_id=process_id)
-
-
-def ticks_for_seconds(seconds: float) -> int:
-    """Convenience re-export used heavily by the app models."""
-    return seconds_to_ticks(seconds)

@@ -47,9 +47,6 @@ class CalibrationResult:
             "rw_data_ratio": rel(self.rw_data_ratio, self.target_rw_ratio),
         }
 
-    def max_deviation(self) -> float:
-        return max(self.deviations().values())
-
 
 def measure(workload: GeneratedWorkload) -> CalibrationResult:
     """Compute a workload's achieved rates against its catalog row."""

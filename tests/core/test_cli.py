@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.exec.cache import ResultCache
 
 
 class TestExperimentsCommand:
@@ -154,6 +155,21 @@ class TestSimulateCommand:
         assert "utilization" in out and "wrote" in out
         assert metrics.exists()
 
+    def test_simulate_cached_rerun_served_from_result_cache(
+        self, trace_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "results"))
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        argv = ["simulate", str(trace_file), "--cached"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        fresh_summary, fresh_tag = capsys.readouterr().out.rstrip().rsplit("\n", 1)
+        assert main(argv) == 0
+        warm_summary, warm_tag = capsys.readouterr().out.rstrip().rsplit("\n", 1)
+        assert fresh_tag.startswith("[fresh simulation, key ")
+        assert warm_tag == fresh_tag.replace("fresh simulation", "result cache")
+        assert warm_summary == fresh_summary
+
     def test_simulate_ssd_options(self, trace_file, capsys):
         capsys.readouterr()
         assert main(
@@ -169,3 +185,26 @@ class TestSimulateCommand:
             ]
         ) == 0
         assert "utilization" in capsys.readouterr().out
+
+
+class TestSweepCommand:
+    def test_cache_dir_rerun_from_cache_and_no_cache_recomputes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        cache_dir = tmp_path / "results"
+        argv = [
+            "sweep", "--scale", "0.05", "--cache-mb", "8", "--block-kb", "4",
+            "--jobs", "1", "--cache-dir", str(cache_dir),
+        ]
+
+        def footer(extra=()):
+            capsys.readouterr()
+            assert main(argv + list(extra)) == 0
+            return capsys.readouterr().out.rstrip().splitlines()[-1]
+
+        assert "1 simulated, 0 from cache" in footer()
+        assert len(ResultCache(cache_dir)) == 1
+        assert "0 simulated, 1 from cache" in footer()
+        assert "1 simulated" in footer(["--no-cache"])

@@ -1,8 +1,8 @@
-"""The executor x cache-tier conformance matrix, as pytest cases.
+"""The executor x result-cache conformance matrix, as pytest cases.
 
 One test per cell of the matrix in ``tests/harness/executor_contract``:
 every backend (serial / pool / queue) crossed with every cache
-arrangement (none / single directory / tiered), each cell also warming
+arrangement (none / single directory), each cell also warming
 a re-run on a *different* backend to prove cache interop.  Plus the
 selection-precedence contract for ``--executor`` / ``$REPRO_EXECUTOR``.
 """
@@ -31,7 +31,6 @@ def isolated_env(monkeypatch, tmp_path):
     """Keep the matrix independent of the developer's environment."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default-cache"))
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_TIERS", raising=False)
 
 
 class TestConformanceMatrix:

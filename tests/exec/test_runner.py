@@ -179,7 +179,7 @@ class TestWorkloadMemo:
         # Isolate from the trace-store cache so every miss really
         # generates, and start from an empty memo.
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-        monkeypatch.setenv("REPRO_WORKLOAD_MEMO", "2")
+        monkeypatch.setattr(runner, "WORKLOAD_MEMO_CAPACITY", 2)
         runner.clear_workload_memo()
         yield
         runner.clear_workload_memo()

@@ -9,11 +9,12 @@ platform) leaves no segment behind.
 import numpy as np
 import pytest
 
+from repro.exec.executor import PointTask, publish_workloads
 from repro.exec.runner import (
     AppWorkloadSpec,
     SweepPointSpec,
     SweepRunner,
-    _simulate_point_shared,
+    _simulate_point,
     generated_workload,
 )
 from repro.exec.shm import (
@@ -39,6 +40,13 @@ def venus_points():
             label=f"venus {mb}MB",
         )
         for mb in (8, 32)
+    ]
+
+
+def point_tasks(points):
+    return [
+        PointTask(index=i, point=p, seed=p.config.seed, label=p.label)
+        for i, p in enumerate(points)
     ]
 
 
@@ -93,19 +101,19 @@ class TestPublisherAttach:
         # result, not fail.
         point = venus_points()[0]
         bogus = SharedWorkload(segment="psm_gone_segment", traces=(), nbytes=1)
-        via_fallback = _simulate_point_shared(point, point.config.seed, bogus)
-        direct = _simulate_point_shared(point, point.config.seed, None)
+        via_fallback = _simulate_point(point, point.config.seed, bogus)
+        direct = _simulate_point(point, point.config.seed)
         assert via_fallback.digest() == direct.digest()
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM", "off")
         assert not shm_available()
-        assert not SweepRunner(jobs=2)._shm_enabled()
+        assert publish_workloads(point_tasks(venus_points()), None) == (None, {})
         monkeypatch.setenv("REPRO_SHM", "1")
         assert shm_available()
 
     def test_forced_off_overrides_platform(self):
-        assert not SweepRunner(jobs=2, shared_memory=False)._shm_enabled()
+        assert publish_workloads(point_tasks(venus_points()), False) == (None, {})
 
 
 class TestSweepEquivalence:
@@ -182,25 +190,25 @@ class TestAttachFailureVisibility:
         registry = MetricsRegistry()
         with use_registry(registry):
             with pytest.warns(RuntimeWarning, match="psm_vanished"):
-                _simulate_point_shared(point, point.config.seed, bogus)
+                _simulate_point(point, point.config.seed, bogus)
             # second point, same dead segment: counted again, no new warning
             import warnings as warnings_module
 
             with warnings_module.catch_warnings():
                 warnings_module.simplefilter("error", RuntimeWarning)
-                _simulate_point_shared(point, point.config.seed, bogus)
+                _simulate_point(point, point.config.seed, bogus)
         assert registry.counters()["exec.shm.attach_failures"] == 2
 
     def test_distinct_segments_warn_separately(self):
         point = venus_points()[0]
         with pytest.warns(RuntimeWarning, match="psm_first"):
-            _simulate_point_shared(
+            _simulate_point(
                 point,
                 point.config.seed,
                 SharedWorkload(segment="psm_first", traces=(), nbytes=1),
             )
         with pytest.warns(RuntimeWarning, match="psm_second"):
-            _simulate_point_shared(
+            _simulate_point(
                 point,
                 point.config.seed,
                 SharedWorkload(segment="psm_second", traces=(), nbytes=1),
@@ -226,11 +234,10 @@ class TestPublishSkipVisibility:
         point = SweepPointSpec(
             workload=ExplodingSpec(), config=SimConfig(), label="boom"
         )
-        runner = SweepRunner(jobs=2, shared_memory=True)
         registry = MetricsRegistry()
         with use_registry(registry):
             with pytest.warns(RuntimeWarning, match="RuntimeError"):
-                publisher, refs = runner._publish_workloads([point], [0])
+                publisher, refs = publish_workloads(point_tasks([point]), True)
         if publisher is not None:
             publisher.close()
         assert refs[point.workload] is None

@@ -1,4 +1,4 @@
-"""Cross-backend executor x cache-tier conformance suite (reusable).
+"""Cross-backend executor x result-cache conformance suite (reusable).
 
 The contract every :class:`~repro.exec.executor.Executor` backend and
 every cache arrangement must satisfy, stated in the same terms as the
@@ -11,8 +11,7 @@ engine differential harness:
 * **Cache interop** -- a cache directory populated by one backend must
   serve a warm re-run on a *different* backend entirely from cache:
   zero recomputations (``runner.simulated == 0``), every point flagged
-  ``cached``, digests unchanged.  For the tiered arrangement the tier
-  counters must show the traffic (cold stores, warm local hits).
+  ``cached``, digests unchanged.
 
 :func:`run_combo` checks one ``(executor, cache_mode)`` cell --
 including the warm re-run on the next backend in rotation -- and
@@ -36,7 +35,6 @@ import tempfile
 from pathlib import Path
 
 from repro.exec.cache import ResultCache
-from repro.exec.cache_tiers import CacheTier, TieredResultCache
 from repro.exec.executor import EXECUTOR_NAMES
 from repro.exec.runner import AppWorkloadSpec, SweepPointSpec, SweepRunner
 from repro.obs.registry import MetricsRegistry, use_registry
@@ -44,7 +42,7 @@ from repro.sim.config import CacheConfig, SimConfig
 from repro.util.units import MB
 
 #: Cache arrangements the matrix crosses every backend with.
-CACHE_MODES = ("none", "single", "tiered")
+CACHE_MODES = ("none", "single")
 
 #: Worker processes for the parallel backends (two points, two workers).
 JOBS = 2
@@ -71,11 +69,6 @@ def make_cache(mode: str, root: Path):
         return None
     if mode == "single":
         return ResultCache(Path(root) / "single")
-    if mode == "tiered":
-        return TieredResultCache(
-            local=CacheTier(Path(root) / "local", name="local"),
-            shared=CacheTier(Path(root) / "shared", name="shared"),
-        )
     raise ValueError(f"unknown cache mode {mode!r}")
 
 
@@ -112,11 +105,13 @@ def run_combo(executor: str, cache_mode: str, root: Path) -> dict:
     reference = reference_outcomes()
     problems: list[str] = []
 
-    cold_registry = MetricsRegistry()
+    # Both runs record into an enabled registry and the reference into
+    # the process default (the null registry unless one is installed),
+    # so observation must not move a digest either.
     cold_runner = SweepRunner(
         jobs=JOBS, cache=make_cache(cache_mode, root), executor=executor
     )
-    with use_registry(cold_registry):
+    with use_registry(MetricsRegistry()):
         cold = cold_runner.run(points)
     if _outcomes(cold) != reference:
         problems.append(
@@ -132,11 +127,10 @@ def run_combo(executor: str, cache_mode: str, root: Path) -> dict:
     warm_exec = warm_executor_for(executor)
     # Fresh cache *objects* over the same directories: interop must not
     # depend on in-process state.
-    warm_registry = MetricsRegistry()
     warm_runner = SweepRunner(
         jobs=JOBS, cache=make_cache(cache_mode, root), executor=warm_exec
     )
-    with use_registry(warm_registry):
+    with use_registry(MetricsRegistry()):
         warm = warm_runner.run(points)
     if _outcomes(warm) != reference:
         problems.append(
@@ -157,24 +151,6 @@ def run_combo(executor: str, cache_mode: str, root: Path) -> dict:
             )
         if not all(r.cached for r in warm):
             problems.append("warm run left points unflagged as cached")
-    if cache_mode == "tiered":
-        cold_counters = cold_registry.counters()
-        warm_counters = warm_registry.counters()
-        if cold_counters.get("exec.cache.local.stores", 0) < len(points):
-            problems.append(
-                f"cold tiered run recorded too few local stores: "
-                f"{cold_counters}"
-            )
-        if cold_counters.get("exec.cache.shared.writebacks", 0) < len(points):
-            problems.append(
-                f"cold tiered run recorded too few shared writebacks: "
-                f"{cold_counters}"
-            )
-        if warm_counters.get("exec.cache.local.hits", 0) != len(points):
-            problems.append(
-                f"warm tiered run not served from the local tier: "
-                f"{warm_counters}"
-            )
     return {
         "executor": executor,
         "warm_executor": warm_exec,
