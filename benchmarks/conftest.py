@@ -18,7 +18,7 @@ import os
 import pytest
 
 from repro.exec.cache import ResultCache
-from repro.exec.runner import SweepRunner
+from repro.exec.runner import SweepRunner, resolve_jobs
 from repro.sim.procmodel import relabel_copies
 from repro.workloads import APP_NAMES, generate_workload
 
@@ -60,11 +60,9 @@ def sweep_runner():
     Serial by default so timings stay meaningful; ``REPRO_JOBS`` opts
     into a pool and ``REPRO_RESULT_CACHE`` memoizes results on disk.
     """
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    jobs = int(env) if env else 1
     cache_dir = os.environ.get("REPRO_RESULT_CACHE", "").strip()
     cache = ResultCache(cache_dir) if cache_dir else None
-    return SweepRunner(jobs=jobs, cache=cache)
+    return SweepRunner(jobs=resolve_jobs(None, default=1), cache=cache)
 
 
 def once(benchmark, fn):

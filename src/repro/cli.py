@@ -100,7 +100,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    study = Study(scale=args.scale, jobs=args.jobs if args.jobs else 1)
+    study = Study(scale=args.scale, jobs=args.jobs or 1)
     metrics_out = getattr(args, "metrics_out", None)
     registry = MetricsRegistry(enabled=metrics_out is not None)
     try:
@@ -287,7 +287,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     point_cache = ResultCache() if args.cached else None
     runner = SweepRunner(
-        jobs=args.jobs if args.jobs else 1,
+        jobs=args.jobs or 1,
         cache=point_cache,
         executor=args.executor,
     )
@@ -336,7 +336,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result_cache = None
     else:
         result_cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-    jobs = resolve_jobs(args.jobs)
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     runner = SweepRunner(jobs=jobs, cache=result_cache, executor=args.executor)
     t0 = time.perf_counter()
     try:
@@ -376,6 +380,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_server(config)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for ``--jobs``: an integer >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -395,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload scale in (0,1]; default: per-app presets",
     )
     p_run.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="worker processes for sweep-shaped experiments (default: serial)",
     )
     p_run.add_argument(
@@ -474,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gets a private file-id space, like the paper's non-sharing copies)",
     )
     p_sim.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="worker processes (a single point always runs inline)",
     )
     p_sim.add_argument(
@@ -541,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--ssd", action="store_true")
     p_sweep.add_argument("--cpus", type=int, default=1)
     p_sweep.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="worker processes (default: $REPRO_JOBS, else all cores)",
     )
     p_sweep.add_argument(
@@ -624,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run each benchmark N times, keep the best (default 1)",
     )
     p_bench.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="worker processes for the Figure-8 sweep benchmark",
     )
     p_bench.add_argument(
@@ -650,7 +667,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
 
     payload = run_suite(
-        quick=args.quick, jobs=args.jobs if args.jobs else 1,
+        quick=args.quick, jobs=args.jobs or 1,
         repeats=args.repeats,
         profile_to="BENCH_profile.txt" if args.profile else None,
     )

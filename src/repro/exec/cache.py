@@ -72,9 +72,9 @@ class ResultCache:
     root: Path = field(default_factory=default_cache_dir)
     counters: CacheCounters = field(default_factory=CacheCounters)
     #: keys whose corrupt entry was already warned about -- one
-    #: RuntimeWarning per key (mirroring the per-segment shm attach
-    #: warning), not one per lookup, so a hot key with a rotten entry
-    #: does not flood a long sweep; every occurrence is still counted.
+    #: RuntimeWarning per key, not one per lookup, so a hot key with a
+    #: rotten entry does not flood a long sweep; every occurrence is
+    #: still counted.
     _corrupt_warned: set = field(default_factory=set, repr=False)
 
     def __post_init__(self) -> None:

@@ -26,8 +26,12 @@ result-cache arrangement by ``tests/harness/executor_contract.py``:
 * a failing point raises :class:`~repro.util.errors.SweepError` naming
   the point, abandoning still-queued work (fail fast);
 * ``should_cancel`` returning true raises
-  :class:`~repro.util.errors.SweepCancelled`, leaking neither worker
-  processes nor shared-memory segments.
+  :class:`~repro.util.errors.SweepCancelled` without leaking worker
+  processes.
+
+Every backend ships a task as its small spec; the process that runs it
+calls ``point.workload.materialize()`` itself, so the parent of a pool
+or queue sweep does no workload work.
 
 Backend selection (:func:`resolve_executor_name`): explicit name >
 ``$REPRO_EXECUTOR`` > automatic (serial for one job, pool otherwise).
@@ -39,7 +43,6 @@ import multiprocessing
 import os
 import queue as queue_lib
 import time
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -48,7 +51,6 @@ from repro.util.errors import SweepCancelled, SweepError
 
 if TYPE_CHECKING:
     from repro.exec.runner import SweepPointSpec
-    from repro.exec.shm import SegmentPublisher
     from repro.sim.metrics import SimulationResult
 
 #: Valid ``--executor`` / ``$REPRO_EXECUTOR`` values.
@@ -113,49 +115,6 @@ class PointTask:
 OnResult = Callable[[PointTask, "SimulationResult", float], None]
 
 
-def publish_workloads(
-    tasks: Sequence[PointTask], shared_memory: bool | None
-) -> tuple["SegmentPublisher | None", dict]:
-    """Materialize each distinct task workload once; publish to shm.
-
-    Best-effort by design: a workload whose materialization or publish
-    fails is simply not shared (its workers materialize and report
-    errors exactly as the per-worker path would), so the fan-out can
-    never turn a runnable sweep into a failing one or mask a point's
-    real error with a transport error.  A skipped workload is counted
-    (``exec.shm.publish_skipped``) and warned about with the exception
-    type, so operators can see *why* sharing degraded instead of a
-    silently slower sweep.
-    """
-    from repro.exec.shm import SegmentPublisher, shm_available
-
-    if shared_memory is False or not shm_available():
-        return None, {}
-    reg = get_registry()
-    publisher = SegmentPublisher()
-    refs: dict = {}
-    for task in tasks:
-        spec = task.point.workload
-        if spec in refs:
-            continue
-        try:
-            traces = spec.materialize()
-        except Exception as exc:
-            refs[spec] = None
-            reg.counter("exec.shm.publish_skipped").inc()
-            warnings.warn(
-                f"workload for point {task.label or task.index!r} could "
-                f"not be pre-materialized for sharing "
-                f"({type(exc).__name__}: {exc}); its workers will "
-                "materialize from the spec and surface any real error",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        refs[spec] = publisher.publish(traces)
-    return publisher, refs
-
-
 def _point_error(task: PointTask, detail) -> SweepError:
     point = task.point
     return SweepError(
@@ -174,7 +133,6 @@ class Executor:
         *,
         on_result: OnResult,
         should_cancel: Callable[[], bool] | None = None,
-        shared_memory: bool | None = None,
     ) -> None:
         raise NotImplementedError
 
@@ -194,7 +152,6 @@ class SerialExecutor(Executor):
         *,
         on_result: OnResult,
         should_cancel: Callable[[], bool] | None = None,
-        shared_memory: bool | None = None,
     ) -> None:
         from repro.exec.runner import _simulate_point
 
@@ -227,26 +184,6 @@ class PoolExecutor(Executor):
         *,
         on_result: OnResult,
         should_cancel: Callable[[], bool] | None = None,
-        shared_memory: bool | None = None,
-    ) -> None:
-        reg = get_registry()
-        publisher, refs = publish_workloads(tasks, shared_memory)
-        try:
-            with reg.span("exec.runner.pool_s", label=f"jobs={self.jobs}"):
-                self._drive(tasks, refs, on_result, should_cancel)
-        finally:
-            # Success, failure, cancellation and Ctrl-C all unlink every
-            # segment; workers' existing attachments stay valid until
-            # pool exit.
-            if publisher is not None:
-                publisher.close()
-
-    def _drive(
-        self,
-        tasks: Sequence[PointTask],
-        refs: dict,
-        on_result: OnResult,
-        should_cancel: Callable[[], bool] | None,
     ) -> None:
         from concurrent.futures import (
             FIRST_COMPLETED,
@@ -259,14 +196,11 @@ class PoolExecutor(Executor):
         t0 = time.perf_counter()
         poll_s = CANCEL_POLL_S if should_cancel is not None else None
         order = {task: n for n, task in enumerate(tasks)}
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+        with get_registry().span(
+            "exec.runner.pool_s", label=f"jobs={self.jobs}"
+        ), ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = {
-                pool.submit(
-                    _simulate_point,
-                    task.point,
-                    task.seed,
-                    refs.get(task.point.workload),
-                ): task
+                pool.submit(_simulate_point, task.point, task.seed): task
                 for task in tasks
             }
             pending = set(futures)
@@ -331,14 +265,14 @@ def _queue_worker(slot: int, claims, task_q, result_q) -> None:
         item = task_q.get()
         if item is None:
             return
-        index, point, seed, shared = item
+        index, point, seed = item
         with claims.get_lock():
             claims[slot] = index
         _maybe_kill_for_test()
         try:
             from repro.exec.runner import _simulate_point
 
-            result = _simulate_point(point, seed, shared)
+            result = _simulate_point(point, seed)
         except BaseException as exc:
             result_q.put(
                 ("error", slot, index, f"{type(exc).__name__}: {exc}")
@@ -373,12 +307,10 @@ class QueueExecutor(Executor):
         *,
         on_result: OnResult,
         should_cancel: Callable[[], bool] | None = None,
-        shared_memory: bool | None = None,
     ) -> None:
         if not tasks:
             return
         reg = get_registry()
-        publisher, refs = publish_workloads(tasks, shared_memory)
         ctx = multiprocessing.get_context()
         n_workers = min(self.jobs, len(tasks))
         # One claim slot per worker ever spawned: initial workers plus
@@ -389,16 +321,12 @@ class QueueExecutor(Executor):
         task_q = ctx.Queue()
         result_q = ctx.Queue()
         for task in tasks:
-            task_q.put(
-                (task.index, task.point, task.seed,
-                 refs.get(task.point.workload))
-            )
+            task_q.put((task.index, task.point, task.seed))
         state = _QueueState(
             ctx=ctx,
             claims=claims,
             task_q=task_q,
             result_q=result_q,
-            refs=refs,
             max_restarts=max_restarts,
         )
         clean = False
@@ -412,8 +340,6 @@ class QueueExecutor(Executor):
             clean = True
         finally:
             state.shutdown(clean=clean)
-            if publisher is not None:
-                publisher.close()
 
     def _collect(
         self,
@@ -451,12 +377,11 @@ class QueueExecutor(Executor):
 class _QueueState:
     """Worker bookkeeping for one :class:`QueueExecutor` batch."""
 
-    def __init__(self, *, ctx, claims, task_q, result_q, refs, max_restarts):
+    def __init__(self, *, ctx, claims, task_q, result_q, max_restarts):
         self.ctx = ctx
         self.claims = claims
         self.task_q = task_q
         self.result_q = result_q
-        self.refs = refs
         self.max_restarts = max_restarts
         self.workers: dict = {}  # process -> claim slot
         self.retries: dict[int, int] = {}  # task index -> requeue count
@@ -498,10 +423,7 @@ class _QueueState:
                         f"worker died {retries} time(s) running this "
                         f"point (last exit code {proc.exitcode})",
                     )
-                self.task_q.put(
-                    (task.index, task.point, task.seed,
-                     self.refs.get(task.point.workload))
-                )
+                self.task_q.put((task.index, task.point, task.seed))
             if len(done) < len(by_index):
                 reg.counter("exec.executor.worker_restarts").inc()
                 self.spawn()

@@ -28,16 +28,14 @@ Workload transport
 ------------------
 Workloads cross the process boundary as small *specs*, not as traces: a
 14-point sweep ships a few hundred bytes per point instead of megabytes
-of columns.  When the pool path runs, the parent materializes each
-distinct workload **once** and publishes its columns over
-:mod:`multiprocessing.shared_memory` (:mod:`repro.exec.shm`); workers
-attach read-only views instead of re-decoding or re-generating.  When
-shared memory is unavailable -- or a worker cannot attach -- the worker
-falls back to materializing from the spec exactly as before, through a
-small per-process LRU memo.  Either way the trace rehydration itself
-goes through the compiled trace store (:mod:`repro.trace.store`) when
-the content-addressed compile cache is enabled, so warm runs skip ASCII
-decode and workload generation entirely.
+of columns.  Whichever process runs a point materializes its workload
+from the spec, through a small per-process LRU memo, so a worker that
+replays one workload for many points builds it once, and the parent of
+a pool or queue sweep builds none.  The trace rehydration itself goes
+through the compiled trace store (:mod:`repro.trace.store`) when the
+content-addressed compile cache is enabled, so warm runs skip ASCII
+decode and workload generation entirely, and concurrent workers share
+the stored columns through ``mmap``.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from typing import Callable, Sequence, Union
 from repro.exec.cache import ResultCache
 from repro.exec.executor import PointTask, make_executor, resolve_executor_name
 from repro.exec.keys import point_key
-from repro.exec.shm import SharedWorkload, attach_workload
 from repro.obs.registry import get_registry
 from repro.sim.config import SimConfig
 from repro.sim.metrics import SimulationResult
@@ -63,11 +60,27 @@ from repro.util.errors import SweepCancelled, SweepError
 from repro.util.rng import DEFAULT_SEED
 
 
-def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count: explicit ``jobs`` > ``$REPRO_JOBS`` > ``os.cpu_count()``."""
+def resolve_jobs(jobs: int | None = None, *, default: int | None = None) -> int:
+    """Worker count: explicit ``jobs`` > ``$REPRO_JOBS`` > ``default``.
+
+    ``default=None`` means ``os.cpu_count()``; library callers that must
+    not spawn a pool unless asked pass ``default=1``.  This is the one
+    parser of ``$REPRO_JOBS``: a value that is not a positive integer
+    raises ``ValueError`` naming the variable.
+    """
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
-        jobs = int(env) if env else (os.cpu_count() or 1)
+        if env:
+            try:
+                jobs = int(env)
+            except ValueError:
+                jobs = 0
+            if jobs < 1:
+                raise ValueError(
+                    f"$REPRO_JOBS must be a positive integer, got {env!r}"
+                )
+        else:
+            jobs = default if default is not None else (os.cpu_count() or 1)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -374,55 +387,9 @@ class PointResult:
         return self.point.label
 
 
-#: Transport errors :func:`~repro.exec.shm.attach_workload` can actually
-#: raise: the segment is gone or was never created (``OSError``, which
-#: covers ``FileNotFoundError``), or its size/layout does not match the
-#: ref (``ValueError`` from the size check or view construction).
-#: Anything else is a real bug and must propagate, not silently turn
-#: the fan-out off.
-_ATTACH_ERRORS = (OSError, ValueError)
-
-#: Segments this process has already warned about failing to attach --
-#: one RuntimeWarning per segment (i.e. per workload per sweep), not one
-#: per point, so a degraded 100-point sweep does not print 100 warnings.
-_ATTACH_WARNED: set = set()
-
-
-def _simulate_point(
-    point: SweepPointSpec,
-    sim_seed: int,
-    shared: SharedWorkload | None = None,
-) -> SimulationResult:
-    """Worker entry: attach the published workload (if any), else
-    materialize it from its spec; then run the simulator.
-
-    The attach is strictly an input transport: the views are read-only
-    and byte-identical to what ``materialize()`` builds, so results are
-    bit-identical either way -- a failed attach degrades to the
-    per-worker path rather than failing the point.  Degradation is
-    *visible*: each failure bumps ``exec.shm.attach_failures`` and the
-    first failure per segment emits a RuntimeWarning, so a sweep whose
-    fan-out quietly fell back to per-worker materialization no longer
-    looks identical to one that shared every workload.
-    """
-    traces = None
-    if shared is not None:
-        try:
-            traces = attach_workload(shared)
-        except _ATTACH_ERRORS as exc:
-            get_registry().counter("exec.shm.attach_failures").inc()
-            if shared.segment not in _ATTACH_WARNED:
-                _ATTACH_WARNED.add(shared.segment)
-                warnings.warn(
-                    f"shared-memory attach failed for segment "
-                    f"{shared.segment} ({type(exc).__name__}: {exc}); "
-                    "materializing this workload from its spec",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    if traces is None:
-        traces = point.workload.materialize()
-    return simulate(traces, point.config.with_seed(sim_seed))
+def _simulate_point(point: SweepPointSpec, sim_seed: int) -> SimulationResult:
+    """Worker entry: materialize the point's workload, then simulate it."""
+    return simulate(point.workload.materialize(), point.config.with_seed(sim_seed))
 
 
 # -- the runner --------------------------------------------------------------
@@ -447,11 +414,9 @@ class SweepRunner:
     backend is an execution detail -- it never enters point keys and
     never changes digests.
 
-    ``shared_memory=None`` (the default) publishes each distinct
-    workload's columns over shared memory for pool runs whenever the
-    platform supports it (``$REPRO_SHM=off`` disables); ``True``/``False``
-    force it.  The transport never changes results -- workers that
-    cannot attach materialize from their spec as before.
+    ``shared_memory`` is ignored: no code reads it.  It remains only so
+    existing callers that pass it keep working; every backend ships
+    specs and workers materialize them (see the module docstring).
 
     Observation hooks (both optional, both outside the determinism
     contract -- they never touch what is simulated):
@@ -465,15 +430,15 @@ class SweepRunner:
     * ``should_cancel`` is polled between points (serial) and between
       completions (pool/queue, every
       :data:`~repro.exec.executor.CANCEL_POLL_S`); once it returns true
-      the backend abandons queued work, waits out running points, tears
-      down shared memory and raises
-      :class:`~repro.util.errors.SweepCancelled`.
+      the backend abandons queued work, waits out running points and
+      raises :class:`~repro.util.errors.SweepCancelled`.
     """
 
     jobs: int | None = 1
     cache: ResultCache | None = None
     seed: int | None = None
     executor: str | None = None
+    #: ignored; read by no code (see the class docstring)
     shared_memory: bool | None = None
     progress: Callable[[dict], None] | None = None
     should_cancel: Callable[[], bool] | None = None
@@ -548,10 +513,7 @@ class SweepRunner:
                 self._notify_point(points, keys, elapsed, task.index, cached=False)
 
             backend.execute(
-                tasks,
-                on_result=deliver,
-                should_cancel=self.should_cancel,
-                shared_memory=self.shared_memory,
+                tasks, on_result=deliver, should_cancel=self.should_cancel
             )
             for i in todo:
                 if self.cache is not None:

@@ -13,9 +13,9 @@ results bit-identical to batch results.
 
 Cancellation is cooperative: the loop sets a per-job
 :class:`threading.Event` that the runner polls between points (and
-between pool completions), tearing down any shared-memory segments
-before :class:`~repro.util.errors.SweepCancelled` propagates -- a
-cancelled job never leaks ``/dev/shm`` segments.
+between pool completions); the backend abandons queued points and stops
+its workers before :class:`~repro.util.errors.SweepCancelled`
+propagates.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ class SweepServer:
         ``drain_timeout_s`` before cancelling them; ``drain=False``
         cancels immediately.  Queued-but-unstarted jobs are always
         cancelled -- they never observed any service.  Either way every
-        worker joins and the runner's own teardown has already unlinked
-        any shared-memory segments before this returns.
+        worker joins, and each runner has already stopped its own
+        worker processes, before this returns.
         """
         if self._server is not None:
             self._server.close()

@@ -15,7 +15,6 @@ seed, so the numbers do not depend on ``jobs`` and match what direct
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.exec.cache import ResultCache
@@ -25,6 +24,7 @@ from repro.exec.runner import (
     SweepPointSpec,
     SweepRunner,
     generated_workload,
+    resolve_jobs,
 )
 from repro.sim.config import CacheConfig, SimConfig, ssd_cache
 from repro.sim.metrics import SimulationResult
@@ -63,10 +63,7 @@ def _runner(
     """
     if runner is not None:
         return runner
-    if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        jobs = int(env) if env else 1
-    return SweepRunner(jobs=jobs, cache=result_cache)
+    return SweepRunner(jobs=resolve_jobs(jobs, default=1), cache=result_cache)
 
 
 @dataclass(frozen=True)

@@ -208,3 +208,24 @@ class TestSweepCommand:
         assert len(ResultCache(cache_dir)) == 1
         assert "0 simulated, 1 from cache" in footer()
         assert "1 simulated" in footer(["--no-cache"])
+
+
+class TestJobsOption:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "some.trace"], ["run", "fig8"], ["sweep"], ["bench"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_nonpositive_jobs_is_a_usage_error(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", value])
+        assert exc.value.code == 2
+        assert "--jobs: must be a positive integer" in capsys.readouterr().err
+
+    def test_sweep_bad_env_jobs_exits_2_naming_the_variable(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        assert main(["sweep", "--no-cache"]) == 2
+        assert "$REPRO_JOBS" in capsys.readouterr().err

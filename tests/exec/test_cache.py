@@ -195,8 +195,8 @@ class TestErrorSurfacing:
 
     def test_corrupt_entry_warns_once_per_key(self, tmp_path, sim_result):
         """Regression: a hot key with a truncated entry used to warn on
-        every lookup; now it warns once per key (mirroring the shm
-        per-segment attach warning) while still counting every hit."""
+        every lookup; now it warns once per key while still counting
+        every hit."""
         other = "cd" + "0" * 62
         cache = ResultCache(tmp_path)
         for key in (self.KEY, other):
@@ -209,8 +209,8 @@ class TestErrorSurfacing:
         with pytest.warns(RuntimeWarning, match="unreadable"):
             assert cache.get(other) is None  # distinct key: its own warning
         assert cache.counters.corrupt == 3
-        # warn-once state is per cache instance, like _ATTACH_WARNED is
-        # per process: a fresh instance over the same root warns anew
+        # warn-once state is per cache instance: a fresh instance over
+        # the same root warns anew
         with pytest.warns(RuntimeWarning, match="unreadable"):
             assert ResultCache(tmp_path).get(self.KEY) is None
 

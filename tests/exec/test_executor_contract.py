@@ -78,7 +78,7 @@ class TestSelection:
 
 class TestKeyInvariance:
     def test_executor_never_enters_the_key(self):
-        """The backend is an execution detail, like shm or use_store."""
+        """The backend is an execution detail, like use_store."""
         point = contract_points()[0]
         baseline = point.key(None)
         for name in EXECUTOR_NAMES:

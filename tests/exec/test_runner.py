@@ -50,6 +50,18 @@ class TestJobsResolution:
         with pytest.raises(ValueError, match="jobs"):
             resolve_jobs(0)
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_env_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match=r"\$REPRO_JOBS"):
+            resolve_jobs(None)
+
+    def test_serial_default_when_env_unset(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert resolve_jobs(None, default=1) == 1
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert resolve_jobs(None, default=1) == 3
+
     def test_effective_jobs_capped_by_points(self):
         assert SweepRunner(jobs=8).effective_jobs(2) == 2
         assert SweepRunner(jobs=2).effective_jobs(10) == 2
@@ -106,6 +118,24 @@ class TestDeterminism:
             workload=a.workload, config=a.config, label="something else"
         )
         assert a.key(0) == relabeled.key(0)
+
+
+class TestWorkloadTransport:
+    def test_pool_parent_does_no_workload_work(self, monkeypatch):
+        """Pool workers materialize their own workloads; the parent
+        ships specs only."""
+        calls = []
+        original = AppWorkloadSpec.materialize
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(AppWorkloadSpec, "materialize", counting)
+        runner = SweepRunner(jobs=2, executor="pool")
+        results = runner.run(two_venus_points())
+        assert len(results) == 2 and runner.simulated == 2
+        assert calls == []
 
 
 class TestFailurePropagation:
@@ -271,13 +301,12 @@ class TestStoreKeyInvariance:
 class TestKeyInvariance:
     """Execution knobs must never leak into result-cache keys.
 
-    ``use_store`` only changes how trace bytes are loaded, and
-    shared-memory fan-out is pure transport -- results for one (config,
-    workload, seed) point are interchangeable across both, so neither
-    may appear in ``key_material``.
+    ``use_store`` only changes how trace bytes are loaded -- results for
+    one (config, workload, seed) point are interchangeable across it, so
+    it may not appear in ``key_material``.
     """
 
-    FORBIDDEN = ("use_store", "shm")
+    FORBIDDEN = ("use_store",)
 
     @staticmethod
     def _flat_keys(material):
@@ -375,24 +404,6 @@ class TestCancellation:
         runner = SweepRunner(jobs=2, should_cancel=cancel_after_first_poll)
         with pytest.raises(SweepCancelled, match="unfinished"):
             runner.run(two_venus_points())
-
-    def test_pool_cancel_leaves_no_shm_segments(self):
-        from tests.exec.test_shm import shm_leftovers
-        from repro.util.errors import SweepCancelled
-
-        calls = []
-
-        def cancel_late():
-            calls.append(None)
-            return len(calls) > 1
-
-        before = shm_leftovers()
-        runner = SweepRunner(
-            jobs=2, shared_memory=True, should_cancel=cancel_late
-        )
-        with pytest.raises(SweepCancelled):
-            runner.run(two_venus_points())
-        assert shm_leftovers() <= before
 
     def test_no_hooks_no_behavior_change(self):
         plain = SweepRunner(jobs=1).run(two_venus_points())

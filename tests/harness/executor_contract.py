@@ -51,7 +51,7 @@ SCALE = 0.05
 
 
 def contract_points() -> list[SweepPointSpec]:
-    """The canonical two-point sweep (same shape as the shm suite)."""
+    """The canonical two-point sweep: two venus copies at 8 and 32 MB."""
     workload = AppWorkloadSpec(app="venus", scale=SCALE, n_copies=2)
     return [
         SweepPointSpec(
