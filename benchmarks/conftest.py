@@ -7,7 +7,7 @@ sizes and cyclic structure are scale-invariant; totals get extrapolated).
 
 The sweep-shaped benches run through one shared :class:`SweepRunner`:
 
-* ``REPRO_JOBS=8`` fans their points over a process pool (the numbers
+* ``REPRO_JOBS=8`` fans their points over worker processes (the numbers
   are identical at any worker count, so assertions never change);
 * ``REPRO_RESULT_CACHE=/some/dir`` memoizes results on disk so a rerun
   of the benchmark suite skips every already-simulated point.
@@ -58,7 +58,8 @@ def sweep_runner():
     """One SweepRunner shared by every sweep-shaped bench.
 
     Serial by default so timings stay meaningful; ``REPRO_JOBS`` opts
-    into a pool and ``REPRO_RESULT_CACHE`` memoizes results on disk.
+    into worker processes and ``REPRO_RESULT_CACHE`` memoizes results on
+    disk.
     """
     cache_dir = os.environ.get("REPRO_RESULT_CACHE", "").strip()
     cache = ResultCache(cache_dir) if cache_dir else None

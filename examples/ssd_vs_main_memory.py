@@ -9,8 +9,8 @@ This example runs every traced application alone against (a) a
 main-memory-sized cache (4 MW of a processor's 16 MW allotment = 32 MB)
 and (b) a 32 MW (256 MB) SSD cache, and prints the per-application CPU
 utilizations side by side.  The fourteen runs are independent, so they
-go through the sweep runner: set ``REPRO_JOBS`` to fan them over a
-process pool (the numbers are identical at any worker count).
+go through the sweep runner: set ``REPRO_JOBS`` to fan them over
+worker processes (the numbers are identical at any worker count).
 
 Run:  python examples/ssd_vs_main_memory.py
 """

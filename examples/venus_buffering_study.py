@@ -10,7 +10,7 @@ and reproduces:
   writes still bursty);
 * Figure 8 -- idle time versus cache size for 4 KB and 8 KB blocks.
 
-The Figure 8 sweep fans out over a process pool: pass a worker count as
+The Figure 8 sweep fans out over worker processes: pass a worker count as
 the second argument (or set ``REPRO_JOBS``); the numbers are identical
 at any worker count.
 

@@ -432,7 +432,7 @@ def bench_fig8_warm(scale: float = 0.1) -> BenchResult:
 
     Models the second and every later run of the experiment in a fresh
     process: the per-process workload memo is cleared (as a new process
-    or pool worker would start) and the venus columns rehydrate from a
+    or worker would start) and the venus columns rehydrate from a
     compiled bundle instead of re-running the workload model.  Three
     things are measured against a throwaway trace-store cache:
 
@@ -444,7 +444,7 @@ def bench_fig8_warm(scale: float = 0.1) -> BenchResult:
       is what every later ``repro run fig8`` invocation pays.
 
     The per-process saving (``rehydrate_cold_s - rehydrate_warm_s``) is
-    deterministic and scales with worker count -- every pool worker used
+    deterministic and scales with worker count -- every worker used
     to pay the cold cost.  The row digest must match ``fig8``'s: the
     warm path is a transport change, never a results change.
     """

@@ -14,21 +14,20 @@ Usage (``python -m repro <command>``):
 * ``analyze FILE`` -- Table-1/2-style summary, sequentiality and class
   breakdown of any trace file (ASCII or compiled store bundle);
 * ``simulate FILE [FILE...] [--cache-mb M] [--block-kb K] [--ssd]
-  [--no-read-ahead] [--no-write-behind] [--cpus N] [--jobs N]
-  [--cached] [--trace-store] [--faults SPEC | --fault-plan FILE]`` --
+  [--no-read-ahead] [--no-write-behind] [--cpus N] [--cached]
+  [--trace-store] [--faults SPEC | --fault-plan FILE]`` --
   replay trace files (ASCII or compiled) through the buffering
   simulator, optionally under a seeded fault-injection plan with
   retry/backoff recovery; ``--trace-store`` routes ASCII inputs through
   the compile cache so repeat runs skip decode entirely;
 * ``sweep [--cache-mb LIST] [--block-kb LIST] [--read-ahead on,off]
-  [--write-behind on,off] [--jobs N] [--executor NAME]
+  [--write-behind on,off] [--jobs N]
   [--cache-dir DIR | --no-cache] ...`` -- run a configuration grid
   through the parallel sweep runner with on-disk result memoization;
-  ``--executor`` picks the backend (serial/pool/queue, see
-  ``docs/EXECUTORS.md``);
+  ``--jobs 1`` runs inline, more run on a crash-tolerant queue of
+  worker processes (see ``docs/EXECUTORS.md``);
 * ``serve [--host H] [--port P] [--workers N] [--queue-size N]
-  [--cache-dir DIR] [--no-cache]
-  [--executor NAME]`` -- run the async sweep server: an
+  [--cache-dir DIR] [--no-cache]`` -- run the async sweep server: an
   HTTP/JSON daemon accepting simulate/sweep jobs, streaming progress as
   server-sent events and answering with results bit-identical to the
   CLI (see ``docs/SERVER.md``);
@@ -63,7 +62,6 @@ from repro.analysis.summary import trace_table1
 from repro.core.registry import EXPERIMENTS, run_experiment
 from repro.core.study import Study
 from repro.exec.cache import ResultCache
-from repro.exec.executor import EXECUTOR_NAMES
 from repro.exec.grid import (
     GridSpec,
     build_sim_config,
@@ -118,7 +116,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Run one experiment under an enabled registry; render the metrics.
 
-    Runs in-process (``jobs=1``) on purpose: pool workers are separate
+    Runs in-process (``jobs=1``) on purpose: queue workers are separate
     processes whose registries cannot flow back, and profiling wants the
     complete picture of one serial execution.
     """
@@ -286,11 +284,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         label=f"simulate {' '.join(args.traces)}",
     )
     point_cache = ResultCache() if args.cached else None
-    runner = SweepRunner(
-        jobs=args.jobs or 1,
-        cache=point_cache,
-        executor=args.executor,
-    )
+    runner = SweepRunner(jobs=1, cache=point_cache)
     registry = MetricsRegistry(enabled=args.metrics_out is not None)
     try:
         with use_registry(registry):
@@ -341,7 +335,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    runner = SweepRunner(jobs=jobs, cache=result_cache, executor=args.executor)
+    runner = SweepRunner(jobs=jobs, cache=result_cache)
     t0 = time.perf_counter()
     try:
         results = runner.run(grid.points())
@@ -375,7 +369,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         drain_timeout_s=args.drain_timeout,
-        executor=args.executor,
     )
     return run_server(config)
 
@@ -491,19 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
         "gets a private file-id space, like the paper's non-sharing copies)",
     )
     p_sim.add_argument(
-        "--jobs", type=_positive_int, default=None,
-        help="worker processes (a single point always runs inline)",
-    )
-    p_sim.add_argument(
         "--cached", action="store_true",
         help="memoize the result in the on-disk result cache "
         "($REPRO_CACHE_DIR or ~/.cache/repro/results)",
-    )
-    p_sim.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default=None,
-        help="execution backend (default: auto -- serial inline for one "
-        "job, process pool otherwise; see docs/EXECUTORS.md); equivalent "
-        "to setting $REPRO_EXECUTOR",
     )
     p_sim.add_argument(
         "--trace-store", action="store_true",
@@ -570,12 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result cache root (default: $REPRO_CACHE_DIR or "
         "~/.cache/repro/results)",
     )
-    p_sweep.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default=None,
-        help="execution backend (default: auto -- serial inline for one "
-        "job, process pool otherwise; see docs/EXECUTORS.md); equivalent "
-        "to setting $REPRO_EXECUTOR",
-    )
 
     p_srv = sub.add_parser(
         "serve",
@@ -609,11 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--drain-timeout", type=float, default=10.0,
         help="seconds shutdown waits for running jobs before cancelling",
-    )
-    p_srv.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default=None,
-        help="default execution backend for jobs that do not name one "
-        "(job spec field 'executor' wins; see docs/EXECUTORS.md)",
     )
 
     p_bench = sub.add_parser(

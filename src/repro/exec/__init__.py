@@ -4,9 +4,9 @@ The scaling layer the section-6 experiments run on:
 
 * :mod:`repro.exec.runner` -- :class:`SweepRunner` resolves cache hits
   and per-point deterministic seeding, then delegates execution to a
-  backend (serial == parallel, bit for bit);
-* :mod:`repro.exec.executor` -- the pluggable backends: serial, process
-  pool, and the queue of long-lived workers (see docs/EXECUTORS.md);
+  backend chosen by the job count (serial == parallel, bit for bit);
+* :mod:`repro.exec.executor` -- the two backends: serial for one job,
+  and the queue of long-lived workers for more (see docs/EXECUTORS.md);
 * :mod:`repro.exec.cache` -- :class:`ResultCache`, a content-addressed
   on-disk memo of :class:`SimulationResult` pickles;
 * :mod:`repro.exec.keys` -- stable point keys (exact-float canonical
@@ -21,14 +21,10 @@ eagerly here would be circular.
 
 from repro.exec.cache import CacheCounters, ResultCache, default_cache_dir
 from repro.exec.executor import (
-    EXECUTOR_NAMES,
     Executor,
     PointTask,
-    PoolExecutor,
     QueueExecutor,
     SerialExecutor,
-    make_executor,
-    resolve_executor_name,
 )
 from repro.exec.keys import canonical_json, code_version_tag, point_key
 from repro.exec.runner import (
@@ -51,11 +47,9 @@ _GRID_EXPORTS = (
 __all__ = [
     "AppWorkloadSpec",
     "CacheCounters",
-    "EXECUTOR_NAMES",
     "Executor",
     "PointResult",
     "PointTask",
-    "PoolExecutor",
     "QueueExecutor",
     "ResultCache",
     "SerialExecutor",
@@ -65,9 +59,7 @@ __all__ = [
     "canonical_json",
     "code_version_tag",
     "default_cache_dir",
-    "make_executor",
     "point_key",
-    "resolve_executor_name",
     "resolve_jobs",
     *_GRID_EXPORTS,
 ]

@@ -1,21 +1,18 @@
-"""Pluggable sweep execution backends: serial, process pool, task queue.
+"""Sweep execution backends: inline serial, and a queue of worker processes.
 
 A :class:`SweepRunner` decides *what* to simulate (cache lookups, keys,
 seeds); an :class:`Executor` decides *how* the remaining points run.
-Three backends ship:
+The runner picks the backend from its effective job count:
 
-* :class:`SerialExecutor` -- inline, no processes.  What ``jobs == 1``
-  always did; also the ground truth the conformance suite compares the
-  other backends against.
-* :class:`PoolExecutor` -- one :class:`concurrent.futures.ProcessPoolExecutor`
-  per batch.  The default for parallel runs (current behavior).
+* :class:`SerialExecutor` -- inline, no processes, for one job.  Also
+  the ground truth the conformance suite compares the queue against.
 * :class:`QueueExecutor` -- long-lived worker processes pulling point
-  specs from a shared :mod:`multiprocessing` task queue.  The
-  multi-host-shaped backend: work is claimed, not pre-assigned, and a
-  worker that dies mid-point is replaced and its point re-queued
+  specs from a shared :mod:`multiprocessing` task queue, for more than
+  one job.  Work is claimed, not pre-assigned, and a worker that dies
+  mid-point is replaced and its point re-queued
   (``exec.executor.worker_restarts`` counts the replacements).
 
-The contract every backend honors -- locked down for each executor x
+The contract both backends honor -- locked down for each backend x
 result-cache arrangement by ``tests/harness/executor_contract.py``:
 
 * every task is simulated exactly once (or re-run verbatim after a
@@ -24,17 +21,15 @@ result-cache arrangement by ``tests/harness/executor_contract.py``:
 * ``on_result(task, result, elapsed_s)`` fires once per task as it
   completes;
 * a failing point raises :class:`~repro.util.errors.SweepError` naming
-  the point, abandoning still-queued work (fail fast);
+  the point and chained to the point's own error, abandoning
+  still-queued work (fail fast);
 * ``should_cancel`` returning true raises
   :class:`~repro.util.errors.SweepCancelled` without leaking worker
   processes.
 
-Every backend ships a task as its small spec; the process that runs it
-calls ``point.workload.materialize()`` itself, so the parent of a pool
-or queue sweep does no workload work.
-
-Backend selection (:func:`resolve_executor_name`): explicit name >
-``$REPRO_EXECUTOR`` > automatic (serial for one job, pool otherwise).
+Both backends ship a task as its small spec; the process that runs it
+calls ``point.workload.materialize()`` itself, so the parent of a queue
+sweep does no workload work.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ import multiprocessing
 import os
 import queue as queue_lib
 import time
+import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -52,9 +48,6 @@ from repro.util.errors import SweepCancelled, SweepError
 if TYPE_CHECKING:
     from repro.exec.runner import SweepPointSpec
     from repro.sim.metrics import SimulationResult
-
-#: Valid ``--executor`` / ``$REPRO_EXECUTOR`` values.
-EXECUTOR_NAMES = ("serial", "pool", "queue")
 
 #: How often executor loops wake to poll ``should_cancel`` (and, for the
 #: queue backend, worker liveness) while no point has completed.
@@ -71,31 +64,6 @@ KILL_FLAG_ENV = "REPRO_EXEC_KILL_FLAG"
 #: the sweep fails -- a point that reliably kills its host (OOM, native
 #: crash) must not retry forever.
 MAX_TASK_RETRIES = 2
-
-
-def resolve_executor_name(name: str | None = None) -> str | None:
-    """Backend choice: explicit ``name`` > ``$REPRO_EXECUTOR`` > None (auto)."""
-    if name is None:
-        env = os.environ.get("REPRO_EXECUTOR", "").strip().lower()
-        name = env or None
-    if name is not None and name not in EXECUTOR_NAMES:
-        raise ValueError(
-            f"unknown executor {name!r}; expected one of {EXECUTOR_NAMES}"
-        )
-    return name
-
-
-def make_executor(name: str, jobs: int = 1) -> "Executor":
-    """Instantiate the named backend sized for ``jobs`` workers."""
-    if name == "serial":
-        return SerialExecutor()
-    if name == "pool":
-        return PoolExecutor(jobs=jobs)
-    if name == "queue":
-        return QueueExecutor(jobs=jobs)
-    raise ValueError(
-        f"unknown executor {name!r}; expected one of {EXECUTOR_NAMES}"
-    )
 
 
 @dataclass(frozen=True)
@@ -122,10 +90,16 @@ def _point_error(task: PointTask, detail) -> SweepError:
     )
 
 
+class _WorkerTraceback(Exception):
+    """A failed point's traceback, as formatted in its worker process.
+
+    Chained as the cause of a queue point's :class:`SweepError`, in place
+    of the worker's exception object, which need not pickle.
+    """
+
+
 class Executor:
     """One strategy for running a batch of sweep point tasks."""
-
-    name: str = "?"
 
     def execute(
         self,
@@ -143,8 +117,6 @@ class Executor:
 
 class SerialExecutor(Executor):
     """Run every task inline, in order, in this process."""
-
-    name = "serial"
 
     def execute(
         self,
@@ -168,74 +140,6 @@ class SerialExecutor(Executor):
                 except Exception as exc:
                     raise _point_error(task, exc) from exc
             on_result(task, result, time.perf_counter() - t0)
-
-
-class PoolExecutor(Executor):
-    """One :class:`ProcessPoolExecutor` per batch (the parallel default)."""
-
-    name = "pool"
-
-    def __init__(self, jobs: int = 1) -> None:
-        self.jobs = max(1, int(jobs))
-
-    def execute(
-        self,
-        tasks: Sequence[PointTask],
-        *,
-        on_result: OnResult,
-        should_cancel: Callable[[], bool] | None = None,
-    ) -> None:
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
-        )
-
-        from repro.exec.runner import _simulate_point
-
-        t0 = time.perf_counter()
-        poll_s = CANCEL_POLL_S if should_cancel is not None else None
-        order = {task: n for n, task in enumerate(tasks)}
-        with get_registry().span(
-            "exec.runner.pool_s", label=f"jobs={self.jobs}"
-        ), ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            futures = {
-                pool.submit(_simulate_point, task.point, task.seed): task
-                for task in tasks
-            }
-            pending = set(futures)
-            while pending:
-                if self._cancelled(should_cancel):
-                    unfinished = self._abandon(pending)
-                    raise SweepCancelled(
-                        f"sweep cancelled with {unfinished} point(s) "
-                        "unfinished"
-                    )
-                done, pending = wait(
-                    pending, timeout=poll_s, return_when=FIRST_COMPLETED
-                )
-                # Handle completions in submission order so the same
-                # point wins any first-error race on every run.
-                for future in sorted(done, key=lambda f: order[futures[f]]):
-                    task = futures[future]
-                    exc = future.exception()
-                    if exc is not None:
-                        # Fail fast: the first broken point cancels
-                        # everything still queued instead of letting the
-                        # pool grind on (or hang).
-                        self._abandon(pending)
-                        raise _point_error(task, exc) from exc
-                    on_result(task, future.result(), time.perf_counter() - t0)
-
-    @staticmethod
-    def _abandon(pending: set) -> int:
-        """Cancel queued futures, wait out running ones; count losses."""
-        from concurrent.futures import wait
-
-        for future in pending:
-            future.cancel()
-        wait(pending)
-        return len(pending)
 
 
 def _maybe_kill_for_test() -> None:
@@ -274,8 +178,10 @@ def _queue_worker(slot: int, claims, task_q, result_q) -> None:
 
             result = _simulate_point(point, seed)
         except BaseException as exc:
+            # Strings only: the queue's feeder thread drops a message
+            # that does not pickle, and the parent would wait forever.
             result_q.put(
-                ("error", slot, index, f"{type(exc).__name__}: {exc}")
+                ("error", slot, index, str(exc), traceback.format_exc())
             )
         else:
             result_q.put(("done", slot, index, result))
@@ -286,17 +192,16 @@ def _queue_worker(slot: int, claims, task_q, result_q) -> None:
 class QueueExecutor(Executor):
     """Long-lived workers pulling point specs from a shared task queue.
 
-    The multi-host-shaped backend: tasks are *claimed* from a queue, not
-    pre-assigned, so a slow point never serializes the rest of the batch
-    behind it, and worker lifecycle is explicit.  A worker that dies
+    The backend of every sweep with more than one job: tasks are
+    *claimed* from a queue, not pre-assigned, so a slow point never
+    serializes the rest of the batch behind it.  A worker that dies
     mid-point (crash, OOM-kill) is detected by the liveness sweep, its
     claimed task is re-queued (at most :data:`MAX_TASK_RETRIES` times
     per task), and a replacement worker is spawned --
     ``exec.executor.worker_restarts`` counts the replacements.  Results
-    are delivered in completion order, like the pool backend.
+    are delivered in completion order.  A failing point or a cancel
+    terminates the running workers; it does not wait them out.
     """
-
-    name = "queue"
 
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = max(1, int(jobs))
@@ -365,7 +270,9 @@ class QueueExecutor(Executor):
                 continue
             kind, slot, index = msg[0], msg[1], msg[2]
             if kind == "error":
-                raise _point_error(by_index[index], msg[3])
+                raise _point_error(by_index[index], msg[3]) from (
+                    _WorkerTraceback(msg[4])
+                )
             # A task re-queued after a worker death can, in a narrow
             # race, complete twice; deliver only the first result.
             if index in done:

@@ -3,9 +3,9 @@
 The unit of work is a :class:`SweepPointSpec` -- a workload specification
 plus a :class:`~repro.sim.config.SimConfig`.  A :class:`SweepRunner`
 resolves cache hits, keys and seeds, then hands the remaining points to
-a pluggable :class:`~repro.exec.executor.Executor` backend (serial /
-process pool / task queue -- see :mod:`repro.exec.executor`) and
-memoizes results in an optional :class:`~repro.exec.cache.ResultCache`.
+an :class:`~repro.exec.executor.Executor` backend (inline for one job, a
+queue of worker processes for more -- see :mod:`repro.exec.executor`)
+and memoizes results in an optional :class:`~repro.exec.cache.ResultCache`.
 
 Determinism
 -----------
@@ -31,7 +31,7 @@ Workloads cross the process boundary as small *specs*, not as traces: a
 of columns.  Whichever process runs a point materializes its workload
 from the spec, through a small per-process LRU memo, so a worker that
 replays one workload for many points builds it once, and the parent of
-a pool or queue sweep builds none.  The trace rehydration itself goes
+a queue sweep builds none.  The trace rehydration itself goes
 through the compiled trace store (:mod:`repro.trace.store`) when the
 content-addressed compile cache is enabled, so warm runs skip ASCII
 decode and workload generation entirely, and concurrent workers share
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 from repro.exec.cache import ResultCache
-from repro.exec.executor import PointTask, make_executor, resolve_executor_name
+from repro.exec.executor import PointTask, QueueExecutor, SerialExecutor
 from repro.exec.keys import point_key
 from repro.obs.registry import get_registry
 from repro.sim.config import SimConfig
@@ -64,7 +64,7 @@ def resolve_jobs(jobs: int | None = None, *, default: int | None = None) -> int:
     """Worker count: explicit ``jobs`` > ``$REPRO_JOBS`` > ``default``.
 
     ``default=None`` means ``os.cpu_count()``; library callers that must
-    not spawn a pool unless asked pass ``default=1``.  This is the one
+    not spawn workers unless asked pass ``default=1``.  This is the one
     parser of ``$REPRO_JOBS``: a value that is not a positive integer
     raises ``ValueError`` naming the variable.
     """
@@ -236,7 +236,7 @@ class _WorkloadMemo:
 
 
 #: Per-process memo of generated workloads, keyed by (app, scale, seed).
-#: Each pool worker generates a given workload at most once per sweep,
+#: Each worker generates a given workload at most once per sweep,
 #: no matter how many points replay it; see :class:`_WorkloadMemo` for
 #: the bound.
 _WORKLOADS = _WorkloadMemo()
@@ -400,23 +400,22 @@ class SweepRunner:
     """Fan independent sweep points out over processes, memoizing results.
 
     ``jobs=None`` resolves via :func:`resolve_jobs` (``$REPRO_JOBS`` or
-    the CPU count); ``jobs=1`` runs inline with no pool.  ``cache=None``
-    disables memoization; any object with the ``get``/``put`` shape
-    works.
+    the CPU count).  One effective job (``jobs=1``, or a single point to
+    simulate) runs inline on :class:`~repro.exec.executor.SerialExecutor`;
+    more run on :class:`~repro.exec.executor.QueueExecutor`, which
+    survives a worker death.  The backend is an execution detail
+    -- it never enters point keys and never changes digests.
+
+    ``cache=None`` disables memoization; any object with the
+    ``get``/``put`` shape works.
     ``seed=None`` (the default) simulates every point with its config's
     own seed; an int overrides all of them with one shared stream (see
     the module docstring).
 
-    ``executor=None`` picks the backend automatically (serial for one
-    effective job, the process pool otherwise) after consulting
-    ``$REPRO_EXECUTOR``; name one of
-    :data:`~repro.exec.executor.EXECUTOR_NAMES` to force it.  The
-    backend is an execution detail -- it never enters point keys and
-    never changes digests.
-
-    ``shared_memory`` is ignored: no code reads it.  It remains only so
-    existing callers that pass it keep working; every backend ships
-    specs and workers materialize them (see the module docstring).
+    ``executor`` and ``shared_memory`` are ignored: no code reads them.
+    They remain only so existing callers that pass them keep working;
+    the job count alone picks the backend, and every backend ships specs
+    that workers materialize (see the module docstring).
 
     Observation hooks (both optional, both outside the determinism
     contract -- they never touch what is simulated):
@@ -428,15 +427,16 @@ class SweepRunner:
       hits first, then live points in completion order).  The sweep
       server bridges these into per-job server-sent event streams.
     * ``should_cancel`` is polled between points (serial) and between
-      completions (pool/queue, every
+      completions (queue, every
       :data:`~repro.exec.executor.CANCEL_POLL_S`); once it returns true
-      the backend abandons queued work, waits out running points and
+      the backend abandons queued work, terminates running workers and
       raises :class:`~repro.util.errors.SweepCancelled`.
     """
 
     jobs: int | None = 1
     cache: ResultCache | None = None
     seed: int | None = None
+    #: ignored; read by no code (see the class docstring)
     executor: str | None = None
     #: ignored; read by no code (see the class docstring)
     shared_memory: bool | None = None
@@ -459,7 +459,7 @@ class SweepRunner:
         return self.run([point])[0]
 
     def run(self, points: Sequence[SweepPointSpec]) -> list[PointResult]:
-        """Run all points (cache, then pool) and return them in order."""
+        """Run all points (cache, then backend) and return them in order."""
         reg = get_registry()
         points = list(points)
         keys = [p.key(self.seed) for p in points]
@@ -492,11 +492,12 @@ class SweepRunner:
         if todo:
             self._check_cancelled()
             n_jobs = self.effective_jobs(len(todo))
-            # Workers of the process-backed executors are separate
-            # processes: their in-process metrics do not flow back; only
-            # per-point wall time and the counters below are recorded
-            # here.
-            backend = make_executor(self._executor_name(n_jobs), jobs=n_jobs)
+            # Queue workers are separate processes: their in-process
+            # metrics do not flow back; only per-point wall time and the
+            # counters below are recorded here.
+            backend = (
+                SerialExecutor() if n_jobs == 1 else QueueExecutor(jobs=n_jobs)
+            )
             tasks = [
                 PointTask(
                     index=i,
@@ -573,10 +574,3 @@ class SweepRunner:
     def _check_cancelled(self) -> None:
         if self._cancelled():
             raise SweepCancelled("sweep cancelled before completion")
-
-    def _executor_name(self, n_jobs: int) -> str:
-        """Resolved backend name for this run (see module docstring)."""
-        name = resolve_executor_name(self.executor)
-        if name is None:
-            name = "serial" if n_jobs == 1 else "pool"
-        return name

@@ -13,8 +13,8 @@ results bit-identical to batch results.
 
 Cancellation is cooperative: the loop sets a per-job
 :class:`threading.Event` that the runner polls between points (and
-between pool completions); the backend abandons queued points and stops
-its workers before :class:`~repro.util.errors.SweepCancelled`
+between queue completions); the backend abandons queued points and
+terminates its workers before :class:`~repro.util.errors.SweepCancelled`
 propagates.
 """
 
@@ -66,9 +66,6 @@ class ServeConfig:
     no_cache: bool = False
     #: how long shutdown waits for running jobs before cancelling them
     drain_timeout_s: float = 10.0
-    #: default execution backend for jobs that do not name one (None ->
-    #: the runner's automatic choice; see docs/EXECUTORS.md)
-    executor: str | None = None
 
     def result_cache(self):
         if self.no_cache:
@@ -88,7 +85,7 @@ class EventBridge:
     ``call_soon_threadsafe`` where the server appends it to the job
     history and fans it out to SSE subscribers.
 
-    Fork guard: pool workers of a ``jobs > 1`` sweep are forked from the
+    Fork guard: queue workers of a ``jobs > 1`` sweep are forked from the
     executing thread and inherit its thread-local registry -- and with it
     this sink, whose loop does not exist in the child.  ``emit`` drops
     anything from a foreign pid instead of corrupting the parent loop.
@@ -241,7 +238,6 @@ class SweepServer:
             runner = SweepRunner(
                 jobs=job.runner_jobs,
                 cache=self._cache if job.use_result_cache else None,
-                executor=job.executor or self.config.executor,
                 progress=bridge.progress,
                 should_cancel=job.cancel.is_set,
             )

@@ -70,8 +70,6 @@ class Job:
     points: list[SweepPointSpec]
     runner_jobs: int = 1
     use_result_cache: bool = True
-    #: execution backend name (None -> the server default, then auto)
-    executor: str | None = None
     state: JobState = JobState.QUEUED
     error: str | None = None
     results: list[dict] | None = None
@@ -269,15 +267,6 @@ def parse_job(body: dict, job_id: str) -> Job:
         raise JobSpecError(
             f"jobs must be in [1, {MAX_RUNNER_JOBS}], got {runner_jobs}"
         )
-    executor = spec.get("executor")
-    if executor is not None:
-        from repro.exec.executor import EXECUTOR_NAMES
-
-        if executor not in EXECUTOR_NAMES:
-            raise JobSpecError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{sorted(EXECUTOR_NAMES)}"
-            )
     return Job(
         id=job_id,
         kind=kind,
@@ -285,7 +274,6 @@ def parse_job(body: dict, job_id: str) -> Job:
         points=builder(spec),
         runner_jobs=runner_jobs,
         use_result_cache=bool(spec.get("result_cache", True)),
-        executor=executor,
     )
 
 

@@ -6,7 +6,7 @@ plot as they wish.
 
 All the sweep-shaped experiments (Figure 8, the per-app SSD runs, the
 ablations, the n+1 rule) execute through :class:`repro.exec.SweepRunner`:
-pass ``jobs`` to fan the points over a process pool (default: honour
+pass ``jobs`` to fan the points over worker processes (default: honour
 ``$REPRO_JOBS`` when set, else run serially) and ``result_cache`` to
 memoize results on disk.  Every point simulates with its config's own
 seed, so the numbers do not depend on ``jobs`` and match what direct
@@ -59,7 +59,7 @@ def _runner(
     """The runner an experiment should use (an explicit one wins).
 
     ``jobs=None`` honours ``$REPRO_JOBS`` when set and otherwise runs
-    serially -- library calls never spawn a pool unless asked to.
+    serially -- library calls never spawn workers unless asked to.
     """
     if runner is not None:
         return runner
@@ -198,8 +198,8 @@ def cache_size_sweep(
 
     The venus traces are generated once (per worker) and re-simulated per
     configuration, exactly like re-running the paper's simulator with new
-    parameters over fixed trace files.  ``jobs`` fans the grid over a
-    process pool; the results are identical at any worker count.
+    parameters over fixed trace files.  ``jobs`` fans the grid over
+    worker processes; the results are identical at any worker count.
     """
     points = []
     for block_kb in block_sizes_kb:

@@ -278,7 +278,7 @@ class SimulationResult:
 
         Two runs are the same simulation iff their digests match -- the
         determinism contract the parallel sweep runner is tested against
-        (serial and pooled execution must be bit-identical).
+        (serial and parallel execution must be bit-identical).
         """
         import hashlib
         import struct

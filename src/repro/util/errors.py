@@ -53,9 +53,9 @@ class SweepCancelled(SweepError):
     """A sweep stopped because its ``should_cancel`` hook fired.
 
     Raised by :class:`~repro.exec.runner.SweepRunner` between points
-    (serial) or between point completions (pool) once cancellation is
-    requested; already-queued pool futures are cancelled and shared
-    memory is torn down before this propagates.
+    (serial) or between point completions (queue) once cancellation is
+    requested; queued points are abandoned and the queue's worker
+    processes terminated before this propagates.
     """
 
 

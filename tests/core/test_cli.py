@@ -159,7 +159,6 @@ class TestSimulateCommand:
         self, trace_file, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "results"))
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         argv = ["simulate", str(trace_file), "--cached"]
         capsys.readouterr()
         assert main(argv) == 0
@@ -192,7 +191,6 @@ class TestSweepCommand:
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         cache_dir = tmp_path / "results"
         argv = [
             "sweep", "--scale", "0.05", "--cache-mb", "8", "--block-kb", "4",
@@ -214,7 +212,7 @@ class TestJobsOption:
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize(
         "argv",
-        [["simulate", "some.trace"], ["run", "fig8"], ["sweep"], ["bench"]],
+        [["run", "fig8"], ["sweep"], ["bench"]],
         ids=lambda argv: argv[0],
     )
     def test_nonpositive_jobs_is_a_usage_error(self, argv, value, capsys):

@@ -1,5 +1,8 @@
 """Chaos tests for the queue backend: workers die, sweeps survive.
 
+Every sweep here runs with ``jobs=2`` and no other option, the default
+parallel path, which is the queue.
+
 Mirrors the fault-injection style of ``tests/sim/test_faults.py``: the
 failure is injected deterministically (the ``REPRO_EXEC_KILL_FLAG``
 hook -- a flag *file* kills exactly one worker, atomically consumed; a
@@ -52,7 +55,7 @@ class TestWorkerDeath:
         monkeypatch.setenv("REPRO_EXEC_KILL_FLAG", str(flag))
         registry = MetricsRegistry()
         with use_registry(registry):
-            runner = SweepRunner(jobs=2, executor="queue", cache=None)
+            runner = SweepRunner(jobs=2, cache=None)
             results = runner.run(points)
         assert [(r.key, r.result.digest()) for r in results] == baseline
         assert not flag.exists()  # exactly one worker consumed the flag
@@ -70,9 +73,7 @@ class TestWorkerDeath:
         registry = MetricsRegistry()
         with use_registry(registry):
             with pytest.raises(SweepError, match="worker died"):
-                SweepRunner(jobs=2, executor="queue", cache=None).run(
-                    venus_points()
-                )
+                SweepRunner(jobs=2, cache=None).run(venus_points())
         counters = registry.counters()
         assert counters.get(
             "exec.executor.worker_restarts", 0
@@ -89,23 +90,23 @@ class TestQueueFailurePropagation:
             )
         ]
         with pytest.raises(SweepError, match="doom point"):
-            SweepRunner(jobs=2, executor="queue", cache=None).run(points)
+            SweepRunner(jobs=2, cache=None).run(points)
 
     def test_worker_error_does_not_count_as_restart(self):
         # A point that *raises* is a failed point, not a dead worker --
         # it must not be retried.
+        doomed = [
+            SweepPointSpec(
+                workload=AppWorkloadSpec(app="doom", scale=SCALE, seed=seed),
+                config=SimConfig(),
+                label=f"doom point {seed}",
+            )
+            for seed in (1, 2)
+        ]
         registry = MetricsRegistry()
         with use_registry(registry):
             with pytest.raises(SweepError, match="doom"):
-                SweepRunner(jobs=1, executor="queue", cache=None).run(
-                    [
-                        SweepPointSpec(
-                            workload=AppWorkloadSpec(app="doom", scale=SCALE),
-                            config=SimConfig(),
-                            label="doom point",
-                        )
-                    ]
-                )
+                SweepRunner(jobs=2, cache=None).run(doomed)
         assert registry.counters().get(
             "exec.executor.worker_restarts", 0
         ) == 0
@@ -126,7 +127,6 @@ class TestQueueCancellation:
         with pytest.raises(SweepCancelled, match="unfinished"):
             SweepRunner(
                 jobs=2,
-                executor="queue",
                 cache=None,
                 progress=progress,
                 should_cancel=should_cancel,
@@ -134,8 +134,7 @@ class TestQueueCancellation:
 
     def test_cancel_before_start_raises_before_any_work(self):
         runner = SweepRunner(
-            jobs=2, executor="queue", cache=None,
-            should_cancel=lambda: True,
+            jobs=2, cache=None, should_cancel=lambda: True
         )
         with pytest.raises(SweepCancelled):
             runner.run(venus_points())

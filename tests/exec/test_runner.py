@@ -1,7 +1,7 @@
 """SweepRunner: serial/parallel bit-identity, seeding, failure handling.
 
 The scales here are tiny (a venus point is under a second) so the whole
-module stays interactive even though it spins up real process pools.
+module stays interactive even though it spins up real worker processes.
 """
 
 import pytest
@@ -71,8 +71,8 @@ class TestDeterminism:
     def test_serial_and_parallel_bit_identical(self):
         points = two_venus_points()
         serial = SweepRunner(jobs=1).run(points)
-        pooled = SweepRunner(jobs=2).run(points)
-        for s, p in zip(serial, pooled):
+        parallel = SweepRunner(jobs=2).run(points)
+        for s, p in zip(serial, parallel):
             assert s.key == p.key
             assert s.sim_seed == p.sim_seed
             assert s.result.digest() == p.result.digest()
@@ -121,8 +121,8 @@ class TestDeterminism:
 
 
 class TestWorkloadTransport:
-    def test_pool_parent_does_no_workload_work(self, monkeypatch):
-        """Pool workers materialize their own workloads; the parent
+    def test_parallel_parent_does_no_workload_work(self, monkeypatch):
+        """Queue workers materialize their own workloads; the parent
         ships specs only."""
         calls = []
         original = AppWorkloadSpec.materialize
@@ -132,7 +132,7 @@ class TestWorkloadTransport:
             return original(self)
 
         monkeypatch.setattr(AppWorkloadSpec, "materialize", counting)
-        runner = SweepRunner(jobs=2, executor="pool")
+        runner = SweepRunner(jobs=2)
         results = runner.run(two_venus_points())
         assert len(results) == 2 and runner.simulated == 2
         assert calls == []
@@ -148,7 +148,7 @@ class TestFailurePropagation:
         with pytest.raises(SweepError, match="doom point"):
             SweepRunner(jobs=1).run([point])
 
-    def test_pool_failure_raises_not_hangs(self):
+    def test_parallel_failure_raises_not_hangs(self):
         points = two_venus_points() + [
             SweepPointSpec(
                 workload=AppWorkloadSpec(app="doom", scale=SCALE),
@@ -159,13 +159,19 @@ class TestFailurePropagation:
         with pytest.raises(SweepError, match="doom point"):
             SweepRunner(jobs=2).run(points)
 
-    def test_cause_is_chained(self):
-        point = SweepPointSpec(
-            workload=AppWorkloadSpec(app="doom", scale=SCALE), config=SimConfig()
-        )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cause_is_chained(self, jobs):
+        # The good venus point makes jobs=2 really fan out to the queue.
+        points = two_venus_points()[:1] + [
+            SweepPointSpec(
+                workload=AppWorkloadSpec(app="doom", scale=SCALE),
+                config=SimConfig(),
+            )
+        ]
         with pytest.raises(SweepError) as excinfo:
-            SweepRunner(jobs=1).run_point(point)
+            SweepRunner(jobs=jobs).run(points)
         assert excinfo.value.__cause__ is not None
+        assert "no model registered for 'doom'" in str(excinfo.value)
 
 
 class TestCachedRuns:
@@ -392,14 +398,14 @@ class TestCancellation:
             runner.run(two_venus_points())
         assert len(done) == 1
 
-    def test_pool_cancel_abandons_pending(self):
+    def test_parallel_cancel_abandons_pending(self):
         from repro.util.errors import SweepCancelled
 
         calls = []
 
         def cancel_after_first_poll():
             calls.append(None)
-            return len(calls) > 1  # pre-pool check passes, loop check fires
+            return len(calls) > 1  # pre-run check passes, loop check fires
 
         runner = SweepRunner(jobs=2, should_cancel=cancel_after_first_poll)
         with pytest.raises(SweepCancelled, match="unfinished"):

@@ -1,20 +1,21 @@
 """Cross-backend executor x result-cache conformance suite (reusable).
 
-The contract every :class:`~repro.exec.executor.Executor` backend and
-every cache arrangement must satisfy, stated in the same terms as the
-engine differential harness:
+The contract both :class:`~repro.exec.executor.Executor` backends and
+every cache arrangement must satisfy.  ``SweepRunner`` picks the backend
+from its job count, so each backend is reached through the job count
+that selects it (:data:`BACKEND_JOBS`):
 
 * **Bit identity** -- for a fixed sweep, every backend produces the
   exact point keys and result digests of the serial, uncached ground
   truth.  The backend and the cache arrangement are execution details;
   neither may enter the key or perturb the simulation.
 * **Cache interop** -- a cache directory populated by one backend must
-  serve a warm re-run on a *different* backend entirely from cache:
+  serve a warm re-run on the *other* backend entirely from cache:
   zero recomputations (``runner.simulated == 0``), every point flagged
   ``cached``, digests unchanged.
 
 :func:`run_combo` checks one ``(executor, cache_mode)`` cell --
-including the warm re-run on the next backend in rotation -- and
+including the warm re-run on the other backend -- and
 returns a report dict whose ``problems`` list is empty on conformance.
 The pytest wrapper (``tests/exec/test_executor_contract.py``)
 parameterizes over the full matrix; CI also runs the matrix standalone
@@ -35,7 +36,6 @@ import tempfile
 from pathlib import Path
 
 from repro.exec.cache import ResultCache
-from repro.exec.executor import EXECUTOR_NAMES
 from repro.exec.runner import AppWorkloadSpec, SweepPointSpec, SweepRunner
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.sim.config import CacheConfig, SimConfig
@@ -44,8 +44,9 @@ from repro.util.units import MB
 #: Cache arrangements the matrix crosses every backend with.
 CACHE_MODES = ("none", "single")
 
-#: Worker processes for the parallel backends (two points, two workers).
-JOBS = 2
+#: Each backend, by the job count that makes the runner pick it (two
+#: points and two jobs put the queue's two workers to use).
+BACKEND_JOBS = {"serial": 1, "queue": 2}
 
 SCALE = 0.05
 
@@ -89,12 +90,12 @@ def _outcomes(results) -> list[tuple[str, str]]:
 
 
 def warm_executor_for(executor: str) -> str:
-    """The backend the warm re-run uses: the next one in rotation.
+    """The backend the warm re-run uses: the other one.
 
     Warming on a *different* backend is the interop assertion -- a cache
-    entry written under one executor must be served under any other.
+    entry written under one backend must be served under the other.
     """
-    names = list(EXECUTOR_NAMES)
+    names = list(BACKEND_JOBS)
     return names[(names.index(executor) + 1) % len(names)]
 
 
@@ -109,7 +110,7 @@ def run_combo(executor: str, cache_mode: str, root: Path) -> dict:
     # the process default (the null registry unless one is installed),
     # so observation must not move a digest either.
     cold_runner = SweepRunner(
-        jobs=JOBS, cache=make_cache(cache_mode, root), executor=executor
+        jobs=BACKEND_JOBS[executor], cache=make_cache(cache_mode, root)
     )
     with use_registry(MetricsRegistry()):
         cold = cold_runner.run(points)
@@ -128,7 +129,7 @@ def run_combo(executor: str, cache_mode: str, root: Path) -> dict:
     # Fresh cache *objects* over the same directories: interop must not
     # depend on in-process state.
     warm_runner = SweepRunner(
-        jobs=JOBS, cache=make_cache(cache_mode, root), executor=warm_exec
+        jobs=BACKEND_JOBS[warm_exec], cache=make_cache(cache_mode, root)
     )
     with use_registry(MetricsRegistry()):
         warm = warm_runner.run(points)
@@ -162,7 +163,7 @@ def run_combo(executor: str, cache_mode: str, root: Path) -> dict:
 
 
 def iter_matrix():
-    for executor in EXECUTOR_NAMES:
+    for executor in BACKEND_JOBS:
         for cache_mode in CACHE_MODES:
             yield executor, cache_mode
 
@@ -195,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
                 path = args.artifacts / f"{executor}-{cache_mode}.json"
                 path.write_text(json.dumps(report, indent=2))
                 print(f"     wrote {path}")
-    n = len(EXECUTOR_NAMES) * len(CACHE_MODES)
+    n = len(BACKEND_JOBS) * len(CACHE_MODES)
     print(f"{n - failures}/{n} conformant")
     return 1 if failures else 0
 

@@ -109,11 +109,11 @@ class TestLifecycle:
 
 class TestCancellation:
     def test_cancel_mid_sweep_ends_cancelled(self, cache_env):
-        """A pool sweep cancelled mid-flight ends in the cancelled state."""
+        """A queue sweep cancelled mid-flight ends in the cancelled state."""
         spec = {
             "app": "venus", "copies": 2, "scale": SCALE,
             "cache_mb": [4, 8, 16, 32, 64, 128], "block_kb": 4,
-            "jobs": 2,  # pool path
+            "jobs": 2,  # queue path
         }
         with quick_server(no_cache=True) as srv:
             client = ServeClient(port=srv.port)

@@ -1,16 +1,16 @@
-"""Serve-layer regression: jobs on any executor backend.
+"""Serve-layer regression: parallel jobs run on the queue backend.
 
-A sweep job submitted with ``executor=queue`` must return the point
-keys and digests of the in-process serial run (the backend is invisible
-in the results), and a second identical job must be served from the
-server's result cache.
+A sweep job submitted with ``jobs: 2`` runs on the queue of worker
+processes and must return the point keys and digests of the in-process
+serial run (the backend is invisible in the results), and a second
+identical job must be served from the server's result cache.
 """
 
 import pytest
 
 from repro.exec.grid import GridSpec
 from repro.exec.runner import SweepRunner
-from repro.serve import ServeClient, ServeClientError, ServeConfig, ServerThread
+from repro.serve import ServeClient, ServeConfig, ServerThread
 
 SCALE = 0.05
 SWEEP_SPEC = {
@@ -21,10 +21,9 @@ SWEEP_SPEC = {
 
 @pytest.fixture()
 def cache_env(tmp_path, monkeypatch):
-    """Isolate every on-disk cache and executor override."""
+    """Isolate every on-disk cache."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "results"))
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     return tmp_path
 
 
@@ -43,13 +42,13 @@ def serial_reference():
 
 
 class TestExecutorJobs:
-    def test_queue_job_digests_match_serial_and_rerun_served_from_cache(
+    def test_parallel_job_digests_match_serial_and_rerun_served_from_cache(
         self, cache_env
     ):
         with quick_server(cache_dir=cache_env / "server-cache") as srv:
             client = ServeClient(port=srv.port)
 
-            job = client.submit_sweep({**SWEEP_SPEC, "executor": "queue"})
+            job = client.submit_sweep(SWEEP_SPEC)
             status = client.wait(job["id"], timeout=300)
             assert status["state"] == "done", status
             results = client.result(job["id"])["results"]
@@ -59,39 +58,9 @@ class TestExecutorJobs:
             assert [r["digest"] for r in results] == ref_digests
             assert not any(r["cached"] for r in results)
 
-            # a second queue job is served from the result cache
-            again = client.submit_sweep({**SWEEP_SPEC, "executor": "queue"})
+            # a second parallel job is served from the result cache
+            again = client.submit_sweep(SWEEP_SPEC)
             assert client.wait(again["id"], timeout=300)["state"] == "done"
             warm = client.result(again["id"])["results"]
             assert all(r["cached"] for r in warm)
             assert [r["digest"] for r in warm] == ref_digests
-
-    @pytest.mark.parametrize("executor", ["serial", "pool"])
-    def test_other_backends_same_digests(self, cache_env, executor):
-        with quick_server(no_cache=True) as srv:
-            client = ServeClient(port=srv.port)
-            job = client.submit_sweep({**SWEEP_SPEC, "executor": executor})
-            assert client.wait(job["id"], timeout=300)["state"] == "done"
-            results = client.result(job["id"])["results"]
-        ref_keys, ref_digests = serial_reference()
-        assert [r["key"] for r in results] == ref_keys
-        assert [r["digest"] for r in results] == ref_digests
-
-    def test_server_default_executor_applies_when_job_names_none(
-        self, cache_env
-    ):
-        with quick_server(no_cache=True, executor="queue") as srv:
-            client = ServeClient(port=srv.port)
-            job = client.submit_sweep(SWEEP_SPEC)
-            assert client.wait(job["id"], timeout=300)["state"] == "done"
-            results = client.result(job["id"])["results"]
-        _, ref_digests = serial_reference()
-        assert [r["digest"] for r in results] == ref_digests
-
-    def test_unknown_executor_is_a_400(self, cache_env):
-        with quick_server(no_cache=True) as srv:
-            client = ServeClient(port=srv.port)
-            with pytest.raises(ServeClientError) as err:
-                client.submit_sweep({**SWEEP_SPEC, "executor": "warp-drive"})
-            assert err.value.status == 400
-            assert "unknown executor" in str(err.value)
