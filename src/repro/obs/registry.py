@@ -10,11 +10,14 @@ Cost model
 ----------
 Instrumentation must not perturb the reproduction.  A *disabled*
 registry (the default) hands out shared null instruments whose methods
-are empty -- the per-event cost is one attribute lookup plus a no-op
-call, and nothing is allocated on the hot path.  Crucially the
-instruments never touch simulated state or RNG streams, so enabling
-metrics cannot change simulation results; disabling them keeps default
-benchmark numbers unchanged.
+are empty, so nothing is allocated on the hot path.  The simulator's
+components also keep ``registry.enabled`` in one attribute at wiring
+time and make no instrument call when it is false: a disabled run
+costs one attribute test per instrumented step, not a call.  Other
+components pay one no-op call.  Crucially the instruments never touch
+simulated state or RNG streams, so enabling metrics cannot change
+simulation results; disabling them keeps default benchmark numbers
+unchanged.
 
 Threading the registry
 ----------------------

@@ -207,6 +207,25 @@ class _StreamState:
     prefetch_until: int = 0  # exclusive end of issued prefetch
 
 
+class _PerLength(dict):
+    """``fn(length)`` memoized per request length.
+
+    For the frozen config's per-request functions (``hit_penalty_s``,
+    ``auto_depth``): a dict subscript costs less than recomputing them
+    on every hit or prefetch.
+    """
+
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn: Callable[[int], float]):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, length: int) -> float:
+        value = self[length] = self._fn(length)
+        return value
+
+
 class BufferCache:
     """Block cache over one disk model."""
 
@@ -241,6 +260,7 @@ class BufferCache:
         #: SSD failed: bypass the cache, fall through to the disk
         self.degraded = False
         reg = obs if obs is not None else get_registry()
+        self._observed = reg.enabled
         self._c_evictions = reg.counter("sim.cache.evictions")
         self._c_parks = reg.counter("sim.cache.frame_wait_parks")
         self._g_wb_queue = reg.gauge("sim.cache.writebehind_queue_depth")
@@ -252,6 +272,10 @@ class BufferCache:
         self._bs = config.block_bytes
         self._n_blocks = config.n_blocks
         self._cap = config.max_blocks_per_process
+        #: per request length, resolved on first use: bounded by the
+        #: trace's distinct request sizes
+        self._hit_penalty = _PerLength(config.hit_penalty_s)
+        self._auto_depth = _PerLength(config.auto_depth)
         self._files: dict[int, _FileFrames] = {}
         self._resident = 0
         self._lru_head: _CleanRun | None = None
@@ -280,7 +304,7 @@ class BufferCache:
         offset: int,
         length: int,
         owner: int,
-        on_complete: Callable[[], None],
+        on_complete: Callable[[float], None],
     ) -> None:
         """Demand read.
 
@@ -301,12 +325,21 @@ class BufferCache:
             self.metrics.faults.degraded_requests += 1
             self._bypass_read(file_id, offset, length, on_complete)
             return
-        if self._oversized(offset, length, owner):
+        bs = self._bs
+        first = offset // bs
+        end = (offset + length - 1) // bs + 1
+        if self._oversized(end - first):
             self._bypass_read(file_id, offset, length, on_complete)
             return
-        pending = _PendingRead(self, file_id, offset, length, owner, on_complete)
-        if not pending.start():
-            self.park_for_frames(pending.start)
+        frames = self._file(file_id, end)
+        if self._serve_clean(frames, first, end):
+            on_complete(self._hit_penalty[length])
+        else:
+            pending = _PendingRead(
+                self, file_id, first, end, length, owner, on_complete
+            )
+            if not pending.issue(frames):
+                self.park_for_frames(pending.start)
         self._after_demand_read(file_id, offset, length, owner)
 
     def write(
@@ -315,7 +348,7 @@ class BufferCache:
         offset: int,
         length: int,
         owner: int,
-        on_complete: Callable[[], None],
+        on_complete: Callable[[float], None],
     ) -> None:
         """Demand write; completion timing depends on the write policy."""
         if length <= 0:
@@ -331,24 +364,48 @@ class BufferCache:
             self.metrics.faults.degraded_requests += 1
             self._bypass_write(file_id, offset, length, on_complete)
             return
-        if self._oversized(offset, length, owner):
+        bs = self._bs
+        first = offset // bs
+        end = (offset + length - 1) // bs + 1
+        if self._oversized(end - first):
             self._bypass_write(file_id, offset, length, on_complete)
             return
-        pending = _PendingWrite(self, file_id, offset, length, owner, on_complete)
+        pending = _PendingWrite(
+            self, file_id, offset, length, first, end, owner, on_complete
+        )
         if not pending.start():
             self.park_for_frames(pending.start)
+
+    def _serve_clean(self, frames: _FileFrames, first: int, end: int) -> bool:
+        """Serve a demand read of blocks ``[first, end)`` if every one is
+        clean-resident (section 6.3's common case): count the hits, spend
+        the prefetch bits and touch the LRU.  False, having done nothing,
+        otherwise.  A first attempt and a parked read's retry both come
+        through here.
+        """
+        span = end - first
+        if frames.st_buf.count(_VALID, first, end) != span:
+            return False
+        pf = frames.pf_buf
+        n_ra_hit = pf.count(1, first, end)
+        if n_ra_hit:
+            pf[first:end] = bytes(span)
+        self._clean_touch(frames, first, end)
+        stats = self._stats
+        stats.block_hits += span
+        stats.readahead_hits += n_ra_hit
+        return True
 
     # ------------------------------------------------------------------
     # Oversized-request bypass
     # ------------------------------------------------------------------
-    def _oversized(self, offset: int, length: int, owner: int) -> bool:
-        """True when the request can never be framed: bigger than the
-        cache itself, or bigger than the owner's buffer cap.  Such
-        requests go straight to the disk (the classic bypass), otherwise
-        they would park forever.
+    def _oversized(self, needed: int) -> bool:
+        """True when a request spanning ``needed`` blocks can never be
+        framed: bigger than the cache itself, or bigger than the owner's
+        buffer cap.  Such requests go straight to the disk (the classic
+        bypass), otherwise they would park forever.
         """
-        first, end = self._block_range(offset, length)
-        needed, cap = end - first, self._cap
+        cap = self._cap
         return needed > self._n_blocks or (cap is not None and needed > cap)
 
     def _bypass_read(
@@ -357,7 +414,7 @@ class BufferCache:
         self._stats.bypass_requests += 1
         # Degraded requests never touched the (failed) SSD, so no
         # copy-through penalty.
-        penalty = 0.0 if self.degraded else self.config.hit_penalty_s(length)
+        penalty = 0.0 if self.degraded else self._hit_penalty[length]
         # A failed read still unblocks the requester: the I/O is
         # *reported* failed (device counters) rather than lost.
         self.device.submit(
@@ -372,12 +429,13 @@ class BufferCache:
         self, file_id: int, offset: int, length: int, on_complete
     ) -> None:
         self._stats.bypass_requests += 1
-        penalty = 0.0 if self.degraded else self.config.hit_penalty_s(length)
+        penalty = 0.0 if self.degraded else self._hit_penalty[length]
         if self.config.write_behind:
             # The device streams straight from the writer's memory; the
             # writer continues once the transfer is handed off.
             self.outstanding_flushes += 1
-            self._g_wb_queue.set_max(self.outstanding_flushes)
+            if self._observed:
+                self._g_wb_queue.set_max(self.outstanding_flushes)
 
             def finished(ok: bool) -> None:
                 if not ok:
@@ -610,7 +668,8 @@ class BufferCache:
                 node = node.next
             if n_found < must_recycle:
                 return None
-            self._c_evictions.inc(n_found)
+            if self._observed:
+                self._c_evictions.inc(n_found)
             for vf, b, e in victims:
                 self._clean_remove(vf, b, e)
                 self._drop_frames(vf, b, e)
@@ -619,7 +678,8 @@ class BufferCache:
             if must_evict > 0:
                 if must_evict > self._clean_count:
                     return None
-                self._c_evictions.inc(must_evict)
+                if self._observed:
+                    self._c_evictions.inc(must_evict)
                 self._clean_count -= must_evict
                 nodes = self._nodes
                 node = self._lru_head
@@ -663,7 +723,8 @@ class BufferCache:
     def park_for_frames(self, retry: Callable[[], bool]) -> None:
         """Queue a retry closure to run when frames may be available."""
         self._stats.frame_stalls += 1
-        self._c_parks.inc()
+        if self._observed:
+            self._c_parks.inc()
         self._frame_waiters.append(retry)
 
     def _kick_frame_waiters(self) -> None:
@@ -760,7 +821,8 @@ class BufferCache:
         """
         self._pin(run, _FLUSHING)
         self.outstanding_flushes += 1
-        self._g_wb_queue.set_max(self.outstanding_flushes)
+        if self._observed:
+            self._g_wb_queue.set_max(self.outstanding_flushes)
 
         def finished(ok: bool) -> None:
             frames = self._files[file_id]
@@ -853,7 +915,8 @@ class BufferCache:
         handle = _DelayedFlush(file_id, offset, length, run)
         self._delayed_flushes.setdefault(file_id, []).append(handle)
         self.outstanding_flushes += 1  # keeps drain accounting honest
-        self._g_wb_queue.set_max(self.outstanding_flushes)
+        if self._observed:
+            self._g_wb_queue.set_max(self.outstanding_flushes)
 
         def fire() -> None:
             self.outstanding_flushes -= 1
@@ -963,7 +1026,7 @@ class BufferCache:
             self._streams[file_id] = _StreamState(next_offset=end, length=length)
 
     def _prefetch(self, file_id: int, stream: _StreamState, owner: int) -> None:
-        depth = self.config.auto_depth(stream.length)
+        depth = self._auto_depth[stream.length]
         window_end = stream.next_offset + depth * stream.length
         file_end = self._file_sizes.get(file_id, 0)
         window_end = min(window_end, file_end)
@@ -1002,62 +1065,57 @@ class BufferCache:
 
 
 class _PendingRead:
-    """State machine for one demand read."""
+    """State machine for one demand read that is not an all-clean hit."""
 
     __slots__ = (
         "cache",
         "file_id",
-        "offset",
+        "first",
+        "end",
         "length",
         "owner",
         "on_complete",
         "outstanding",
-        "counted",
     )
 
     def __init__(
         self,
         cache: BufferCache,
         file_id: int,
-        offset: int,
+        first: int,
+        end: int,
         length: int,
         owner: int,
-        on_complete: Callable[[], None],
+        on_complete: Callable[[float], None],
     ):
         self.cache = cache
         self.file_id = file_id
-        self.offset = offset
+        self.first = first
+        self.end = end
         self.length = length
         self.owner = owner
         self.on_complete = on_complete
         self.outstanding = 0
-        self.counted = False  # stats recorded once, even across retries
 
     def start(self) -> bool:
-        """Classify the span and issue disk reads; False to retry later."""
+        """Retry after parking for frames; False to park again."""
         cache = self.cache
-        bs = cache._bs
-        first = self.offset // bs
-        end = (self.offset + self.length - 1) // bs + 1
-        span = end - first
-        fid = self.file_id
-        frames = cache._file(fid, end)
-        st, pf = frames.st_buf, frames.pf_buf
-        n_valid = st.count(_VALID, first, end)
-        if n_valid == span:
-            # All clean (section 6.3's common case): spend the prefetch
-            # bits, touch the LRU, complete inline.
-            n_ra_hit = pf.count(1, first, end)
-            if n_ra_hit:
-                pf[first:end] = bytes(span)
-            cache._clean_touch(frames, first, end)
-            if not self.counted:
-                stats = cache._stats
-                stats.block_hits += span
-                stats.readahead_hits += n_ra_hit
-                self.counted = True
+        frames = cache._file(self.file_id, self.end)
+        if cache._serve_clean(frames, self.first, self.end):
             self._finish()
             return True
+        return self.issue(frames)
+
+    def issue(self, frames: _FileFrames) -> bool:
+        """Classify a span that is not all clean and issue disk reads;
+        False to retry later."""
+        cache = self.cache
+        bs = cache._bs
+        first, end = self.first, self.end
+        span = end - first
+        fid = self.file_id
+        st, pf = frames.st_buf, frames.pf_buf
+        n_valid = st.count(_VALID, first, end)
         n_miss = st.count(_ABSENT, first, end)
         n_inflight = st.count(_READING, first, end)
         if n_miss == span:
@@ -1088,13 +1146,11 @@ class _PendingRead:
                 return False
             allocated.append(run)
 
-        if not self.counted:
-            stats = cache._stats
-            stats.block_hits += span - n_miss - n_inflight
-            stats.block_misses += n_miss
-            stats.block_inflight_hits += n_inflight
-            stats.readahead_hits += n_ra_hit
-            self.counted = True
+        stats = cache._stats
+        stats.block_hits += span - n_miss - n_inflight
+        stats.block_misses += n_miss
+        stats.block_inflight_hits += n_inflight
+        stats.readahead_hits += n_ra_hit
 
         self.outstanding = len(allocated) + n_inflight
         waiters = cache._waiters
@@ -1120,13 +1176,22 @@ class _PendingRead:
         # time, not a sleep -- "I/Os to and from the SSD are done without
         # suspending the process" -- so it is handed to the caller to
         # charge as computation.
-        self.on_complete(self.cache.config.hit_penalty_s(self.length))
+        self.on_complete(self.cache._hit_penalty[self.length])
 
 
 class _PendingWrite:
     """State machine for one demand write."""
 
-    __slots__ = ("cache", "file_id", "offset", "length", "owner", "on_complete")
+    __slots__ = (
+        "cache",
+        "file_id",
+        "offset",
+        "length",
+        "first",
+        "end",
+        "owner",
+        "on_complete",
+    )
 
     def __init__(
         self,
@@ -1134,21 +1199,23 @@ class _PendingWrite:
         file_id: int,
         offset: int,
         length: int,
+        first: int,
+        end: int,
         owner: int,
-        on_complete: Callable[[], None],
+        on_complete: Callable[[float], None],
     ):
         self.cache = cache
         self.file_id = file_id
         self.offset = offset
         self.length = length
+        self.first = first
+        self.end = end
         self.owner = owner
         self.on_complete = on_complete
 
     def start(self) -> bool:
         cache = self.cache
-        bs = cache._bs
-        first = self.offset // bs
-        end = (self.offset + self.length - 1) // bs + 1
+        first, end = self.first, self.end
         fid = self.file_id
         frames = cache._file(fid, end)
         st = frames.st_buf
@@ -1179,11 +1246,11 @@ class _PendingWrite:
                 cache.schedule_delayed_flush(fid, self.offset, self.length, run)
             else:
                 cache.issue_disk_write(fid, self.offset, self.length, run)
-            self.on_complete(cache.config.hit_penalty_s(self.length))
+            self.on_complete(cache._hit_penalty[self.length])
         else:
             # Write-through: the writer waits for the disk; the copy-in
             # penalty is charged on wake-up.
-            penalty = cache.config.hit_penalty_s(self.length)
+            penalty = cache._hit_penalty[self.length]
             cache.issue_disk_write(
                 fid,
                 self.offset,

@@ -44,7 +44,7 @@ class DiskModel:
         #: hot path stays unchanged.
         self.busy_by_device: dict[int, float] = {}
         reg = obs if obs is not None else get_registry()
-        self._per_device = reg.enabled
+        self._observed = reg.enabled
         self._h_seek = reg.histogram("sim.disk.seek_distance_bytes")
 
     def _position_key(self, file_id: int) -> int:
@@ -77,14 +77,15 @@ class DiskModel:
                 distance = cfg.seek_span_bytes  # first touch: full seek
             else:
                 distance = abs(offset - last_end)
-            self._h_seek.observe(distance)
+            if self._observed:
+                self._h_seek.observe(distance)
             frac = min(1.0, distance / cfg.seek_span_bytes)
             seek = cfg.min_seek_s + (cfg.max_seek_s - cfg.min_seek_s) * frac
             rotation = float(self._rng.uniform(0.0, cfg.rotation_period_s))
             service = cfg.base_overhead_s + seek + rotation + transfer
         self._position[file_id] = offset + length
         self.busy_seconds += service
-        if self._per_device:
+        if self._observed:
             self.busy_by_device[file_id] = (
                 self.busy_by_device.get(file_id, 0.0) + service
             )
@@ -100,7 +101,7 @@ class DiskModel:
         if seconds <= 0:
             return
         self.busy_seconds += seconds
-        if self._per_device:
+        if self._observed:
             key = self._position_key(file_id)
             self.busy_by_device[key] = self.busy_by_device.get(key, 0.0) + seconds
 

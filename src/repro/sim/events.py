@@ -20,8 +20,10 @@ integer tick base -- after millions of events the accumulated time can
 drift past an exact ``until`` boundary and drop the event that should
 land on it.  Passing ``tick_s`` snaps every scheduled time to the
 nearest multiple of the tick, which resets the error at every event
-instead of letting it accumulate (grid multiples are fixed points of the
-snap, so times never move backwards).
+instead of letting it accumulate.  Grid multiples are fixed points of
+the snap, so times never move backwards.  ``run(until=t)`` can leave the
+clock between grid points, where the nearest point may lie behind it; a
+time that would snap there runs at ``now`` instead.
 
 Allocation discipline
 ---------------------
@@ -31,9 +33,8 @@ through ``schedule(delay, fn, *args)`` instead of capturing them in a
 closure (callers previously allocated a fresh lambda per event, which
 dominated the scheduler's profile).  The heap entry is ``(when, seq,
 fn, args)``; ``seq`` is unique, so ``fn``/``args`` never take part in
-heap comparisons.  Cancellation is lazy: :meth:`cancel` records the
-entry's sequence number and the run loop discards it -- without running
-it, counting it, or advancing the clock -- when it reaches the top.
+heap comparisons.  Observation is bound at wiring time: with a disabled
+registry the calendar makes no instrument call at all.
 """
 
 from __future__ import annotations
@@ -56,19 +57,19 @@ class Engine:
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._events_run = 0
-        self._cancelled: set[int] = set()
         reg = obs if obs is not None else get_registry()
+        self._observed = reg.enabled
         self._c_events = reg.counter("sim.engine.events_run")
         self._c_advanced = reg.counter("sim.engine.time_advanced_s")
         self._g_heap = reg.gauge("sim.engine.heap_depth")
 
-    def schedule_at(self, when: float, fn: Callable[..., None], *args) -> int:
-        """Run ``fn(*args)`` at absolute time ``when`` (>= now).
-
-        Returns a handle usable with :meth:`cancel`.
-        """
+    def schedule_at(self, when: float, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` at absolute time ``when`` (>= now)."""
         if self.tick_s is not None:
-            when = round(when / self.tick_s) * self.tick_s
+            snapped = round(when / self.tick_s) * self.tick_s
+            # An off-grid clock (after ``run(until=)``) may have its
+            # nearest grid point behind it.
+            when = self.now if snapped < self.now <= when else snapped
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule event at {when} before now={self.now}"
@@ -76,23 +77,14 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (when, seq, fn, args))
-        self._g_heap.set_max(len(self._heap))
-        return seq
+        if self._observed:
+            self._g_heap.set_max(len(self._heap))
 
-    def schedule(self, delay: float, fn: Callable[..., None], *args) -> int:
-        """Run ``fn(*args)`` after ``delay`` seconds of simulated time.
-
-        Returns a handle usable with :meth:`cancel`.
-        """
+    def schedule(self, delay: float, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self.now + delay, fn, *args)
-
-    def cancel(self, handle: int) -> None:
-        """Drop a scheduled event.  O(1); the entry is discarded when it
-        surfaces, without running, being counted, or advancing the clock.
-        """
-        self._cancelled.add(handle)
+        self.schedule_at(self.now + delay, fn, *args)
 
     @property
     def pending(self) -> int:
@@ -124,7 +116,6 @@ class Engine:
         e0 = self._events_run
         heap = self._heap
         heappop = heapq.heappop
-        cancelled = self._cancelled
         try:
             while heap:
                 if max_events is not None and self._events_run >= max_events:
@@ -136,9 +127,6 @@ class Engine:
                 if until is not None and when > until:
                     break
                 heappop(heap)
-                if cancelled and item[1] in cancelled:
-                    cancelled.discard(item[1])
-                    continue
                 if when < self.now:
                     raise SimulationError("event queue went backwards")
                 self.now = when
@@ -147,5 +135,6 @@ class Engine:
             if until is not None and advance_clock and self.now < until:
                 self.now = until
         finally:
-            self._c_events.inc(self._events_run - e0)
-            self._c_advanced.add(self.now - t0)
+            if self._observed:
+                self._c_events.inc(self._events_run - e0)
+                self._c_advanced.add(self.now - t0)

@@ -80,6 +80,12 @@ class TraceProcess:
         self._cursor = 0
         self._pending_compute = self._deltas_s[0] if self._n_records else 0.0
         self._blocked_at: float | None = None
+        # One synchronous I/O at most is outstanding: the process blocks
+        # on it until ``_io_done`` unblocks it.  ``_armed``: the process
+        # blocked on it; ``_fired_inline``: it completed before the
+        # submit returned.  Both are False between I/Os.
+        self._armed = False
+        self._fired_inline = False
         self.finished = self._n_records == 0
 
     # -- Runnable protocol ---------------------------------------------------
@@ -87,11 +93,13 @@ class TraceProcess:
         return self._pending_compute
 
     def consume_compute(self, seconds: float) -> None:
-        self._pending_compute = max(0.0, self._pending_compute - seconds)
+        left = self._pending_compute - seconds
+        self._pending_compute = left if left > 0.0 else 0.0
 
     def on_cpu_available(self) -> bool:
         """Issue I/Os until we block, finish, or need more compute."""
         n = self._n_records
+        cache = self.cache
         while True:
             i = self._cursor
             if i >= n:
@@ -112,64 +120,40 @@ class TraceProcess:
             file_id = self._file_ids[i]
             offset = self._offsets[i]
             length = self._lengths[i]
-            is_write = self._writes[i]
-
-            if self._asyncs[i]:
-                # Fire and forget: the cache moves the data; the process's
-                # overlap discipline is already baked into its CPU deltas.
-                self._submit(file_id, offset, length, is_write, on_done=None)
+            is_async = self._asyncs[i]
+            # An asynchronous I/O (the les pattern) is fire and forget:
+            # the cache moves the data; the process's overlap discipline
+            # is already baked into its CPU deltas.
+            on_done = _noop if is_async else self._io_done
+            if self._writes[i]:
+                cache.write(file_id, offset, length, self.process_id, on_done)
+            else:
+                cache.read(file_id, offset, length, self.process_id, on_done)
+            if is_async or self._fired_inline:
+                # No block at all (for a synchronous I/O, a zero-latency
+                # completion such as a free main-memory hit).
+                self._fired_inline = False
                 if self._pending_compute > 0:
                     return True
                 continue
-
-            completed_inline = _InlineFlag()
-            self._submit(
-                file_id,
-                offset,
-                length,
-                is_write,
-                on_done=lambda penalty: self._io_done(completed_inline, penalty),
-            )
-            if completed_inline.fired_inline:
-                # Zero-latency completion (e.g. free main-memory hit):
-                # no block at all.
-                if self._pending_compute > 0:
-                    return True
-                continue
-            completed_inline.armed = True
+            self._armed = True
             self._blocked_at = self.engine.now
             self.scheduler.mark_blocked(self)
             return False
 
     # -- internals ----------------------------------------------------------
-    def _submit(self, file_id, offset, length, is_write, on_done) -> None:
-        callback = on_done if on_done is not None else _noop
-        if is_write:
-            self.cache.write(file_id, offset, length, self.process_id, callback)
-        else:
-            self.cache.read(file_id, offset, length, self.process_id, callback)
-
-    def _io_done(self, flag: "_InlineFlag", cpu_penalty_s: float) -> None:
+    def _io_done(self, cpu_penalty_s: float) -> None:
         # The SSD copy-through penalty is CPU demand, not a sleep; fold
         # it into the compute the process owes before its next I/O.
         self._pending_compute += cpu_penalty_s
-        if not flag.armed:
-            flag.fired_inline = True
+        if not self._armed:
+            self._fired_inline = True
             return
+        self._armed = False
         if self._blocked_at is not None:
             self._pstats.blocked_seconds += self.engine.now - self._blocked_at
             self._blocked_at = None
         self.scheduler.unblock(self)
-
-
-class _InlineFlag:
-    """Distinguishes completions that fire before the submit returns."""
-
-    __slots__ = ("armed", "fired_inline")
-
-    def __init__(self) -> None:
-        self.armed = False
-        self.fired_inline = False
 
 
 def _noop(cpu_penalty_s: float = 0.0) -> None:

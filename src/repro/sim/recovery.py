@@ -82,6 +82,7 @@ class RecoveringDevice:
         self.config = config
         self.metrics = metrics
         reg = obs if obs is not None else get_registry()
+        self._observed = reg.enabled
         self._h_backoff = reg.histogram("sim.recovery.backoff_s")
         self._h_latency = reg.histogram("sim.recovery.latency_s")
         #: fast path: no per-request decisions and no deadline to police
@@ -147,7 +148,8 @@ class RecoveringDevice:
             )
             if attempt > 0:
                 stats.recovered += 1
-                self._h_latency.observe(t0 + service - started)
+                if self._observed:
+                    self._h_latency.observe(t0 + service - started)
             self._note_attempts(attempt + 1)
             self.engine.schedule(service, on_done, True)
             return
@@ -155,7 +157,8 @@ class RecoveringDevice:
         if attempt < cfg.max_retries:
             delay = backoff_delay(cfg, attempt, self.injector.uniform())
             stats.retries += 1
-            self._h_backoff.observe(delay)
+            if self._observed:
+                self._h_backoff.observe(delay)
             self.engine.schedule(
                 latency + delay,
                 self._attempt,

@@ -65,12 +65,13 @@ class RoundRobinScheduler:
         self.config = config
         self.metrics = metrics
         self.n_cpus = n_cpus
-        self._obs = obs if obs is not None else get_registry()
-        self._c_dispatches = self._obs.counter("sim.sched.dispatches")
-        self._c_expiries = self._obs.counter("sim.sched.quantum_expiries")
-        self._c_switches = self._obs.counter("sim.sched.context_switches")
-        self._c_unblocks = self._obs.counter("sim.sched.io_unblocks")
-        self._g_ready = self._obs.gauge("sim.sched.ready_depth")
+        reg = obs if obs is not None else get_registry()
+        self._observed = reg.enabled
+        self._c_dispatches = reg.counter("sim.sched.dispatches")
+        self._c_expiries = reg.counter("sim.sched.quantum_expiries")
+        self._c_switches = reg.counter("sim.sched.context_switches")
+        self._c_unblocks = reg.counter("sim.sched.io_unblocks")
+        self._g_ready = reg.gauge("sim.sched.ready_depth")
         self._ready: deque[Runnable] = deque()
         self._running: dict[int, Runnable] = {}  # cpu index -> process
         self._free_cpus: list[int] = list(range(n_cpus))
@@ -92,7 +93,8 @@ class RoundRobinScheduler:
                 f"process {proc.process_id} was not blocked"
             )
         self._blocked.discard(proc.process_id)
-        self._c_unblocks.inc()
+        if self._observed:
+            self._c_unblocks.inc()
         self.metrics.interrupt_seconds += self.config.interrupt_service_s
         self.metrics.record_busy_point(
             self.engine.now, self.config.interrupt_service_s
@@ -102,13 +104,16 @@ class RoundRobinScheduler:
 
     # -- dispatch loop ---------------------------------------------------
     def _maybe_dispatch(self) -> None:
-        self._g_ready.set_max(len(self._ready))
+        observed = self._observed
+        if observed:
+            self._g_ready.set_max(len(self._ready))
         while self._free_cpus and self._ready:
             cpu = self._free_cpus.pop()
             proc = self._ready.popleft()
             self._running[cpu] = proc
             self.dispatches += 1
-            self._c_dispatches.inc()
+            if observed:
+                self._c_dispatches.inc()
             switch = (
                 self.config.switch_overhead_s
                 if self._last_on_cpu[cpu] is not proc
@@ -116,14 +121,16 @@ class RoundRobinScheduler:
             )
             self._last_on_cpu[cpu] = proc
             if switch:
-                self._c_switches.inc()
+                if observed:
+                    self._c_switches.inc()
                 self.metrics.switch_seconds += switch
                 self.metrics.record_busy_point(self.engine.now, switch)
             self.engine.schedule(switch, self._run_slice, proc, cpu)
 
     def _run_slice(self, proc: Runnable, cpu: int) -> None:
         remaining = proc.compute_remaining()
-        slice_s = min(self.config.quantum_s, remaining)
+        quantum = self.config.quantum_s
+        slice_s = remaining if remaining < quantum else quantum
         if slice_s > 0:
             self.engine.schedule(slice_s, self._slice_done, proc, cpu, slice_s)
         else:
@@ -132,18 +139,30 @@ class RoundRobinScheduler:
     def _slice_done(self, proc: Runnable, cpu: int, slice_s: float) -> None:
         if slice_s > 0:
             proc.consume_compute(slice_s)
-            self.metrics.busy_seconds += slice_s
-            self.metrics.record_busy(self.engine.now - slice_s, self.engine.now)
-            self.metrics.process(proc.process_id).cpu_seconds += slice_s
+            metrics = self.metrics
+            now = self.engine.now
+            metrics.busy_seconds += slice_s
+            metrics.record_busy(now - slice_s, now)
+            metrics.process(proc.process_id).cpu_seconds += slice_s
         if proc.compute_remaining() > 0:
             # Quantum expired mid-compute: rotate to the queue tail.
             self.preemptions += 1
-            self._c_expiries.inc()
-            self._release(cpu)
-            self._ready.append(proc)
-            self._maybe_dispatch()
+            if self._observed:
+                self._c_expiries.inc()
+            wants_more = True
+        else:
+            wants_more = proc.on_cpu_available()
+        if wants_more and not self._ready:
+            # The only ready process keeps its CPU.  This is what release,
+            # append and ``_maybe_dispatch`` do here: the free-CPU stack
+            # pops the CPU just released, and no switch is charged since
+            # this process ran on it last.
+            self.dispatches += 1
+            if self._observed:
+                self._g_ready.set_max(1)
+                self._c_dispatches.inc()
+            self.engine.schedule(0.0, self._run_slice, proc, cpu)
             return
-        wants_more = proc.on_cpu_available()
         self._release(cpu)
         if wants_more:
             self._ready.append(proc)

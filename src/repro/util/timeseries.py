@@ -18,8 +18,11 @@ class BinnedSeries:
     """Accumulate event weights into fixed-width time bins.
 
     The series grows on demand: adding an event past the current end
-    extends the bin array, so callers do not need to know the trace length
-    in advance.
+    extends the bin list, so callers do not need to know the trace length
+    in advance.  The bins are a Python list of floats: ``bins[i] += w``
+    is the same IEEE-754 double addition a float64 array performs, in
+    the same order, without boxing a NumPy scalar on every add (the
+    simulator adds once per request and per busy interval).
     """
 
     def __init__(self, bin_width: float, t0: float = 0.0):
@@ -27,22 +30,17 @@ class BinnedSeries:
             raise ValueError("bin_width must be positive")
         self.bin_width = float(bin_width)
         self.t0 = float(t0)
-        self._bins = np.zeros(16, dtype=float)
-        self._n_used = 0
+        self._bins: list[float] = []
 
     def add(self, t: float, weight: float = 1.0) -> None:
         """Add ``weight`` at time ``t``.  Times before ``t0`` are rejected."""
         if t < self.t0:
             raise ValueError(f"time {t} precedes series origin {self.t0}")
         idx = int((t - self.t0) / self.bin_width)
-        if idx >= self._bins.size:
-            new_size = max(idx + 1, self._bins.size * 2)
-            self._bins = np.concatenate(
-                [self._bins, np.zeros(new_size - self._bins.size)]
-            )
-        self._bins[idx] += weight
-        if idx + 1 > self._n_used:
-            self._n_used = idx + 1
+        bins = self._bins
+        if idx >= len(bins):
+            bins.extend([0.0] * (idx + 1 - len(bins)))
+        bins[idx] += weight
 
     def add_many(self, ts: Iterable[float], weights: Iterable[float]) -> None:
         for t, w in zip(ts, weights):
@@ -59,35 +57,42 @@ class BinnedSeries:
         if t_end == t_start:
             self.add(t_start, weight)
             return
+        t0, width, bins = self.t0, self.bin_width, self._bins
+        if t_start < t0:
+            raise ValueError(f"time {t_start} precedes series origin {t0}")
         duration = t_end - t_start
         t = t_start
         while t < t_end:
-            idx = int((t - self.t0) / self.bin_width)
-            bin_end = self.t0 + (idx + 1) * self.bin_width
+            # Each segment's bin is computed from ``t`` exactly as
+            # :meth:`add` computes it.
+            idx = int((t - t0) / width)
+            bin_end = t0 + (idx + 1) * width
             if bin_end <= t:
                 # Float rounding put the computed edge at or before t
                 # (t sits exactly on a representable bin boundary); step
                 # to the following edge so the loop always progresses.
-                bin_end = self.t0 + (idx + 2) * self.bin_width
-            seg_end = min(bin_end, t_end)
-            self.add(t, weight * (seg_end - t) / duration)
+                bin_end = t0 + (idx + 2) * width
+            seg_end = t_end if t_end < bin_end else bin_end
+            if idx >= len(bins):
+                bins.extend([0.0] * (idx + 1 - len(bins)))
+            bins[idx] += weight * (seg_end - t) / duration
             t = seg_end
 
     @property
     def n_bins(self) -> int:
-        return self._n_used
+        return len(self._bins)
 
     def values(self) -> np.ndarray:
         """The accumulated weight per bin (a copy)."""
-        return self._bins[: self._n_used].copy()
+        return np.array(self._bins, dtype=float)
 
     def times(self) -> np.ndarray:
         """The left edge of each used bin."""
-        return self.t0 + np.arange(self._n_used) * self.bin_width
+        return self.t0 + np.arange(len(self._bins)) * self.bin_width
 
     @property
     def total(self) -> float:
-        return float(self._bins[: self._n_used].sum())
+        return float(self.values().sum())
 
 
 @dataclass

@@ -130,6 +130,18 @@ class TestTickSnapping:
         engine.run()
         assert engine.now == TICK_SECONDS
 
+    def test_off_grid_clock_never_snaps_before_now(self):
+        # run(until=) leaves the clock between grid points; the grid point
+        # nearest to `now` lies behind it, and an event there runs at now.
+        engine = Engine(tick_s=TICK_SECONDS)
+        engine.schedule(TICK_SECONDS, lambda: None)
+        until = 1.49 * TICK_SECONDS
+        engine.run(until=until)
+        log = []
+        engine.schedule(0.0, lambda: log.append(engine.now))
+        engine.run()
+        assert log == [until]
+
     def test_unsnapped_default_behavior_unchanged(self):
         # tick_s=None is the default: exact float times, no rounding.
         engine = Engine()

@@ -72,6 +72,108 @@ class TestBinnedSeries:
         assert s.total == pytest.approx(expected, abs=1e-6, rel=1e-9)
 
 
+class _NumpyBinnedSeries:
+    """The float64-array ``BinnedSeries`` the list-backed one replaced,
+    kept as the reference for bit-for-bit equality."""
+
+    def __init__(self, bin_width: float, t0: float = 0.0):
+        self.bin_width = float(bin_width)
+        self.t0 = float(t0)
+        self._bins = np.zeros(16, dtype=float)
+        self._n_used = 0
+
+    def add(self, t: float, weight: float = 1.0) -> None:
+        if t < self.t0:
+            raise ValueError(f"time {t} precedes series origin {self.t0}")
+        idx = int((t - self.t0) / self.bin_width)
+        if idx >= self._bins.size:
+            new_size = max(idx + 1, self._bins.size * 2)
+            self._bins = np.concatenate(
+                [self._bins, np.zeros(new_size - self._bins.size)]
+            )
+        self._bins[idx] += weight
+        if idx + 1 > self._n_used:
+            self._n_used = idx + 1
+
+    def add_spread(self, t_start: float, t_end: float, weight: float) -> None:
+        if t_end < t_start:
+            raise ValueError("t_end must be >= t_start")
+        if t_end == t_start:
+            self.add(t_start, weight)
+            return
+        duration = t_end - t_start
+        t = t_start
+        while t < t_end:
+            idx = int((t - self.t0) / self.bin_width)
+            bin_end = self.t0 + (idx + 1) * self.bin_width
+            if bin_end <= t:
+                bin_end = self.t0 + (idx + 2) * self.bin_width
+            seg_end = min(bin_end, t_end)
+            self.add(t, weight * (seg_end - t) / duration)
+            t = seg_end
+
+    @property
+    def n_bins(self) -> int:
+        return self._n_used
+
+    def values(self) -> np.ndarray:
+        return self._bins[: self._n_used].copy()
+
+    def times(self) -> np.ndarray:
+        return self.t0 + np.arange(self._n_used) * self.bin_width
+
+    @property
+    def total(self) -> float:
+        return float(self._bins[: self._n_used].sum())
+
+
+@st.composite
+def _series_calls(draw):
+    """A bin width, an origin, and a sequence of add/add_spread calls at
+    times on bin edges (``t0 + k * width``) and off them."""
+    width = draw(st.sampled_from([0.1, 0.7, 1.0, 3.0]))
+    t0 = draw(st.sampled_from([0.0, 2.5, 1e3 + 0.3]))
+    on_edge = st.integers(0, 60).map(lambda k: t0 + k * width)
+    off_edge = st.floats(0, 60 * width).map(lambda x: t0 + x)
+    when = st.one_of(on_edge, off_edge)
+    weight = st.floats(0, 1e6, allow_nan=False)
+    spread = st.one_of(
+        st.just(0.0),  # zero length
+        st.integers(1, 40).map(lambda k: k * width),  # edge to edge
+        st.floats(0, 40 * width),  # many bins
+    )
+    calls = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), when, weight),
+                st.tuples(st.just("add_spread"), when, spread, weight),
+            ),
+            max_size=40,
+        )
+    )
+    return width, t0, calls
+
+
+class TestListBackedEqualsNumpy:
+    @given(_series_calls())
+    def test_bit_for_bit(self, drawn):
+        width, t0, calls = drawn
+        ours, ref = BinnedSeries(width, t0), _NumpyBinnedSeries(width, t0)
+        for call in calls:
+            if call[0] == "add":
+                _, t, w = call
+                ours.add(t, w)
+                ref.add(t, w)
+            else:
+                _, t, dur, w = call
+                ours.add_spread(t, t + dur, w)
+                ref.add_spread(t, t + dur, w)
+        assert ours.values().tobytes() == ref.values().tobytes()
+        assert ours.times().tobytes() == ref.times().tobytes()
+        assert ours.n_bins == ref.n_bins
+        assert ours.total == ref.total
+
+
 class TestRateSeries:
     def _series(self):
         return RateSeries.from_events(
