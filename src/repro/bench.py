@@ -11,19 +11,10 @@ quickly, so this module pins a number on each layer of the hot path:
   cache, exercising allocation, eviction, write-behind and read-ahead.
 * ``decode`` -- ASCII trace decode bandwidth (MB/s) through the batch
   columnar path (:meth:`~repro.trace.decode.TraceDecoder.decode_array`).
-* ``store`` -- compiled-store rehydration bandwidth (MB/s of the same
-  ASCII bytes) through :func:`~repro.trace.store.load_compiled`,
-  including a full touch of every mapped column; the detail carries the
-  speedup over ASCII decode of the identical trace (the zero-decode
-  path's headline number, target >= 5x).
 * ``fig8`` -- end-to-end wall-clock of the Figure 8 cache-size sweep,
   the workload the paper's headline figure is built from.  The rows are
   digested so a perf run that silently changes results is an error, not
   a speedup.
-* ``fig8_warm`` -- the same sweep in a fresh-process scenario with a
-  *warm* trace store: the workload memo is cleared and the columns
-  rehydrate from compiled bundles instead of being regenerated, which
-  is what the second and every later ``repro run fig8`` pays.
 
 Every benchmark returns a :class:`BenchResult`; :func:`run_suite`
 assembles them into the ``BENCH_sim.json`` payload and
@@ -48,11 +39,8 @@ import cProfile
 import hashlib
 import io
 import json
-import os
 import pstats
-import tempfile
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -287,104 +275,28 @@ def bench_decode(
     )
 
 
-def bench_store(scale: float = 0.1, *, min_mb: float = 2.0) -> BenchResult:
-    """Compiled-store rehydration vs ASCII decode of the identical trace.
-
-    The same tiled venus stream as :func:`bench_decode` is written to
-    disk, decoded once from ASCII (timed), compiled to a store bundle
-    (untimed -- compilation is a one-off), then loaded back through the
-    memory-mapped path with every column fully touched (timed).  The
-    value is MB/s of the *ASCII-equivalent* bytes so it is directly
-    comparable to the ``decode`` benchmark; the detail carries the
-    speedup ratio, the zero-decode acceptance number.
-
-    The compile cache is pinned off *inside the section itself* (same
-    save/restore discipline as :func:`bench_fig8`): a warm
-    ``$REPRO_TRACE_CACHE`` left over from the caller's environment or an
-    earlier section must not let the timed load ride a memoized compile
-    and report an incomparable number.
-    """
-    import numpy as np
-
-    from repro.trace.store import compile_trace, load_compiled
-
-    workload = generate_workload("venus", scale=scale, seed=DEFAULT_SEED)
-    encoder = TraceEncoder(omit_operation_ids=True)
-    lines = [encoder.encode(r) for r in workload.trace.to_records()]
-    nbytes = sum(len(line) + 1 for line in lines)
-    copies = max(1, -(-int(min_mb * MB) // max(1, nbytes)))
-    lines = lines * copies
-    nbytes *= copies
-
-    saved = os.environ.get("REPRO_TRACE_CACHE")
-    os.environ["REPRO_TRACE_CACHE"] = "off"
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as td:
-            ascii_path = Path(td) / "bench.trace"
-            ascii_path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-            t0 = time.perf_counter()
-            with open(ascii_path, "rb") as fh:
-                decoded = TraceDecoder().decode_array(fh)
-            ascii_s = time.perf_counter() - t0
-
-            bundle = compile_trace(ascii_path)
-            t0 = time.perf_counter()
-            compiled = load_compiled(bundle)
-            touched = sum(
-                int(np.add.reduce(col, dtype=np.int64) & 0xFF)
-                for col in compiled.trace.columns().values()
-            )
-            store_s = time.perf_counter() - t0
-            store_bytes = bundle.stat().st_size
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_TRACE_CACHE", None)
-        else:
-            os.environ["REPRO_TRACE_CACHE"] = saved
-
-    assert len(decoded) == len(compiled.trace)
-    return BenchResult(
-        name="store",
-        value=nbytes / MB / store_s,
-        unit="MB/s",
-        wall_s=store_s,
-        higher_is_better=True,
-        detail={
-            "records": len(decoded),
-            "ascii_bytes": nbytes,
-            "store_bytes": store_bytes,
-            "ascii_decode_s": round(ascii_s, 4),
-            "store_load_s": round(store_s, 6),
-            "speedup_vs_ascii": round(ascii_s / store_s, 1),
-            "touch_checksum": touched,
-        },
-    )
-
-
 def bench_fig8(scale: float = 0.1, *, jobs: int = 1) -> BenchResult:
     """End-to-end wall-clock of the Figure 8 cache-size sweep.
 
-    Runs without the on-disk result cache (a memoized sweep would
-    benchmark JSON loading) and with the compiled trace store disabled,
-    so the measurement stays *cold* -- a warm user cache must not make
-    a bench run incomparable to the committed baseline (``fig8_warm``
-    measures the warm path deliberately).  The sweep rows are digested
-    into the detail so two bench runs can be checked for identical
-    results, not just comparable speed.
+    Runs without the on-disk result cache, so the measurement stays
+    *cold* -- a memoized sweep would benchmark JSON loading, and a warm
+    user cache must not make a bench run incomparable to the committed
+    baseline.  The sweep rows are digested into the detail so two bench
+    runs can be checked for identical results, not just comparable
+    speed.
     """
-    saved = os.environ.get("REPRO_TRACE_CACHE")
-    os.environ["REPRO_TRACE_CACHE"] = "off"
-    try:
-        t0 = time.perf_counter()
-        points = cache_size_sweep(scale=scale, seed=DEFAULT_SEED, jobs=jobs)
-        wall = time.perf_counter() - t0
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_TRACE_CACHE", None)
-        else:
-            os.environ["REPRO_TRACE_CACHE"] = saved
-    digest = _fig8_digest(points)
+    t0 = time.perf_counter()
+    points = cache_size_sweep(scale=scale, seed=DEFAULT_SEED, jobs=jobs)
+    wall = time.perf_counter() - t0
+    points_digest = hashlib.sha256(
+        json.dumps(
+            [
+                (p.cache_mb, p.block_kb, p.idle_seconds, p.hit_fraction)
+                for p in points
+            ],
+            sort_keys=True,
+        ).encode()
+    ).hexdigest()
     return BenchResult(
         name="fig8",
         value=wall,
@@ -395,91 +307,7 @@ def bench_fig8(scale: float = 0.1, *, jobs: int = 1) -> BenchResult:
             "points": len(points),
             "scale": scale,
             "jobs": jobs,
-            "digest": digest[:16],
-        },
-    )
-
-
-@contextmanager
-def _temp_trace_cache():
-    """Point ``$REPRO_TRACE_CACHE`` at a throwaway dir for one benchmark."""
-    saved = os.environ.get("REPRO_TRACE_CACHE")
-    with tempfile.TemporaryDirectory(prefix="repro-bench-tc-") as td:
-        os.environ["REPRO_TRACE_CACHE"] = td
-        try:
-            yield Path(td)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_TRACE_CACHE", None)
-            else:
-                os.environ["REPRO_TRACE_CACHE"] = saved
-
-
-def _fig8_digest(points) -> str:
-    return hashlib.sha256(
-        json.dumps(
-            [
-                (p.cache_mb, p.block_kb, p.idle_seconds, p.hit_fraction)
-                for p in points
-            ],
-            sort_keys=True,
-        ).encode()
-    ).hexdigest()
-
-
-def bench_fig8_warm(scale: float = 0.1) -> BenchResult:
-    """Figure 8 sweep wall-clock with a warm compiled trace store.
-
-    Models the second and every later run of the experiment in a fresh
-    process: the per-process workload memo is cleared (as a new process
-    or worker would start) and the venus columns rehydrate from a
-    compiled bundle instead of re-running the workload model.  Three
-    things are measured against a throwaway trace-store cache:
-
-    * ``rehydrate_cold_s`` -- first-ever materialization (generate the
-      workload, compile and store the bundle);
-    * ``rehydrate_warm_s`` -- the same materialization in a fresh
-      process with the store warm (header parse + mmap);
-    * the value: the full sweep's wall-clock on the warm store, which
-      is what every later ``repro run fig8`` invocation pays.
-
-    The per-process saving (``rehydrate_cold_s - rehydrate_warm_s``) is
-    deterministic and scales with worker count -- every worker used
-    to pay the cold cost.  The row digest must match ``fig8``'s: the
-    warm path is a transport change, never a results change.
-    """
-    from repro.exec.runner import clear_workload_memo, generated_workload
-
-    with _temp_trace_cache():
-        clear_workload_memo()
-        t0 = time.perf_counter()
-        generated_workload("venus", scale, DEFAULT_SEED)
-        rehydrate_cold_s = time.perf_counter() - t0
-
-        clear_workload_memo()
-        t0 = time.perf_counter()
-        generated_workload("venus", scale, DEFAULT_SEED)
-        rehydrate_warm_s = time.perf_counter() - t0
-
-        clear_workload_memo()
-        t0 = time.perf_counter()
-        points = cache_size_sweep(scale=scale, seed=DEFAULT_SEED, jobs=1)
-        wall = time.perf_counter() - t0
-    clear_workload_memo()
-    return BenchResult(
-        name="fig8_warm",
-        value=wall,
-        unit="s",
-        wall_s=wall,
-        higher_is_better=False,
-        detail={
-            "points": len(points),
-            "scale": scale,
-            "rehydrate_cold_s": round(rehydrate_cold_s, 4),
-            "rehydrate_warm_s": round(rehydrate_warm_s, 6),
-            "rehydrate_speedup": round(rehydrate_cold_s / rehydrate_warm_s, 1),
-            "saved_per_process_s": round(rehydrate_cold_s - rehydrate_warm_s, 4),
-            "digest": _fig8_digest(points)[:16],
+            "digest": points_digest[:16],
         },
     )
 
@@ -495,13 +323,7 @@ _SUITE: dict[str, tuple[Callable[..., BenchResult], dict, dict]] = {
         {"scale": 0.1, "min_mb": 1.0},
         {"scale": 0.1, "min_mb": 4.0},
     ),
-    "store": (
-        bench_store,
-        {"scale": 0.1, "min_mb": 1.0},
-        {"scale": 0.1, "min_mb": 4.0},
-    ),
     "fig8": (bench_fig8, {"scale": 0.05}, {"scale": 0.1}),
-    "fig8_warm": (bench_fig8_warm, {"scale": 0.05}, {"scale": 0.1}),
 }
 
 

@@ -6,20 +6,13 @@ Usage (``python -m repro <command>``):
 * ``run EXPID [--scale S]`` -- reproduce one of them and print the report;
 * ``generate APP -o FILE [--scale S] [--seed N]`` -- write a calibrated
   synthetic trace in the paper's ASCII format;
-* ``compile-trace FILE [FILE...] [-o OUT] [--cache] [--verify]`` --
-  compile ASCII traces into binary columnar store bundles (``.rpt``)
-  that later runs memory-map with zero per-record work; ``--cache``
-  compiles into the content-addressed trace cache instead
-  (``$REPRO_TRACE_CACHE``, see ``docs/FORMAT.md``);
 * ``analyze FILE`` -- Table-1/2-style summary, sequentiality and class
-  breakdown of any trace file (ASCII or compiled store bundle);
+  breakdown of a trace file;
 * ``simulate FILE [FILE...] [--cache-mb M] [--block-kb K] [--ssd]
   [--no-read-ahead] [--no-write-behind] [--cpus N] [--cached]
-  [--trace-store] [--faults SPEC | --fault-plan FILE]`` --
-  replay trace files (ASCII or compiled) through the buffering
-  simulator, optionally under a seeded fault-injection plan with
-  retry/backoff recovery; ``--trace-store`` routes ASCII inputs through
-  the compile cache so repeat runs skip decode entirely;
+  [--faults SPEC | --fault-plan FILE]`` -- replay trace files through
+  the buffering simulator, optionally under a seeded fault-injection
+  plan with retry/backoff recovery;
 * ``sweep [--cache-mb LIST] [--block-kb LIST] [--read-ahead on,off]
   [--write-behind on,off] [--jobs N]
   [--cache-dir DIR | --no-cache] ...`` -- run a configuration grid
@@ -46,12 +39,15 @@ Usage (``python -m repro <command>``):
 
 ``simulate`` and ``run`` also accept ``--metrics-out FILE`` to dump the
 same metrics as JSONL without the full profile report.
+
+Trace files are the paper's compressed ASCII format (``docs/FORMAT.md``).
+A trace file that is missing or malformed makes ``analyze`` and
+``simulate`` print one line to stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Sequence
@@ -84,8 +80,8 @@ from repro.obs import (
     use_registry,
 )
 from repro.sim.faults import FaultPlan
-from repro.trace.io import read_any_trace_array, write_trace_array
-from repro.util.errors import SweepError
+from repro.trace.io import read_trace_array, write_trace_array
+from repro.util.errors import SweepError, TraceFormatError
 from repro.util.rng import DEFAULT_SEED
 from repro.util.units import MB
 from repro.workloads.base import available_models, generate_workload
@@ -176,53 +172,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compile_trace(args: argparse.Namespace) -> int:
-    from repro.trace.store import (
-        TraceStoreCache,
-        compile_trace,
-        file_digest,
-        load_compiled,
-    )
-    from repro.util.errors import StoreFormatError
-
-    if args.output and len(args.traces) > 1:
-        print("-o/--output needs exactly one input trace", file=sys.stderr)
-        return 2
-    if args.output and args.cache:
-        print("use either -o/--output or --cache, not both", file=sys.stderr)
-        return 2
-    cache = TraceStoreCache.default() if args.cache else None
-    if cache is not None and not cache.enabled:
-        print(
-            "trace cache is disabled (REPRO_TRACE_CACHE=off)", file=sys.stderr
-        )
-        return 2
-    for trace_path in args.traces:
-        t0 = time.perf_counter()
-        try:
-            if cache is not None:
-                digest = file_digest(trace_path)
-                cache.get_or_compile_file(trace_path)
-                out = cache.path_for(digest)
-            else:
-                out = compile_trace(trace_path, args.output)
-        except (OSError, StoreFormatError) as exc:
-            print(f"{trace_path}: {exc}", file=sys.stderr)
-            return 1
-        compile_s = time.perf_counter() - t0
-        compiled = load_compiled(out, verify=args.verify)
-        ascii_bytes = os.path.getsize(trace_path)
-        print(
-            f"{trace_path} -> {out}: {compiled.header.records} records, "
-            f"{ascii_bytes} -> {out.stat().st_size} bytes, "
-            f"compiled in {compile_s:.2f} s"
-            f"{' (payload verified)' if args.verify else ''}"
-        )
-    return 0
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    trace = read_any_trace_array(args.trace)
+    try:
+        trace = read_trace_array(args.trace)
+    except OSError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except TraceFormatError as exc:
+        print(f"{args.trace}: {exc}", file=sys.stderr)
+        return 2
     if len(trace) == 0:
         print("trace is empty", file=sys.stderr)
         return 1
@@ -276,9 +234,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     point = SweepPointSpec(
         workload=TraceFileSpec(
-            paths=tuple(args.traces),
-            share_files=args.share_files,
-            use_store=args.trace_store,
+            paths=tuple(args.traces), share_files=args.share_files
         ),
         config=config,
         label=f"simulate {' '.join(args.traces)}",
@@ -289,7 +245,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         with use_registry(registry):
             point_result = runner.run_point(point)
-    except SweepError as exc:
+    except (SweepError, OSError) as exc:
+        # OSError: a trace file is read to key the point, before the
+        # runner wraps the point's own errors in SweepError.
         print(str(exc.__cause__ or exc), file=sys.stderr)
         return 2
     print(point_result.result.summary())
@@ -445,28 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--scale", type=float, default=0.1)
     p_gen.add_argument("--seed", type=int, default=19910616)
 
-    p_ct = sub.add_parser(
-        "compile-trace",
-        help="compile ASCII traces into binary columnar store bundles",
-    )
-    p_ct.add_argument("traces", nargs="+")
-    p_ct.add_argument(
-        "-o", "--output", default=None,
-        help="bundle path (single input only; default: INPUT.rpt alongside)",
-    )
-    p_ct.add_argument(
-        "--cache", action="store_true",
-        help="compile into the content-addressed trace cache "
-        "($REPRO_TRACE_CACHE, default under the result-cache dir)",
-    )
-    p_ct.add_argument(
-        "--verify", action="store_true",
-        help="re-load each bundle and check its payload digest",
-    )
-
-    p_an = sub.add_parser(
-        "analyze", help="summarize a trace file (ASCII or compiled store)"
-    )
+    p_an = sub.add_parser("analyze", help="summarize a trace file")
     p_an.add_argument("trace")
 
     p_sim = sub.add_parser("simulate", help="replay traces through the cache")
@@ -487,12 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cached", action="store_true",
         help="memoize the result in the on-disk result cache "
         "($REPRO_CACHE_DIR or ~/.cache/repro/results)",
-    )
-    p_sim.add_argument(
-        "--trace-store", action="store_true",
-        help="route ASCII traces through the compiled trace store "
-        "(decode once, memory-map on every later run; point keys and "
-        "results are identical either way)",
     )
     p_sim.add_argument(
         "--metrics-out", default=None,
@@ -686,7 +617,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "profile": _cmd_profile,
     "generate": _cmd_generate,
-    "compile-trace": _cmd_compile_trace,
     "analyze": _cmd_analyze,
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,

@@ -1,14 +1,14 @@
 """The high-level `Study` facade: the whole paper in one object.
 
-A :class:`Study` generates (and caches) the seven application workloads
-at a chosen scale, and exposes each of the paper's tables, figures and
-claims as one method.  The examples and benchmarks are thin wrappers
-around it.
+A :class:`Study` generates the seven application workloads at a chosen
+scale (through the sweep runner's per-process workload memo), and
+exposes each of the paper's tables, figures and claims as one method.
+The examples and benchmarks are thin wrappers around it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.cycles import CycleReport, analyze_cycles
 from repro.analysis.rates import data_rate_series
@@ -25,7 +25,7 @@ from repro.sim.experiments import (
 )
 from repro.util.rng import DEFAULT_SEED
 from repro.util.timeseries import RateSeries
-from repro.workloads.base import GeneratedWorkload, generate_workload
+from repro.workloads.base import GeneratedWorkload
 from repro.workloads.catalog import APP_NAMES
 
 #: Per-app default scales: the heavier generators run fewer cycles so a
@@ -51,18 +51,21 @@ class Study:
     #: worker processes for sweep-shaped experiments (1 = serial; the
     #: numbers are identical at any worker count)
     jobs: int | None = 1
-    _workloads: dict[str, GeneratedWorkload] = field(default_factory=dict)
 
     def app_scale(self, name: str) -> float:
         return self.scale if self.scale is not None else DEFAULT_SCALES[name]
 
     def workload(self, name: str) -> GeneratedWorkload:
-        """The named application's generated workload (cached)."""
-        if name not in self._workloads:
-            self._workloads[name] = generate_workload(
-                name, scale=self.app_scale(name), seed=self.seed
-            )
-        return self._workloads[name]
+        """The named application's generated workload.
+
+        Memoized per process by the sweep runner's bounded memo, which
+        the simulation figures read too, so a figure replays the very
+        workload the trace figures analyzed instead of generating it
+        again.
+        """
+        from repro.exec.runner import generated_workload
+
+        return generated_workload(name, self.app_scale(name), self.seed)
 
     def all_workloads(self) -> list[GeneratedWorkload]:
         return [self.workload(name) for name in APP_NAMES]

@@ -53,6 +53,19 @@ def canonical_json(value) -> str:
     )
 
 
+def file_digest(path: str | Path, *, chunk_bytes: int = 1 << 20) -> str:
+    """SHA-256 of a file's contents, streamed in bounded chunks.
+
+    Keys trace files by what they hold, never by where they sit, and a
+    multi-gigabyte trace never has to fit in memory just to be hashed.
+    """
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for piece in iter(lambda: fh.read(chunk_bytes), b""):
+            h.update(piece)
+    return h.hexdigest()
+
+
 @lru_cache(maxsize=None)
 def code_version_tag() -> str:
     """SHA-256 over every ``repro`` source file (path + contents).

@@ -31,31 +31,28 @@ Workloads cross the process boundary as small *specs*, not as traces: a
 of columns.  Whichever process runs a point materializes its workload
 from the spec, through a small per-process LRU memo, so a worker that
 replays one workload for many points builds it once, and the parent of
-a queue sweep builds none.  The trace rehydration itself goes
-through the compiled trace store (:mod:`repro.trace.store`) when the
-content-addressed compile cache is enabled, so warm runs skip ASCII
-decode and workload generation entirely, and concurrent workers share
-the stored columns through ``mmap``.
+a queue sweep builds none.  Nothing is written to disk on the way: a
+generated workload lives only in its process's memo, and a trace file
+is decoded from its ASCII text whenever a point replays it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 from repro.exec.cache import ResultCache
 from repro.exec.executor import PointTask, QueueExecutor, SerialExecutor
-from repro.exec.keys import point_key
+from repro.exec.keys import file_digest, point_key
 from repro.obs.registry import get_registry
 from repro.sim.config import SimConfig
 from repro.sim.metrics import SimulationResult
 from repro.sim.procmodel import relabel_copies
 from repro.sim.system import simulate
 from repro.trace.array import TraceArray
+from repro.trace.io import read_trace_array
 from repro.util.errors import SweepCancelled, SweepError
 from repro.util.rng import DEFAULT_SEED
 
@@ -127,60 +124,25 @@ class TraceFileSpec:
     The key material hashes the file *contents* (streamed in bounded
     chunks -- a multi-gigabyte trace never has to fit in memory to be
     keyed), so editing a trace file invalidates its cached results even
-    at the same path.  Compiled store files (``.rpt``) are keyed by the
-    source digest recorded in their header, so a compiled trace and the
-    ASCII file it came from produce the *same* point key and hit the
-    same result-cache entries.  ``use_store`` routes ASCII inputs
-    through the content-addressed compile cache (decode once, mmap ever
-    after); it is an execution detail and never part of the key.
+    at the same path, and the same bytes at two paths share them.
     """
 
     paths: tuple[str, ...]
     share_files: bool = False
     file_id_stride: int = 1_000_000
-    use_store: bool = False
 
     def key_material(self) -> dict:
         return {
             "kind": "files",
-            "sha256": [self._digest(p) for p in self.paths],
+            "sha256": [file_digest(p) for p in self.paths],
             "share_files": self.share_files,
             "file_id_stride": self.file_id_stride,
         }
 
-    @staticmethod
-    def _digest(path: str) -> str:
-        from repro.trace.store import (
-            file_digest,
-            is_store_file,
-            read_store_header,
-        )
-
-        if is_store_file(path):
-            source = read_store_header(path).source_sha256
-            if source:
-                return source
-        return file_digest(path)
-
-    def _load(self, path: str) -> TraceArray:
-        from repro.trace.store import (
-            TraceStoreCache,
-            is_store_file,
-            load_compiled,
-        )
-
-        if is_store_file(path):
-            return load_compiled(path).trace
-        if self.use_store:
-            return TraceStoreCache.default().get_or_compile_file(path)
-        from repro.trace.io import read_trace_array
-
-        return read_trace_array(path)
-
     def materialize(self) -> list[TraceArray]:
         traces = []
         for i, path in enumerate(self.paths):
-            trace = self._load(path)
+            trace = read_trace_array(path)
             if len(trace.process_ids()) != 1:
                 raise SweepError(f"{path}: need single-process traces")
             trace = trace.with_process_id(i + 1)
@@ -247,110 +209,15 @@ def clear_workload_memo() -> None:
     _WORKLOADS.clear()
 
 
-def _workload_store_digest(app: str, scale: float, seed: int) -> str:
-    """Content key for a generated workload in the compiled trace store.
-
-    Keyed on the generation parameters plus the store format version and
-    the package-wide code tag, so editing any source invalidates stored
-    workloads exactly like it invalidates cached results.
-    """
-    from repro.exec.keys import canonical_json, code_version_tag
-    from repro.trace.store import STORE_VERSION
-
-    material = {
-        "kind": "generated",
-        "app": app,
-        "scale": scale,
-        "seed": seed,
-        "store_version": STORE_VERSION,
-        "code_version": code_version_tag(),
-    }
-    return hashlib.sha256(canonical_json(material).encode()).hexdigest()
-
-
-def _workload_from_store(app: str, scale: float, seed: int, compiled):
-    """Rebuild a :class:`GeneratedWorkload` from a stored bundle."""
-    from repro.trace.record import CommentRecord
-    from repro.workloads.base import GeneratedWorkload
-    from repro.workloads.catalog import paper_row
-
-    meta = compiled.header.meta.get("workload")
-    if not isinstance(meta, dict):
-        raise ValueError("bundle carries no workload metadata")
-    return GeneratedWorkload(
-        name=meta["name"],
-        trace=compiled.trace,
-        data_size_bytes=int(meta["data_size_bytes"]),
-        comments=[CommentRecord(text) for text in meta["comments"]],
-        cpu_seconds=float(meta["cpu_seconds"]),
-        wall_seconds=float(meta["wall_seconds"]),
-        scale=float(meta["scale"]),
-        paper=paper_row(app),
-    )
-
-
-def _stored_generated_workload(app: str, scale: float, seed: int):
-    """Generated workload via the compile cache (None on any miss/error).
-
-    On a hit the trace columns are memory-mapped out of the bundle -- no
-    generation, no decode.  On a miss the workload is generated once and
-    stored for every later process and run.  Any store trouble degrades
-    to plain generation; caching must never break a sweep.
-    """
-    from repro.trace.store import TraceStoreCache
-    from repro.workloads.base import generate_workload
-
-    cache = TraceStoreCache.default()
-    if not cache.enabled:
-        return None
-    digest = _workload_store_digest(app, scale, seed)
-    hit = cache.load(digest)
-    if hit is not None:
-        try:
-            return _workload_from_store(app, scale, seed, hit)
-        except (KeyError, TypeError, ValueError) as exc:
-            warnings.warn(
-                f"stored workload {digest[:16]}... is unusable ({exc}); "
-                "regenerating",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    workload = generate_workload(app, scale=scale, seed=seed)
-    cache.store(
-        digest,
-        workload.trace,
-        source={
-            "kind": "generated",
-            "sha256": digest,
-            "app": app,
-            "scale": scale,
-            "seed": seed,
-        },
-        meta={
-            "workload": {
-                "name": workload.name,
-                "scale": workload.scale,
-                "data_size_bytes": workload.data_size_bytes,
-                "cpu_seconds": workload.cpu_seconds,
-                "wall_seconds": workload.wall_seconds,
-                "comments": [c.text for c in workload.comments],
-            }
-        },
-    )
-    return workload
-
-
 def generated_workload(app: str, scale: float, seed: int):
-    """Memoized :func:`generate_workload` (per process, store-backed)."""
+    """Memoized :func:`~repro.workloads.base.generate_workload` (per process)."""
     key = (app, scale, seed)
     hit = _WORKLOADS.get(key)
     if hit is not None:
         return hit
-    workload = _stored_generated_workload(app, scale, seed)
-    if workload is None:
-        from repro.workloads.base import generate_workload
+    from repro.workloads.base import generate_workload
 
-        workload = generate_workload(app, scale=scale, seed=seed)
+    workload = generate_workload(app, scale=scale, seed=seed)
     _WORKLOADS.put(key, workload)
     return workload
 

@@ -3,7 +3,7 @@
 The batch CLI answers one question per invocation; this package keeps a
 simulator resident and serves many small questions cheaply -- the
 FBench-style what-if consumption pattern that the memoized result
-cache and the compiled trace store serve.  ``repro serve`` starts an
+cache serves.  ``repro serve`` starts an
 asyncio HTTP/JSON daemon; clients submit simulate/sweep jobs, poll or
 stream their progress as server-sent events, and fetch results that are
 **bit-identical** (same point keys, same digests) to what the CLI

@@ -193,7 +193,6 @@ def _simulate_points(spec: dict) -> list[SweepPointSpec]:
     workload = TraceFileSpec(
         paths=tuple(traces),
         share_files=bool(spec.get("share_files", False)),
-        use_store=bool(spec.get("trace_store", False)),
     )
     label = spec.get("label") or f"simulate {' '.join(traces)}"
     return [SweepPointSpec(workload=workload, config=config, label=str(label))]

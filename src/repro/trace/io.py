@@ -85,17 +85,3 @@ def read_trace_array(path: str | Path) -> TraceArray:
     with open(path, "rb") as fh:
         return TraceDecoder().decode_array(fh)
 
-
-def read_any_trace_array(path: str | Path) -> TraceArray:
-    """Load ASCII traces *or* compiled store bundles into columns.
-
-    Compiled bundles (:mod:`repro.trace.store`) are detected by magic
-    and memory-mapped with zero per-record work; anything else goes
-    through the ASCII batch decoder.  Use this at tool entry points so
-    every command accepts both forms interchangeably.
-    """
-    from repro.trace.store import is_store_file, load_compiled
-
-    if is_store_file(path):
-        return load_compiled(path).trace
-    return read_trace_array(path)

@@ -44,6 +44,7 @@ class ProcstatCollector:
         if flush_interval < 1:
             raise ValueError("flush_interval must be >= 1")
         reg = obs if obs is not None else get_registry()
+        self._observed = reg.enabled
         self._c_events = reg.counter("trace.procstat.events")
         self._c_packets = reg.counter("trace.procstat.packets")
         self._c_flushes = reg.counter("trace.procstat.flushes")
@@ -76,8 +77,9 @@ class ProcstatCollector:
         packet.events.append(event)
         self.total_events += 1
         self._events_since_flush += 1
-        self._c_events.inc()
-        self._g_open.set_max(len(self._open))
+        if self._observed:
+            self._c_events.inc()
+            self._g_open.set_max(len(self._open))
 
         if len(packet.events) >= self.max_events_per_packet:
             self._emit(key)
@@ -90,7 +92,8 @@ class ProcstatCollector:
             self._emit(key)
         self._events_since_flush = 0
         self._epoch += 1
-        self._c_flushes.inc()
+        if self._observed:
+            self._c_flushes.inc()
 
     def close(self) -> None:
         """Flush remaining packets; further submits are rejected."""
@@ -105,7 +108,8 @@ class ProcstatCollector:
         packet.sequence = self._sequence
         self._sequence += 1
         self.packets_emitted += 1
-        self._c_packets.inc()
+        if self._observed:
+            self._c_packets.inc()
         self._sink(packet)
 
     def __enter__(self) -> "ProcstatCollector":

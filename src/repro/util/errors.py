@@ -22,16 +22,6 @@ class TraceFormatError(ReproError):
         self.line_number = line_number
 
 
-class StoreFormatError(ReproError):
-    """A compiled trace store file is unusable.
-
-    Raised when a ``.rpt`` bundle has the wrong magic, an unsupported
-    format version, a truncated or undersized payload, a column set that
-    does not match the current :class:`~repro.trace.array.TraceArray`
-    schema, or (under ``verify=True``) a payload digest mismatch.
-    """
-
-
 class SimulationError(ReproError):
     """The buffering simulator reached an inconsistent state."""
 

@@ -111,41 +111,6 @@ def test_committed_baseline_is_loadable():
         "engine",
         "cache",
         "decode",
-        "store",
         "fig8",
-        "fig8_warm",
     }
-
-
-def test_store_bench_pins_trace_cache_cold(monkeypatch, tmp_path):
-    # Regression: the store section used to measure the bundle load with
-    # whatever $REPRO_TRACE_CACHE the caller had -- a warm compile cache
-    # made the number incomparable to the committed baseline.  The pin
-    # must happen inside the section itself, and the caller's setting
-    # must survive the call.
-    import os
-
-    from repro.bench import bench_store
-    from repro.trace import store as store_mod
-
-    warm = str(tmp_path / "warm-cache")
-    monkeypatch.setenv("REPRO_TRACE_CACHE", warm)
-    seen = {}
-    real_compile = store_mod.compile_trace
-    real_load = store_mod.load_compiled
-
-    def spy_compile(*args, **kwargs):
-        seen["compile"] = os.environ.get("REPRO_TRACE_CACHE")
-        return real_compile(*args, **kwargs)
-
-    def spy_load(*args, **kwargs):
-        seen["load"] = os.environ.get("REPRO_TRACE_CACHE")
-        return real_load(*args, **kwargs)
-
-    monkeypatch.setattr(store_mod, "compile_trace", spy_compile)
-    monkeypatch.setattr(store_mod, "load_compiled", spy_load)
-    bench_store(scale=0.02, min_mb=0.01)
-    assert seen["compile"] == "off"
-    assert seen["load"] == "off"
-    assert os.environ["REPRO_TRACE_CACHE"] == warm
 

@@ -186,6 +186,32 @@ class TestSimulateCommand:
         assert "utilization" in capsys.readouterr().out
 
 
+class TestTraceFileErrors:
+    """A missing or malformed trace file is one stderr line and exit 2,
+    never a traceback."""
+
+    @pytest.fixture()
+    def malformed(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text("1 2 3\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_missing_file(self, command, tmp_path, capsys):
+        path = tmp_path / "absent.trace"
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "No such file" in err and str(path) in err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_malformed_file(self, command, malformed, capsys):
+        assert main([command, str(malformed)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "line 1: record truncated" in err
+
+
 class TestSweepCommand:
     def test_cache_dir_rerun_from_cache_and_no_cache_recomputes(
         self, tmp_path, monkeypatch, capsys

@@ -34,6 +34,29 @@ class TestStudy:
         s = Study()
         assert s.app_scale("bvi") < s.app_scale("venus")
 
+    def test_figures_share_one_generation(self, tmp_path, monkeypatch):
+        # Figure 3 analyzes venus and Figure 6 replays it: one memo, so
+        # one generation.  The empty cache dir leaves nothing on disk to
+        # stand in for a generation.
+        from repro.exec.runner import clear_workload_memo
+        from repro.workloads.base import ApplicationModel
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        generated = []
+        real_generate = ApplicationModel.generate
+
+        def counting(model, **kwargs):
+            generated.append(model.name)
+            return real_generate(model, **kwargs)
+
+        monkeypatch.setattr(ApplicationModel, "generate", counting)
+        clear_workload_memo()
+        study = Study(scale=0.05)
+        study.figure3()
+        study.figure6()
+        clear_workload_memo()
+        assert generated == ["venus"]
+
     def test_seed_controls_generation(self):
         a = Study(scale=0.1, seed=1).workload("ccm")
         b = Study(scale=0.1, seed=2).workload("ccm")

@@ -33,7 +33,7 @@ class TestConformanceMatrix:
 
 class TestKeyInvariance:
     def test_executor_never_enters_the_key(self):
-        """The backend is an execution detail, like use_store."""
+        """The backend is an execution detail."""
         point = contract_points()[0]
         baseline = point.key(None)
         for jobs in BACKEND_JOBS.values():

@@ -4,6 +4,8 @@ The scales here are tiny (a venus point is under a second) so the whole
 module stays interactive even though it spins up real worker processes.
 """
 
+import hashlib
+
 import pytest
 
 from repro.exec.cache import ResultCache
@@ -212,9 +214,6 @@ class TestWorkloadMemo:
     def _fresh_memo(self, monkeypatch):
         from repro.exec import runner
 
-        # Isolate from the trace-store cache so every miss really
-        # generates, and start from an empty memo.
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
         monkeypatch.setattr(runner, "WORKLOAD_MEMO_CAPACITY", 2)
         runner.clear_workload_memo()
         yield
@@ -245,108 +244,50 @@ class TestWorkloadMemo:
         first = runner.generated_workload("venus", SCALE, 1)
         assert runner.generated_workload("venus", SCALE, 1) is first
 
-
-class TestStoreKeyInvariance:
-    """Compiled bundles and the store cache never change point keys."""
-
-    def _single_process_trace_file(self, tmp_path):
-        import numpy as np
-
-        from repro.exec.runner import generated_workload
-        from repro.trace.io import write_trace_array
-
-        trace = generated_workload("venus", SCALE, 42).trace
-        pid = int(np.asarray(trace.process_ids())[0])
-        path = tmp_path / "p1.trace"
-        write_trace_array(path, trace.for_process(pid))
-        return path
-
-    def test_compiled_trace_keys_like_its_ascii_source(self, tmp_path):
-        from repro.trace.store import compile_trace
-
-        ascii_path = self._single_process_trace_file(tmp_path)
-        bundle = compile_trace(ascii_path)
-        ascii_spec = TraceFileSpec(paths=(str(ascii_path),))
-        store_spec = TraceFileSpec(paths=(str(bundle),))
-        assert ascii_spec.key_material() == store_spec.key_material()
-
-    def test_use_store_not_in_key_but_same_columns(self, tmp_path, monkeypatch):
-        import numpy as np
-
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
-        ascii_path = self._single_process_trace_file(tmp_path)
-        plain = TraceFileSpec(paths=(str(ascii_path),))
-        routed = TraceFileSpec(paths=(str(ascii_path),), use_store=True)
-        assert plain.key_material() == routed.key_material()
-        for a, b in zip(plain.materialize(), routed.materialize()):
-            for name, col in a.columns().items():
-                assert np.array_equal(col, getattr(b, name)), name
-
-    def test_generated_workload_store_round_trip(self, tmp_path, monkeypatch):
-        import numpy as np
-
+    def test_generation_writes_no_file(self, tmp_path, monkeypatch):
+        # A generated workload lives only in the memo: nothing lands in
+        # the home directory or any cache directory.
         from repro.exec import runner
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "results"))
         runner.clear_workload_memo()
-        generated = runner.generated_workload("venus", SCALE, 7)
-        runner.clear_workload_memo()
-        rehydrated = runner.generated_workload("venus", SCALE, 7)
-        runner.clear_workload_memo()
-        assert rehydrated is not generated
-        assert rehydrated.name == generated.name
-        assert rehydrated.data_size_bytes == generated.data_size_bytes
-        assert rehydrated.cpu_seconds == generated.cpu_seconds
-        assert [c.text for c in rehydrated.comments] == [
-            c.text for c in generated.comments
-        ]
-        for name, col in generated.trace.columns().items():
-            assert np.array_equal(col, getattr(rehydrated.trace, name)), name
+        runner.generated_workload("venus", SCALE, 1)
+        assert list(tmp_path.iterdir()) == []
 
 
-class TestKeyInvariance:
-    """Execution knobs must never leak into result-cache keys.
+class TestTraceFileKeys:
+    """A trace file keys by its bytes: not by path, and never stale."""
 
-    ``use_store`` only changes how trace bytes are loaded -- results for
-    one (config, workload, seed) point are interchangeable across it, so
-    it may not appear in ``key_material``.
-    """
-
-    FORBIDDEN = ("use_store",)
-
-    @staticmethod
-    def _flat_keys(material):
-        keys = set()
-        stack = [material]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, dict):
-                keys.update(node)
-                stack.extend(node.values())
-            elif isinstance(node, (list, tuple)):
-                stack.extend(node)
-        return keys
-
-    @pytest.mark.parametrize("knob", FORBIDDEN)
-    def test_knob_absent_from_point_key_material(self, knob):
-        from repro.exec.keys import point_key_material
-
-        workload = AppWorkloadSpec(app="venus", scale=SCALE, n_copies=2)
-        material = point_key_material(
-            SimConfig(cache=CacheConfig(size_bytes=8 * MB)),
-            workload.key_material(),
-            sweep_seed=7,
+    def test_same_bytes_at_two_paths_key_equal(self, tmp_path):
+        a, b = tmp_path / "a.trace", tmp_path / "b" / "a.trace"
+        b.parent.mkdir()
+        a.write_bytes(b"255 run 1\n")
+        b.write_bytes(a.read_bytes())
+        assert (
+            TraceFileSpec(paths=(str(a),)).key_material()
+            == TraceFileSpec(paths=(str(b),)).key_material()
         )
-        assert knob not in self._flat_keys(material)
 
-    @pytest.mark.parametrize("knob", FORBIDDEN)
-    def test_knob_absent_from_workload_key_material(self, knob, tmp_path):
-        app = AppWorkloadSpec(app="venus", scale=SCALE, n_copies=2)
-        assert knob not in self._flat_keys(app.key_material())
+    def test_one_edited_byte_changes_the_key(self, tmp_path):
         path = tmp_path / "t.trace"
-        path.write_text("")
-        files = TraceFileSpec(paths=(str(path),), use_store=True)
-        assert knob not in self._flat_keys(files.key_material())
+        path.write_bytes(b"255 run 1\n")
+        spec = TraceFileSpec(paths=(str(path),))
+        before = spec.key_material()
+        path.write_bytes(b"255 run 2\n")
+        assert spec.key_material() != before
+
+    def test_file_larger_than_one_chunk_hashes_whole(self, tmp_path):
+        path = tmp_path / "big.trace"
+        path.write_bytes(bytes(range(256)) * 4097 + b"tail")
+        assert path.stat().st_size > 1 << 20
+        material = TraceFileSpec(paths=(str(path),)).key_material()
+        assert material["sha256"] == [
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        ]
+
 
 
 class TestProgressHook:

@@ -10,9 +10,10 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.sim.config import CacheConfig, SimConfig, ssd_cache
 from repro.sim.procmodel import relabel_copies
 from repro.sim.system import SimulatedSystem, simulate
+from repro.trace.procstat import ProcstatCollector
 from repro.util.rng import DEFAULT_SEED
 from repro.util.units import MB
-from repro.workloads.base import generate_workload
+from repro.workloads.base import generate_workload, model_for
 
 
 def tiny_traces():
@@ -110,6 +111,18 @@ def _ssd_run():
     return [bvi.trace], SimConfig(cache=ssd_cache(256 * MB))
 
 
+def _procstat_collection(reg) -> ProcstatCollector:
+    """venus collected through procstat (section 4): small packets and a
+    short flush interval, so packet emits and forced flushes both run."""
+    collector = ProcstatCollector(
+        [].append, max_events_per_packet=64, flush_interval=1000, obs=reg
+    )
+    model_for("venus", scale=0.05, seed=DEFAULT_SEED).generate(
+        collector=collector
+    )
+    return collector
+
+
 def test_disabled_obs_makes_zero_registry_calls_per_event():
     # Instruments are resolved once at wiring time; with observability
     # disabled, running the calendar must never go back to the registry
@@ -124,6 +137,11 @@ def test_disabled_obs_makes_zero_registry_calls_per_event():
         assert result.events_run > 10_000  # a real run, not a trivial one
         assert reg.lookups == wired
         assert reg.instrument_calls == 0, make_run.__name__
+    # The same holds for the trace collector's per-event path.
+    reg = _CountingRegistry()
+    collector = _procstat_collection(reg)
+    assert collector.total_events > 1_000 and collector.packets_emitted > 1
+    assert reg.instrument_calls == 0
 
 
 #: What an enabled registry counts on each run, recorded before the
@@ -158,6 +176,17 @@ _ENABLED_PINS = {
 }
 
 
+#: What an enabled registry counts for :func:`_procstat_collection`,
+#: recorded before the disabled-registry calls were taken off the
+#: collector's per-event path.
+_PROCSTAT_PINS = {
+    "trace.procstat.events": 1881,
+    "trace.procstat.packets": 38,
+    "trace.procstat.flushes": 2,
+    "trace.procstat.open_packets": {"value": 7, "peak": 7},
+}
+
+
 def test_enabled_obs_counts_every_instrument_call():
     # The calls skipped while disabled all happen while enabled.
     for make_run in (_venus_run, _ssd_run):
@@ -173,3 +202,7 @@ def test_enabled_obs_counts_every_instrument_call():
             else:
                 got[name] = snap[name]
         assert got == _ENABLED_PINS[make_run.__name__]
+    reg = MetricsRegistry()
+    _procstat_collection(reg)
+    got = {k: v for k, v in reg.snapshot().items() if k.startswith("trace.")}
+    assert got == _PROCSTAT_PINS

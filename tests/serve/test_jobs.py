@@ -77,9 +77,9 @@ class TestSimulateSpec:
             "j000002",
         )
         (point,) = job.points
+        # The retired ``trace_store`` key is ignored like any unknown key.
         assert point.workload == TraceFileSpec(
-            paths=("/tmp/a.trc", "/tmp/b.trc"),
-            share_files=True, use_store=True,
+            paths=("/tmp/a.trc", "/tmp/b.trc"), share_files=True
         )
         assert point.config == build_sim_config(
             cache_mb=64, block_kb=8, ssd=True

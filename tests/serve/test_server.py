@@ -34,7 +34,6 @@ SWEEP_SPEC = {
 def cache_env(tmp_path, monkeypatch):
     """Isolate every on-disk cache the server tier can touch."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "results"))
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     return tmp_path
 
 
