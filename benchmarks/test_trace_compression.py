@@ -11,7 +11,6 @@ from conftest import once
 
 from repro.trace.packets import packet_overhead_ratio
 from repro.trace.procstat import collect_to_list
-from repro.trace.reconstruct import events_to_records
 from repro.trace.stats import measure_trace_sizes
 from repro.util.tables import TextTable
 
@@ -20,7 +19,7 @@ def test_trace_compression(benchmark, workloads):
     venus = workloads["venus"]
 
     def run():
-        records = list(events_to_records(e for e in _as_events(venus)))
+        records = list(venus.trace.to_records())
         return measure_trace_sizes(records)
 
     report = once(benchmark, run)

@@ -53,7 +53,7 @@ from repro.sim.procmodel import relabel_copies
 from repro.sim.system import simulate
 from repro.trace.array import TraceArray
 from repro.trace.io import read_trace_array
-from repro.util.errors import SweepCancelled, SweepError
+from repro.util.errors import SweepCancelled, SweepError, TraceFormatError
 from repro.util.rng import DEFAULT_SEED
 
 
@@ -142,7 +142,11 @@ class TraceFileSpec:
     def materialize(self) -> list[TraceArray]:
         traces = []
         for i, path in enumerate(self.paths):
-            trace = read_trace_array(path)
+            try:
+                trace = read_trace_array(path)
+            except TraceFormatError as exc:
+                # Name the file, as ``analyze`` does: "FILE: line N: ...".
+                raise TraceFormatError(f"{path}: {exc}") from exc
             if len(trace.process_ids()) != 1:
                 raise SweepError(f"{path}: need single-process traces")
             trace = trace.with_process_id(i + 1)

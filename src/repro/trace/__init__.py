@@ -5,7 +5,9 @@ Layers, bottom to top:
 * :mod:`repro.trace.flags` / :mod:`repro.trace.record` -- the
   ``iotrace.h`` record model.
 * :mod:`repro.trace.encode` / :mod:`repro.trace.decode` /
-  :mod:`repro.trace.io` -- the compressed ASCII on-disk format.
+  :mod:`repro.trace.io` -- the compressed ASCII on-disk format;
+  :mod:`repro.trace.digits` formats and parses its digits, and the
+  packet log's, a whole document at a time.
 * :mod:`repro.trace.array` -- columnar bulk representation used by
   analysis and simulation.
 * :mod:`repro.trace.packets` / :mod:`repro.trace.procstat` /

@@ -3,7 +3,8 @@
 The scalar decoder walks the trace line by line in Python; at a few
 million lines that loop dominates every cold trace load.  This module
 decodes the *whole document* with NumPy instead: one pass classifies
-bytes, one ``np.add.reduceat`` parses every integer token at once, and
+bytes, :func:`~repro.trace.digits.parse_digits` parses every integer
+token at once, and
 the omitted-field reconstruction (the format's per-file / per-process
 delta state) becomes grouped ffills and segmented cumsums over the
 parsed token table.
@@ -38,7 +39,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.trace import flags as F
-from repro.trace.array import TraceArray
+from repro.trace.array import TraceArray, group_order
+from repro.trace.digits import MAX_DIGITS, parse_digits
 
 _NL = 0x0A
 _SPACE = 0x20
@@ -57,10 +59,6 @@ _MAX_ABS = 1 << 45
 #: (Python ints are unbounded there, and the array build raises its own
 #: OverflowError exactly as before).
 _MAX_ACC = float(1 << 52)
-
-_POW10 = (10 ** np.arange(18, dtype=np.int64))
-_MAX_DIGITS = 18  # 10**18 - 1 < 2**63
-
 
 _UINT32_MAX = (1 << 32) - 1
 
@@ -234,36 +232,10 @@ def decode_document(buf: bytes):
         neg = ismin[ts]
         dig_start = ts + neg
         dig_len = dig_len - neg
-    if (dig_len > _MAX_DIGITS).any():
+    if (dig_len > MAX_DIGITS).any():
         return None
 
-    # -- integer parse, one digit-count class at a time: tokens of L
-    # digits evaluate by Horner's rule over L per-position gathers, so
-    # each digit is touched once and the largest temporary is one
-    # token-count int64 vector (a (k, L) window matrix costs ~2x more
-    # in allocator traffic alone).  Documents hold few distinct digit
-    # counts, so the outer loop runs a handful of times.
-    vals = np.empty(ts.size, dtype=np.int64)
-    # digit counts fit a byte, and numpy's stable argsort switches to
-    # radix sort (~6x faster than the int64 merge sort) at <= 16 bits
-    order = np.argsort(dig_len.astype(np.uint8), kind="stable")
-    dl_sorted = dig_len[order]
-    group_bounds = np.flatnonzero(dl_sorted[1:] != dl_sorted[:-1]) + 1
-    starts = np.concatenate((np.zeros(1, dtype=np.int64), group_bounds))
-    ends = np.concatenate((group_bounds, [dl_sorted.size]))
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        width = int(dl_sorted[s])
-        idx = order[s:e]
-        pos = dig_start[idx]
-        # <= 9 digits fits int32 (999_999_999 < 2**31): half the
-        # memory traffic for the overwhelmingly common short tokens.
-        acc = a[pos].astype(np.int32 if width <= 9 else np.int64)
-        acc -= _D0
-        for j in range(1, width):
-            acc *= 10
-            acc += a[pos + j]
-            acc -= _D0
-        vals[idx] = acc
+    vals = parse_digits(a, dig_start, dig_len)
     if neg is not None:
         np.negative(vals, out=vals, where=neg)
     if (np.abs(vals) > _MAX_ABS).any():
@@ -332,7 +304,7 @@ def decode_document(buf: bytes):
     process_id = pid_exp[_ffill_index(has_pid)]
 
     # -- fileId: previous record by this process (per-process ffill)
-    porder = _stable_group_sort(process_id)
+    porder = group_order(process_id)
     pid_s = process_id[porder]
     pgroup_start = np.empty(m, dtype=bool)
     pgroup_start[0] = True
@@ -364,7 +336,7 @@ def decode_document(buf: bytes):
 
     # -- per-file state: length / operationId ffill, offset by
     # sequential extension (anchor + sum of lengths since the anchor)
-    forder = _stable_group_sort(file_id)
+    forder = group_order(file_id)
     fid_f = file_id[forder]
     fgroup_start = np.empty(m, dtype=bool)
     fgroup_start[0] = True
@@ -449,18 +421,6 @@ def decode_document(buf: bytes):
         files,
     )
     return trace, state
-
-
-def _stable_group_sort(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of nonnegative group keys, radix-fast when small.
-
-    Same <= 16-bit radix trick as the digit-count sort: ids in real
-    traces are tiny, and the uint16 path is ~4x faster than the int64
-    merge sort.  Values are already range-checked nonnegative.
-    """
-    if keys.size and int(keys.max()) <= 0xFFFF:
-        return np.argsort(keys.astype(np.uint16), kind="stable")
-    return np.argsort(keys, kind="stable")
 
 
 def _ffill_index(present: np.ndarray) -> np.ndarray:

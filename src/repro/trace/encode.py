@@ -21,14 +21,33 @@ A line is the decimal fields in struct order, space separated::
     [operationId] [fileId] [processId] processTime
 
 Comment records are ``255`` followed by the comment text.
+
+Two encoders share this grammar.  :class:`TraceEncoder` is the
+streaming, per-record one.  :func:`encode_columns` encodes a whole trace
+over columns: the five omission flags and the two ``*_IN_BLOCKS`` flags
+come from grouped previous-row gathers (previous record of the same
+file, of the same process, of the trace), and
+:func:`~repro.trace.digits.format_rows` writes every digit in one pass.
+It accepts only nonnegative values below
+:data:`~repro.trace.array.SAFE_INT`, nondecreasing start times and no
+comment mid-stream, and returns None otherwise: the callers in
+:mod:`repro.trace.io` then run :class:`TraceEncoder` over the same
+records, so every error it raises, and the lines written before it,
+stay as they are.  Where both run, their bytes and
+:class:`EncoderStats` are identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.trace import flags as F
+from repro.trace.array import SAFE_INT, int_table, previous_in_group
+from repro.trace.digits import format_rows
 from repro.trace.record import AnyRecord, CommentRecord, TraceRecord
 from repro.util.errors import TraceFormatError
 
@@ -69,6 +88,11 @@ class EncoderStats:
             + self.omitted_operation_id
         )
         return omitted / self.records
+
+    def add(self, other: "EncoderStats") -> None:
+        """Count ``other``'s records and bytes in too."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class TraceEncoder:
@@ -199,3 +223,111 @@ def encode_records(
     """One-shot helper: encode all records and return the lines."""
     encoder = TraceEncoder(omit_operation_ids=omit_operation_ids)
     return list(encoder.encode_all(records))
+
+
+#: The fields of a :class:`TraceRecord`, in its order: the columns
+#: :func:`encode_columns` takes.
+RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
+
+_record_values = attrgetter(*RECORD_FIELDS)
+
+
+def record_columns(records: Sequence[AnyRecord]) -> list[np.ndarray] | None:
+    """The records' fields as :data:`RECORD_FIELDS` int64 columns.
+
+    None if one of them is a comment or holds a value beyond
+    :data:`~repro.trace.array.SAFE_INT`: :func:`encode_columns` would
+    refuse those anyway.
+    """
+    if set(map(type, records)) - {TraceRecord}:
+        return None
+    table = int_table(records, len(RECORD_FIELDS), get=_record_values)
+    if table.dtype == object:
+        return None
+    return [table[:, j] for j in range(len(RECORD_FIELDS))]
+
+
+def encode_columns(
+    columns: Sequence[np.ndarray], *, omit_operation_ids: bool = False
+) -> tuple[bytes, EncoderStats] | None:
+    """Encode a whole trace at once: its lines and the encoder's stats.
+
+    ``columns`` are int64 arrays in :data:`RECORD_FIELDS` order, rows in
+    trace order, exactly what :class:`TraceEncoder` would be fed record
+    by record from a fresh state.  Returns None -- the caller runs
+    :class:`TraceEncoder` instead -- when a value is negative or not
+    below :data:`~repro.trace.array.SAFE_INT`, a start time decreases
+    or a record type is the comment marker.
+    """
+    (record_type, offset, length, start, duration, operation, file_id,
+     process_id, process_time) = columns
+    n = record_type.size
+    stats = EncoderStats(records=n)
+    if n == 0:
+        return b"", stats
+    if any(col.min() < 0 or col.max() >= SAFE_INT for col in columns):
+        return None
+    if (record_type == F.TRACE_COMMENT).any():
+        return None
+    start_delta = np.diff(start, prepend=0)
+    if (start_delta < 0).any():
+        return None
+
+    # Compression context: the previous record of this file, of this
+    # process, and of the trace.
+    prev_file = previous_in_group(file_id)
+    seen = prev_file >= 0
+    prev = prev_file[seen]
+    omit_offset = np.zeros(n, dtype=bool)
+    omit_offset[seen] = offset[seen] == offset[prev] + length[prev]
+    omit_length = np.zeros(n, dtype=bool)
+    omit_length[seen] = length[seen] == length[prev]
+    if omit_operation_ids:
+        omit_operation = seen
+    else:
+        omit_operation = np.zeros(n, dtype=bool)
+        omit_operation[seen] = operation[seen] == operation[prev]
+    prev_proc = previous_in_group(process_id)
+    omit_file = (prev_proc >= 0) & (file_id[prev_proc] == file_id)
+    omit_process = np.zeros(n, dtype=bool)
+    omit_process[1:] = process_id[1:] == process_id[:-1]
+
+    block = F.TRACE_BLOCK_SIZE
+    offset_in_blocks = ~omit_offset & (offset % block == 0)
+    length_in_blocks = ~omit_length & (length % block == 0)
+    compression = (
+        offset_in_blocks * F.TRACE_OFFSET_IN_BLOCKS
+        | length_in_blocks * F.TRACE_LENGTH_IN_BLOCKS
+        | omit_length * F.TRACE_NO_LENGTH
+        | omit_process * F.TRACE_NO_PROCESSID
+        | omit_operation * F.TRACE_NO_OPERATIONID
+        | omit_offset * F.TRACE_NO_BLOCK
+        | omit_file * F.TRACE_NO_FILEID
+    )
+    document = format_rows(
+        [
+            record_type,
+            compression,
+            np.where(offset_in_blocks, offset // block, offset),
+            np.where(length_in_blocks, length // block, length),
+            start_delta,
+            duration,
+            operation,
+            file_id,
+            process_id,
+            process_time,
+        ],
+        [
+            None, None, ~omit_offset, ~omit_length, None, None,
+            ~omit_operation, ~omit_file, ~omit_process, None,
+        ],
+    )
+    stats.omitted_offset = int(omit_offset.sum())
+    stats.omitted_length = int(omit_length.sum())
+    stats.omitted_file_id = int(omit_file.sum())
+    stats.omitted_process_id = int(omit_process.sum())
+    stats.omitted_operation_id = int(omit_operation.sum())
+    stats.offset_in_blocks = int(offset_in_blocks.sum())
+    stats.length_in_blocks = int(length_in_blocks.sum())
+    stats.bytes_written = len(document)
+    return document, stats

@@ -8,17 +8,31 @@ into *packets*: one header (8 words) serving hundreds of per-I/O entries
 were force-flushed every hundred thousand I/Os so that a quiet file's
 events could not be delayed indefinitely.
 
-This module defines the packet objects and their text serialization; the
-collector lives in :mod:`repro.trace.procstat` and the stream
-reconstruction in :mod:`repro.trace.reconstruct`.
+This module defines the packet objects and their text serialization, the
+*packet log*; the collector lives in :mod:`repro.trace.procstat` and the
+stream reconstruction in :mod:`repro.trace.reconstruct`.
+
+The packet log is written and parsed as one document, with NumPy
+(:mod:`repro.trace.digits`), not a ``str()`` or ``int()`` per field.
+The parse accepts only the strict grammar :func:`dump_packets` writes;
+any other input -- blank lines, extra tokens, signs, tabs, an unknown
+tag, a truncated packet -- goes wholesale to the per-line loader, so its
+result and its every error, with its line number, are the per-line
+loader's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
+from repro.trace.array import int_table
+from repro.trace.digits import MAX_DIGITS, format_rows, parse_digits
 from repro.util.errors import TraceFormatError
 
 #: Packet header size, in 8-byte Cray words ("an 8 word header").
@@ -28,14 +42,18 @@ PACKET_HEADER_WORDS = 8
 ENTRY_WORDS = 4
 
 
-@dataclass(frozen=True, slots=True)
-class IOEvent:
+class IOEvent(NamedTuple):
     """One raw I/O event as seen by the library tracing hook.
 
     Unlike :class:`~repro.trace.record.TraceRecord`, times here are all
     absolute: the hook reads the wall-clock and process-clock registers
     directly; deltas are computed later when the standard trace is
     written.
+
+    A named tuple: immutable, hashed by value, built by the C tuple
+    constructor when the packet log is loaded, and iterable in field
+    order, so :func:`~repro.trace.array.int_table` reads a list of them
+    into columns in one pass.
     """
 
     record_type: int
@@ -96,9 +114,87 @@ def packet_overhead_ratio(packets: Iterable[TracePacket]) -> float:
 _PACKET_TAG = "P"
 _EVENT_TAG = "E"
 
+_NL = 0x0A
+_SPACE = 0x20
+
+#: Fields of an ``E`` line, as :class:`IOEvent` indexes: the packet
+#: header carries the file and process ids.
+_EVENT_LINE_FIELDS = [0, 3, 4, 5, 6, 7, 8]
+_PACKET_FIELDS = 5
+
+#: ``IOEvent`` from a tuple of its nine fields, without a Python frame.
+_new_event = partial(tuple.__new__, IOEvent)
+
 
 def dump_packets(path: str | Path, packets: Iterable[TracePacket]) -> None:
-    """Write a packet log file (one packet header line, then event lines)."""
+    """Write a packet log file (one packet header line, then event lines).
+
+    The log is formatted as one document; a log with a negative value or
+    one past int64 is written line by line instead, to the same bytes.
+    """
+    packets = list(packets)
+    document = _format_log(packets)
+    if document is None:
+        _dump_lines(path, packets)
+        return
+    with open(path, "wb") as fh:
+        fh.write(document)
+
+
+def _format_log(packets: list[TracePacket]) -> bytes | None:
+    """The whole log as one document; None if a value is negative or
+    beyond int64, which only the per-line writer formats."""
+    lines = _log_lines(packets)
+    if lines is None:
+        return None
+    columns, is_event = lines
+    present = [None] * _PACKET_FIELDS + [is_event] * (
+        len(_EVENT_LINE_FIELDS) - _PACKET_FIELDS
+    )
+    tags = np.where(is_event, ord(_EVENT_TAG), ord(_PACKET_TAG)).astype(np.uint8)
+    return format_rows(columns, present, tags)
+
+
+def _log_lines(
+    packets: list[TracePacket],
+) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """The log's lines as seven value columns (a ``P`` line fills the
+    first five) and the mask of its ``E`` lines.  The event table is
+    freed on return, before the document is formatted."""
+    counts = [len(p.events) for p in packets]
+    headers = int_table(
+        [
+            (p.sequence, p.flush_epoch, p.process_id, p.file_id, count)
+            for p, count in zip(packets, counts)
+        ],
+        _PACKET_FIELDS,
+    )
+    events = int_table(
+        list(chain.from_iterable(p.events for p in packets)), len(IOEvent._fields)
+    )
+    if headers.dtype == object or events.dtype == object:
+        return None
+    if (headers.size and headers.min() < 0) or (events.size and events.min() < 0):
+        return None
+    # Packet k's header is line k + (events before it); its events follow.
+    n_packets = len(packets)
+    n_lines = n_packets + len(events)
+    packet_of_event = np.repeat(np.arange(n_packets), counts)
+    event_lines = np.arange(len(events)) + packet_of_event + 1
+    is_event = np.zeros(n_lines, dtype=bool)
+    is_event[event_lines] = True
+    header_lines = np.flatnonzero(~is_event)
+    columns = []
+    for j, field_index in enumerate(_EVENT_LINE_FIELDS):
+        column = np.zeros(n_lines, dtype=np.int64)
+        column[event_lines] = events[:, field_index]
+        if j < _PACKET_FIELDS:
+            column[header_lines] = headers[:, j]
+        columns.append(column)
+    return columns, is_event
+
+
+def _dump_lines(path: str | Path, packets: list[TracePacket]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for p in packets:
             fh.write(
@@ -114,7 +210,116 @@ def dump_packets(path: str | Path, packets: Iterable[TracePacket]) -> None:
 
 
 def load_packets(path: str | Path) -> Iterator[TracePacket]:
-    """Stream packets back from a packet log file."""
+    """Stream packets back from a packet log file.
+
+    A log in the strict grammar is parsed as one document; anything
+    else is read line by line, which raises the
+    :class:`~repro.util.errors.TraceFormatError` (with its line number)
+    of the first malformed line.
+    """
+    with open(path, "rb") as fh:
+        fields = _log_fields(fh.read())
+    if fields is None:
+        yield from _load_lines(path)
+    else:
+        yield from _packets(*fields)
+
+
+def _log_fields(document: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(headers, events)`` of a log in the strict grammar, else None.
+
+    The grammar is what :func:`dump_packets` writes: every line is a
+    ``P`` or ``E`` tag, then five (``P``) or seven (``E``) unsigned
+    decimal fields of at most :data:`~repro.trace.digits.MAX_DIGITS`
+    digits, each after one space, then ``\\n``; the first line is a
+    ``P``, and each ``P`` line's count is the number of ``E`` lines up
+    to the next ``P``.  ``headers`` holds the ``P`` lines' fields, one
+    row each, and ``events`` the ``E`` lines'.  No Python object is
+    built per field, and at most three arrays the size of the document
+    are alive at once.
+    """
+    a = np.frombuffer(document, dtype=np.uint8)
+    if a.size == 0:
+        return np.zeros((0, _PACKET_FIELDS), np.int64), np.zeros((0, 7), np.int64)
+    if a[-1] != _NL:
+        return None
+    nl = np.flatnonzero(a == _NL)
+    line_starts = np.concatenate(([0], nl[:-1] + 1))
+    tags = a[line_starts]
+    is_packet = tags == ord(_PACKET_TAG)
+    if not is_packet[0] or not (is_packet | (tags == ord(_EVENT_TAG))).all():
+        return None
+    # Byte classes: a digit, a space, a newline or a line's tag.
+    is_digit = np.subtract(a, 0x30, dtype=np.uint8) < 10
+    is_space = a == _SPACE
+    valid = is_digit | is_space
+    valid[nl] = True
+    valid[line_starts] = True
+    if not valid.all():
+        return None
+    del valid
+    # Tag, then (space, digits)+, then newline: every tag and every
+    # space is followed by its kind of byte, every newline preceded by
+    # a digit.
+    spaces = np.flatnonzero(is_space)
+    if not (
+        is_space[line_starts + 1].all()
+        and is_digit[spaces + 1].all()
+        and is_digit[nl - 1].all()
+    ):
+        return None
+    del is_digit, is_space
+    # Each space starts a field, which ends at the next space of its
+    # line or, for a line's last field, at the newline.
+    fields_before_eol = np.searchsorted(spaces, nl)
+    counts = np.diff(fields_before_eol, prepend=0)
+    if not np.array_equal(
+        counts, np.where(is_packet, _PACKET_FIELDS, len(_EVENT_LINE_FIELDS))
+    ):
+        return None
+    ends = np.empty_like(spaces)
+    ends[:-1] = spaces[1:]
+    ends[fields_before_eol - 1] = nl
+    starts = spaces + 1
+    lengths = ends - starts
+    del spaces, ends
+    if (lengths > MAX_DIGITS).any():
+        return None
+    values = parse_digits(a, starts, lengths)
+    del starts, lengths
+
+    first = fields_before_eol - counts
+    headers = values[first[is_packet][:, None] + np.arange(_PACKET_FIELDS)]
+    packet_lines = np.flatnonzero(is_packet)
+    if not np.array_equal(np.diff(packet_lines, append=nl.size) - 1, headers[:, 4]):
+        return None
+    events = values[first[~is_packet][:, None] + np.arange(len(_EVENT_LINE_FIELDS))]
+    return headers, events
+
+
+def _packets(headers: np.ndarray, events: np.ndarray) -> list[TracePacket]:
+    """Packets from :func:`_log_fields`' tables: one ``IOEvent`` per row."""
+    sizes = headers[:, 4]
+    rt, op, off, length, start, dur, clock = (
+        events[:, j].tolist() for j in range(len(_EVENT_LINE_FIELDS))
+    )
+    file_ids = np.repeat(headers[:, 3], sizes).tolist()
+    process_ids = np.repeat(headers[:, 2], sizes).tolist()
+    event_list = list(
+        map(
+            _new_event,
+            zip(rt, file_ids, process_ids, op, off, length, start, dur, clock),
+        )
+    )
+    packets = []
+    end = 0
+    for seq, epoch, pid, fid, size in headers.tolist():
+        begin, end = end, end + size
+        packets.append(TracePacket(seq, epoch, pid, fid, event_list[begin:end]))
+    return packets
+
+
+def _load_lines(path: str | Path) -> Iterator[TracePacket]:
     with open(path, "r", encoding="ascii") as fh:
         current: TracePacket | None = None
         remaining = 0

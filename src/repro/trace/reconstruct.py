@@ -12,21 +12,36 @@ submitted at completion), but the log contract is the paper's bounded
 buffering requirement: **an event can never start earlier than the
 earliest start of any epoch that was completely flushed before it was
 submitted**.  Under that contract, sorting epoch-by-epoch with a
-carry-over buffer reproduces the full global sort exactly while holding
-only the events that can still be preceded -- typically one flush
-interval's worth, growing (and shrinking again) only when stragglers
-actually reach back further.  A log that violates the contract is
-detected and rejected rather than silently emitted out of order.
+carry-over buffer reproduces the full global sort exactly, and a log
+that violates the contract is detected and rejected rather than
+silently emitted out of order.
+
+The merge runs over columns: every event's fields are read into one
+integer table (:func:`~repro.trace.array.int_table`), and the epoch loop
+moves index arrays, one NumPy step per epoch rather than a Python step
+per event.  Its result is a permutation of the events, which
+:func:`iter_events_in_time_order`, :func:`reconstruct_records` and
+:func:`reconstruct_array` apply to the events, to trace records and to
+columns respectively.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.obs.registry import get_registry
-from repro.trace.array import TraceArray, TraceArrayBuilder
+from repro.trace import flags as F
+from repro.trace.array import TraceArray, int_table, previous_in_group
 from repro.trace.packets import IOEvent, TracePacket
 from repro.trace.record import TraceRecord
+
+# IOEvent field indexes in an int_table row.
+_RECORD_TYPE, _FILE, _PROCESS, _OPERATION = 0, 1, 2, 3
+_OFFSET, _LENGTH, _START, _DURATION, _CLOCK = 4, 5, 6, 7, 8
 
 
 def _sort_key(e: IOEvent) -> tuple[int, int]:
@@ -36,17 +51,19 @@ def _sort_key(e: IOEvent) -> tuple[int, int]:
 def global_sort_events(packets: Iterable[TracePacket]) -> list[IOEvent]:
     """Reference implementation: buffer *everything*, one stable sort.
 
-    Unbounded memory, trivially correct.  The streaming merge in
-    :func:`iter_events_in_time_order` is tested byte-identical against
-    this.
+    Trivially correct; the epoch merge behind
+    :func:`iter_events_in_time_order` is tested identical against it.
     """
     events = [e for p in packets for e in p.events]
     events.sort(key=_sort_key)
     return events
 
 
-def iter_events_in_time_order(packets: Iterable[TracePacket]) -> Iterator[IOEvent]:
-    """Yield all events of a packet log ordered by absolute start time.
+def _merge(
+    packets: Iterable[TracePacket],
+) -> tuple[list[IOEvent], np.ndarray, np.ndarray]:
+    """``(events, table, order)``: the log's events in encounter order,
+    their :func:`int_table`, and the permutation that time-orders them.
 
     Epoch-by-epoch merge with carry-over: when an epoch is fully read,
     every buffered event that starts strictly before the earliest start
@@ -54,119 +71,199 @@ def iter_events_in_time_order(packets: Iterable[TracePacket]) -> Iterator[IOEven
     past that watermark (boundary ties, stragglers) are carried over --
     across as many epochs as it takes.  Ties on start time are broken by
     operation id, and equal keys keep packet-log encounter order, so the
-    output is byte-identical to :func:`global_sort_events`.
+    order is exactly :func:`global_sort_events`'.
 
     Raises ``ValueError`` if the packets are not in emission order or if
     an event arrives so late that emitted output would be out of order
-    (a violation of the collector's bounded-buffering contract).
+    (a violation of the collector's bounded-buffering contract), at the
+    packet where the per-event merge would have found it.
     """
+    packets = packets if isinstance(packets, list) else list(packets)
+    events = list(chain.from_iterable(p.events for p in packets))
+    table = int_table(events, len(IOEvent._fields))
+    start = table[:, _START]
+    operation = table[:, _OPERATION]
+
+    def key(i: int) -> tuple[int, int]:
+        return (start[i], operation[i])
+
+    def time_ordered(idx: np.ndarray) -> np.ndarray:
+        # lexsort is stable: equal keys keep encounter order
+        return idx[np.lexsort((operation[idx], start[idx]))]
+
+    # One (epoch, first event, end) run per maximal stretch of packets
+    # sharing an epoch, up to the first packet whose epoch goes back.
+    runs: list[list[int]] = []
+    bad_order = False
+    end = 0
+    for p in packets:
+        begin, end = end, end + len(p.events)
+        if runs and p.flush_epoch == runs[-1][0]:
+            runs[-1][2] = end
+        elif runs and p.flush_epoch < runs[-1][0]:
+            bad_order = True
+            break
+        else:
+            runs.append([p.flush_epoch, begin, end])
+
     reg = get_registry()
-    g_carry = reg.gauge("trace.reconstruct.carryover_peak")
-    c_epochs = reg.counter("trace.reconstruct.epochs_merged")
-    c_carried = reg.counter("trace.reconstruct.events_carried_over")
-
-    pending: list[IOEvent] = []  # completed epochs, encounter order
-    epoch_events: list[IOEvent] = []  # the epoch currently being read
-    current_epoch: int | None = None
+    transitions = carried = carry_peak = 0
+    pending = np.zeros(0, dtype=np.intp)  # completed epochs, encounter order
+    emitted: list[np.ndarray] = []
     last_key: tuple[int, int] | None = None
-
-    for packet in packets:
-        if current_epoch is None:
-            current_epoch = packet.flush_epoch
-        elif packet.flush_epoch < current_epoch:
+    try:
+        for k, (_, begin, end) in enumerate(runs):
+            if k:
+                # Epoch boundary: run k-1 is fully read.  Its earliest
+                # start is the watermark below which nothing can arrive.
+                transitions += 1
+                prev_begin, prev_end = runs[k - 1][1:]
+                if prev_end > prev_begin:
+                    boundary = start[prev_begin:prev_end].min()
+                    due = start[pending] < boundary
+                    ready = time_ordered(pending[due])
+                    if ready.size:
+                        if last_key is not None and key(ready[0]) < last_key:
+                            first = events[ready[0]]
+                            raise ValueError(
+                                "packet log violates the bounded-buffering "
+                                f"contract: event {first.operation_id} at "
+                                f"t={first.start_time} surfaced after later "
+                                "events were already final"
+                            )
+                        pending = pending[~due]
+                        last_key = key(ready[-1])
+                        emitted.append(ready)
+                    carried += pending.size
+                    pending = np.concatenate(
+                        (pending, np.arange(prev_begin, prev_end, dtype=np.intp))
+                    )
+            # The buffer is largest after the run's last packet.
+            carry_peak = max(carry_peak, pending.size + end - begin)
+        if bad_order:
             raise ValueError("packet log is not in emission order")
-        elif packet.flush_epoch > current_epoch:
-            # Epoch boundary: `current_epoch` is fully read.  Its
-            # earliest start is the watermark below which nothing can
-            # arrive any more.
-            c_epochs.inc()
-            if epoch_events:
-                boundary = min(e.start_time for e in epoch_events)
-                ready = sorted(
-                    (e for e in pending if e.start_time < boundary),
-                    key=_sort_key,
-                )
-                if ready:
-                    if last_key is not None and _sort_key(ready[0]) < last_key:
-                        raise ValueError(
-                            "packet log violates the bounded-buffering "
-                            f"contract: event {ready[0].operation_id} at "
-                            f"t={ready[0].start_time} surfaced after later "
-                            "events were already final"
-                        )
-                    pending = [e for e in pending if e.start_time >= boundary]
-                    last_key = _sort_key(ready[-1])
-                    yield from ready
-                c_carried.inc(len(pending))
-                pending.extend(epoch_events)
-                epoch_events = []
-            current_epoch = packet.flush_epoch
-        epoch_events.extend(packet.events)
-        g_carry.set_max(len(pending) + len(epoch_events))
+    finally:
+        # Counted up to where the log was found at fault, as per event.
+        if reg.enabled:
+            reg.gauge("trace.reconstruct.carryover_peak").set_max(carry_peak)
+            reg.counter("trace.reconstruct.epochs_merged").inc(transitions)
+            reg.counter("trace.reconstruct.events_carried_over").inc(carried)
 
-    pending.extend(epoch_events)
-    pending.sort(key=_sort_key)
-    if pending and last_key is not None and _sort_key(pending[0]) < last_key:
-        raise ValueError(
-            "packet log violates the bounded-buffering contract: final "
-            "epoch reaches back before already-emitted events"
+    if runs:
+        begin, end = runs[-1][1:]
+        pending = time_ordered(
+            np.concatenate((pending, np.arange(begin, end, dtype=np.intp)))
         )
-    yield from pending
-
-
-def events_to_records(events: Iterable[IOEvent]) -> Iterator[TraceRecord]:
-    """Convert absolute-clock events into trace records (delta clocks).
-
-    Events must already be in global time order; the per-process CPU-clock
-    deltas (the format's ``processTime``) are computed here.
-    """
-    last_clock: dict[int, int] = {}
-    for e in events:
-        prev = last_clock.get(e.process_id, 0)
-        delta = e.process_clock - prev
-        if delta < 0:
+        if pending.size and last_key is not None and key(pending[0]) < last_key:
             raise ValueError(
-                f"process {e.process_id} CPU clock went backwards "
-                f"({prev} -> {e.process_clock})"
+                "packet log violates the bounded-buffering contract: final "
+                "epoch reaches back before already-emitted events"
             )
-        last_clock[e.process_id] = e.process_clock
-        yield TraceRecord(
-            record_type=e.record_type,
-            offset=e.offset,
-            length=e.length,
-            start_time=e.start_time,
-            duration=e.duration,
-            operation_id=e.operation_id,
-            file_id=e.file_id,
-            process_id=e.process_id,
-            process_time=delta,
-        )
+        emitted.append(pending)
+    order = np.concatenate(emitted) if emitted else np.zeros(0, dtype=np.intp)
+    return events, table, order
+
+
+def iter_events_in_time_order(packets: Iterable[TracePacket]) -> Iterator[IOEvent]:
+    """Yield all events of a packet log ordered by absolute start time.
+
+    Ties on start time are broken by operation id, and equal keys keep
+    packet-log encounter order: the output is identical to
+    :func:`global_sort_events`.  The errors are :func:`_merge`'s.
+    """
+    events, _, order = _merge(packets)
+    yield from map(events.__getitem__, order.tolist())
+
+
+def _clock_deltas(process: np.ndarray, clock: np.ndarray) -> np.ndarray:
+    """Each row's process-clock delta since its process's previous row
+    (the format's ``processTime``); a process's first row counts from 0."""
+    prev = previous_in_group(process)
+    return clock - np.where(prev >= 0, clock[prev], 0)
+
+
+def _backwards(
+    process: np.ndarray, clock: np.ndarray, deltas: np.ndarray, row: int
+) -> ValueError:
+    return ValueError(
+        f"process {process[row]} CPU clock went backwards "
+        f"({clock[row] - deltas[row]} -> {clock[row]})"
+    )
+
+
+#: ``TraceRecord``'s positional fields before ``process_time``, as
+#: IOEvent field indexes.
+_RECORD_FIELDS = (
+    _RECORD_TYPE, _OFFSET, _LENGTH, _START, _DURATION, _OPERATION, _FILE, _PROCESS,
+)
+
+
+def _record_list(events: Sequence[IOEvent], deltas: np.ndarray) -> list[TraceRecord]:
+    # Fields are the events' own int objects, as a record built from
+    # an event's attributes holds; only the deltas are new.
+    columns = (map(itemgetter(j), events) for j in _RECORD_FIELDS)
+    return list(map(TraceRecord, *columns, deltas.tolist()))
+
+
+def events_to_array(events: Sequence[IOEvent]) -> TraceArray:
+    """Time-ordered events as a columnar trace.
+
+    What generation yields: the trace of the records the events make
+    (process clocks as per-process deltas, as
+    :func:`reconstruct_records` computes them) and their first error,
+    without a record object per event.  A backwards process clock and
+    the fields a :class:`~repro.trace.record.TraceRecord` rejects are
+    found over the columns, and the row at fault is rebuilt as a record
+    only to raise that record's own error.  A value that does not fit
+    its column raises as in :meth:`TraceArray.from_records`.
+    """
+    table = int_table(events, len(IOEvent._fields))
+    process, clock = table[:, _PROCESS], table[:, _CLOCK]
+    deltas = _clock_deltas(process, clock)
+    backwards = deltas < 0
+    bad = np.flatnonzero(
+        backwards
+        | (table[:, _RECORD_TYPE] == F.TRACE_COMMENT)
+        | (table[:, _OFFSET] < 0)
+        | (table[:, _LENGTH] < 0)
+        | (table[:, _DURATION] < 0)
+    )
+    if bad.size:
+        row = int(bad[0])
+        if backwards[row]:
+            raise _backwards(process, clock, deltas, row)
+        _record_list(events[row : row + 1], deltas[row : row + 1])  # raises
+    # The clock column is already what from_records integrates the
+    # deltas back into.
+    return TraceArray.from_table(table)
 
 
 def reconstruct_records(packets: Iterable[TracePacket]) -> list[TraceRecord]:
-    """Packet log -> time-ordered list of trace records."""
-    return list(events_to_records(iter_events_in_time_order(packets)))
+    """Packet log -> time-ordered list of trace records.
+
+    Each record's ``process_time`` is its clock delta since the same
+    process's previous record.  Raises the first error in time order: a
+    process clock going backwards, or a field
+    :class:`~repro.trace.record.TraceRecord` rejects.
+    """
+    events, table, order = _merge(packets)
+    ordered = list(map(events.__getitem__, order.tolist()))
+    process, clock = table[order, _PROCESS], table[order, _CLOCK]
+    deltas = _clock_deltas(process, clock)
+    bad = np.flatnonzero(deltas < 0)
+    stop = int(bad[0]) if bad.size else len(ordered)
+    records = _record_list(ordered[:stop], deltas[:stop])
+    if bad.size:
+        raise _backwards(process, clock, deltas, stop)
+    return records
 
 
 def reconstruct_array(packets: Iterable[TracePacket]) -> TraceArray:
     """Packet log -> columnar trace.
 
-    Streams the time-ordered events straight into a
-    :class:`TraceArrayBuilder` (events carry absolute process clocks, so
-    no delta integration is needed here).
+    Events carry absolute process clocks, so the merged table is the
+    trace as it stands; a value that does not fit its column raises
+    NumPy's ``OverflowError`` for the first such value column by column.
     """
-    builder = TraceArrayBuilder()
-    append = builder.append
-    for e in iter_events_in_time_order(packets):
-        append(
-            e.record_type,
-            e.file_id,
-            e.process_id,
-            e.operation_id,
-            e.offset,
-            e.length,
-            e.start_time,
-            e.duration,
-            e.process_clock,
-        )
-    return builder.build()
+    _, table, order = _merge(packets)
+    return TraceArray.from_table(table[order], row_major=False)

@@ -28,7 +28,7 @@ from repro.runtime.tracer import LibraryTracer
 from repro.trace.array import TraceArray
 from repro.trace.procstat import ProcstatCollector
 from repro.trace.record import CommentRecord
-from repro.trace.reconstruct import events_to_records
+from repro.trace.reconstruct import events_to_array
 from repro.util.errors import CalibrationError
 from repro.util.rng import DEFAULT_SEED, derive_rng
 from repro.workloads.catalog import PaperAppRow, paper_row
@@ -114,7 +114,7 @@ class ApplicationModel(ABC):
         rt.wait_all()
         tracer.close()
         if collector is None:
-            trace = TraceArray.from_records(events_to_records(tracer.events))
+            trace = events_to_array(tracer.events)
         else:
             trace = TraceArray.empty()
         return GeneratedWorkload(

@@ -210,6 +210,7 @@ class TestTraceFileErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "line 1: record truncated" in err
+        assert str(malformed) in err
 
 
 class TestSweepCommand:

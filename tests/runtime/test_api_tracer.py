@@ -9,7 +9,7 @@ from repro.runtime.tracer import LibraryTracer
 from repro.trace import flags as F
 from repro.trace.procstat import ProcstatCollector
 from repro.trace.record import parse_file_name_comment
-from repro.trace.reconstruct import events_to_records
+from repro.trace.reconstruct import events_to_array
 from repro.trace.validate import validate_records
 from repro.util.errors import RuntimeAPIError
 
@@ -227,6 +227,6 @@ class TestTracing:
         rt.seek(fd, 0)
         out = rt.open("out", create=True)
         rt.write(out, 8192)
-        records = list(events_to_records(rt.tracer.events))
+        records = list(events_to_array(rt.tracer.events).to_records())
         report = validate_records(records)
         assert report.ok, report.problems

@@ -18,9 +18,10 @@ from repro.trace.packets import IOEvent, TracePacket
 from repro.trace.procstat import collect_to_list
 from repro.trace.reconstruct import (
     _sort_key,
-    events_to_records,
+    events_to_array,
     global_sort_events,
     iter_events_in_time_order,
+    reconstruct_records,
 )
 
 
@@ -200,8 +201,8 @@ class TestByteIdentity:
         streaming = merged(packets)
         reference = global_sort_events(packets)
         assert streaming == reference
-        stream_bytes = repr(list(events_to_records(streaming))).encode()
-        ref_bytes = repr(list(events_to_records(reference))).encode()
+        stream_bytes = repr(reconstruct_records(packets)).encode()
+        ref_bytes = repr(list(events_to_array(reference).to_records())).encode()
         assert stream_bytes == ref_bytes
 
     @settings(max_examples=60, deadline=None)
