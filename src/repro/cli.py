@@ -27,15 +27,7 @@ Usage (``python -m repro <command>``):
 * ``profile EXPID [--metrics-out FILE] [--events-out FILE]`` -- run one
   experiment with the observability registry enabled and render the
   per-subsystem metrics report (cache hit rates, per-device busy time,
-  scheduler activity, engine event counts);
-* ``bench [--quick] [--out FILE] [--baseline FILE]
-  [--max-regression F] [--repeats N] [--profile]`` -- run the perf
-  microbenchmark suite (engine events/s, cache ops/s, decode MB/s,
-  Figure-8 sweep wall-clock) and write ``BENCH_sim.json``; with
-  ``--baseline`` the exit status reflects whether any benchmark
-  regressed beyond the threshold (see ``docs/PERFORMANCE.md``); with
-  ``--profile`` each section is run under cProfile and per-section
-  top-30 cumulative stats land in ``BENCH_profile.txt``.
+  scheduler activity, engine event counts).
 
 ``simulate`` and ``run`` also accept ``--metrics-out FILE`` to dump the
 same metrics as JSONL without the full profile report.
@@ -116,11 +108,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     processes whose registries cannot flow back, and profiling wants the
     complete picture of one serial execution.
     """
-    sink = (
-        JsonlEventSink(args.events_out, buffer_events=args.event_buffer)
-        if args.events_out
-        else None
-    )
+    sink = JsonlEventSink(args.events_out) if args.events_out else None
     registry = MetricsRegistry(event_sink=sink)
     study = Study(scale=args.scale, jobs=1)
     try:
@@ -213,14 +201,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = build_sim_config(
-        cache_mb=args.cache_mb,
-        block_kb=args.block_kb,
-        ssd=args.ssd,
-        read_ahead=not args.no_read_ahead,
-        write_behind=not args.no_write_behind,
-        n_cpus=args.cpus,
-    )
+    try:
+        config = build_sim_config(
+            cache_mb=args.cache_mb,
+            block_kb=args.block_kb,
+            ssd=args.ssd,
+            read_ahead=not args.no_read_ahead,
+            write_behind=not args.no_write_behind,
+            n_cpus=args.cpus,
+        )
+    except ValueError as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
+        return 2
     if args.faults and args.fault_plan:
         print("use either --faults or --fault-plan, not both", file=sys.stderr)
         return 2
@@ -274,6 +266,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ssd=args.ssd,
             n_cpus=args.cpus,
         )
+        points = grid.points()
     except ValueError as exc:
         print(f"bad grid: {exc}", file=sys.stderr)
         return 2
@@ -296,7 +289,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     runner = SweepRunner(jobs=jobs, cache=result_cache)
     t0 = time.perf_counter()
     try:
-        results = runner.run(grid.points())
+        results = runner.run(points)
     except SweepError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -387,10 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--events-out", default=None,
         help="stream structured events (spans, simulations) as JSONL",
-    )
-    p_prof.add_argument(
-        "--event-buffer", type=int, default=512,
-        help="event sink buffer size (events per batched flush)",
     )
     p_prof.add_argument(
         "--metrics-only", action="store_true",
@@ -519,88 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds shutdown waits for running jobs before cancelling",
     )
 
-    p_bench = sub.add_parser(
-        "bench", help="run the perf microbenchmark suite"
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="smaller workloads for CI smoke runs",
-    )
-    p_bench.add_argument(
-        "--out", default="BENCH_sim.json",
-        help="where to write the JSON payload (default: BENCH_sim.json)",
-    )
-    p_bench.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="compare against a committed baseline payload "
-        "(e.g. benchmarks/perf/baseline.json); exit 1 on regression",
-    )
-    p_bench.add_argument(
-        "--max-regression", type=float, default=0.25,
-        help="allowed fractional regression vs the baseline (default 0.25)",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=1,
-        help="run each benchmark N times, keep the best (default 1)",
-    )
-    p_bench.add_argument(
-        "--jobs", type=_positive_int, default=None,
-        help="worker processes for the Figure-8 sweep benchmark",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="wrap each section in cProfile and write per-section "
-        "top-30 cumulative stats to BENCH_profile.txt (timings then "
-        "include profiler overhead; baseline comparison is refused)",
-    )
-
     p_fig = sub.add_parser("figures", help="render the figures to SVG+CSV")
     p_fig.add_argument("--out", default="figures")
     p_fig.add_argument("--scale", type=float, default=None)
     return parser
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        compare_to_baseline,
-        load_baseline,
-        render_table,
-        run_suite,
-        write_payload,
-    )
-
-    payload = run_suite(
-        quick=args.quick, jobs=args.jobs or 1,
-        repeats=args.repeats,
-        profile_to="BENCH_profile.txt" if args.profile else None,
-    )
-    print(render_table(payload))
-    path = write_payload(payload, args.out)
-    print(f"wrote {path}")
-    if args.profile:
-        print(f"wrote {payload['profile']}")
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"bad baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            problems = compare_to_baseline(
-                payload, baseline, max_regression=args.max_regression
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"no regression vs {args.baseline} "
-            f"(threshold {args.max_regression:.0%})"
-        )
-    return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -621,7 +532,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
     "serve": _cmd_serve,
-    "bench": _cmd_bench,
     "figures": _cmd_figures,
 }
 

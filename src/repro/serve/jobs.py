@@ -223,11 +223,11 @@ def _sweep_points(spec: dict) -> list[SweepPointSpec]:
             ssd=bool(spec.get("ssd", False)),
             n_cpus=int(spec.get("cpus", 1)),
         )
+        return grid.points()
     except JobSpecError:
         raise
     except (TypeError, ValueError) as exc:
         raise JobSpecError(f"bad sweep grid: {exc}") from exc
-    return grid.points()
 
 
 _KINDS = {"simulate": _simulate_points, "sweep": _sweep_points}

@@ -97,9 +97,18 @@ class CacheConfig:
     hit_setup_s: float = 0.0
     hit_per_kb_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.block_bytes <= 0:
+            raise ValueError(f"block_bytes must be > 0: {self.block_bytes}")
+        if self.size_bytes < self.block_bytes:
+            raise ValueError(
+                f"size_bytes must be >= block_bytes ({self.block_bytes}): "
+                f"{self.size_bytes}"
+            )
+
     @property
     def n_blocks(self) -> int:
-        return max(1, self.size_bytes // self.block_bytes)
+        return self.size_bytes // self.block_bytes
 
     def hit_penalty_s(self, nbytes: int) -> float:
         if self.hit_setup_s == 0.0 and self.hit_per_kb_s == 0.0:
@@ -280,6 +289,10 @@ class SchedulerConfig:
     #: the trace's own process-time deltas (which already include the
     #: traced system's library path); default 0 to avoid double counting.
     fs_overhead_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.n_cpus < 1:
+            raise ValueError(f"n_cpus must be >= 1: {self.n_cpus}")
 
     def to_dict(self) -> dict:
         """Deterministic plain-dict form (stable field order)."""

@@ -213,6 +213,39 @@ class TestTraceFileErrors:
         assert str(malformed) in err
 
 
+class TestConfigRange:
+    """An out-of-range cache geometry or CPU count is one stderr line
+    naming the value and exit 2, before anything runs."""
+
+    @pytest.mark.parametrize(
+        "flags, field, value",
+        [
+            (["--cache-mb", "-4"], "size_bytes", -4194304),
+            (["--cache-mb", "0"], "size_bytes", 0),
+            (["--block-kb", "0"], "block_bytes", 0),
+            (["--cpus", "0"], "n_cpus", 0),
+        ],
+        ids=["cache-mb-neg", "cache-mb-0", "block-kb-0", "cpus-0"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_rejected_before_running(
+        self, command, flags, field, value, tmp_path, capsys
+    ):
+        results = tmp_path / "results"
+        argv = {
+            "simulate": ["simulate", str(tmp_path / "absent.trace")],
+            "sweep": [
+                "sweep", "--scale", "0.05", "--cache-mb", "8", "--block-kb", "4",
+                "--jobs", "1", "--cache-dir", str(results),
+            ],
+        }[command]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert field in err and err.endswith(f": {value}\n")
+        assert not results.exists()
+
+
 class TestSweepCommand:
     def test_cache_dir_rerun_from_cache_and_no_cache_recomputes(
         self, tmp_path, monkeypatch, capsys
@@ -239,7 +272,7 @@ class TestJobsOption:
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize(
         "argv",
-        [["run", "fig8"], ["sweep"], ["bench"]],
+        [["run", "fig8"], ["sweep"]],
         ids=lambda argv: argv[0],
     )
     def test_nonpositive_jobs_is_a_usage_error(self, argv, value, capsys):

@@ -10,9 +10,13 @@ To regenerate after an intentional model change::
 
     PYTHONPATH=src python -m pytest tests/integration/test_golden_tables.py \\
         --update-golden
+
+The rows digest of the full quick Fig-8 grid is pinned inline instead,
+and ``--update-golden`` never rewrites it.
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -92,3 +96,13 @@ def test_fig8_curve_golden(update_golden):
         {"seed": SEED, "scale": 0.05, "points": curve},
         update_golden,
     )
+
+
+def test_fig8_rows_digest_fixed_point():
+    # The whole quick Figure 8 grid (14 points), digested as perfbench's
+    # ``fig8_rows_digest`` does: the fixed point a behaviour-preserving
+    # change must hold.
+    points = cache_size_sweep(scale=0.05, seed=SEED, jobs=1)
+    rows = [(p.cache_mb, p.block_kb, p.idle_seconds, p.hit_fraction) for p in points]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == "34f8938cf206aa41"

@@ -8,6 +8,14 @@ from repro.serve.jobs import JobSpecError, JobState, parse_job, MAX_RUNNER_JOBS
 from repro.util.rng import DEFAULT_SEED
 
 
+#: Out-of-range cache geometry and CPU counts, with the error naming each.
+OUT_OF_RANGE = [
+    ({"block_kb": 0}, "block_bytes must be > 0: 0"),
+    ({"cache_mb": -4}, "size_bytes must be >= block_bytes"),
+    ({"cpus": 0}, "n_cpus must be >= 1: 0"),
+]
+
+
 def sweep_body(**spec):
     return {"kind": "sweep", "spec": spec}
 
@@ -61,6 +69,9 @@ class TestSweepSpec:
             parse_job(sweep_body(cache_mb="four,eight"), "j000001")
         with pytest.raises(JobSpecError, match="read_ahead"):
             parse_job(sweep_body(read_ahead="maybe"), "j000001")
+        for spec, named in OUT_OF_RANGE:
+            with pytest.raises(JobSpecError, match=named):
+                parse_job(sweep_body(**spec), "j000001")
 
 
 class TestSimulateSpec:
@@ -106,6 +117,14 @@ class TestSimulateSpec:
                 },
                 "j000004",
             )
+
+    @pytest.mark.parametrize(
+        "spec, named", OUT_OF_RANGE, ids=["block-kb-0", "cache-mb-neg", "cpus-0"]
+    )
+    def test_out_of_range_config_rejected(self, spec, named):
+        body = {"kind": "simulate", "spec": {"traces": ["/t"], **spec}}
+        with pytest.raises(JobSpecError, match=named):
+            parse_job(body, "j000006")
 
     def test_traces_required(self):
         with pytest.raises(JobSpecError, match="traces"):
