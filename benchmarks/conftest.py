@@ -5,19 +5,14 @@ benches, so the seven traces are generated once per session.  Scales are
 chosen so every application runs at least four cycles (rates, access
 sizes and cyclic structure are scale-invariant; totals get extrapolated).
 
-The sweep-shaped benches run through one shared :class:`SweepRunner`:
-
-* ``REPRO_JOBS=8`` fans their points over worker processes (the numbers
-  are identical at any worker count, so assertions never change);
-* ``REPRO_RESULT_CACHE=/some/dir`` memoizes results on disk so a rerun
-  of the benchmark suite skips every already-simulated point.
+The sweep-shaped benches run through one shared, uncached
+:class:`SweepRunner`; ``REPRO_JOBS=8`` fans their points over worker
+processes (the numbers are identical at any worker count, so assertions
+never change).
 """
-
-import os
 
 import pytest
 
-from repro.exec.cache import ResultCache
 from repro.exec.runner import SweepRunner, resolve_jobs
 from repro.sim.procmodel import relabel_copies
 from repro.workloads import APP_NAMES, generate_workload
@@ -58,12 +53,9 @@ def sweep_runner():
     """One SweepRunner shared by every sweep-shaped bench.
 
     Serial by default so timings stay meaningful; ``REPRO_JOBS`` opts
-    into worker processes and ``REPRO_RESULT_CACHE`` memoizes results on
-    disk.
+    into worker processes.  No result cache: every point simulates.
     """
-    cache_dir = os.environ.get("REPRO_RESULT_CACHE", "").strip()
-    cache = ResultCache(cache_dir) if cache_dir else None
-    return SweepRunner(jobs=resolve_jobs(None, default=1), cache=cache)
+    return SweepRunner(jobs=resolve_jobs(None, default=1))
 
 
 def once(benchmark, fn):

@@ -7,8 +7,7 @@
 * scheduler quantum sensitivity (the simulator parameter 6.1 exposes).
 
 The parameter grids run through the shared session SweepRunner, so
-``REPRO_JOBS`` parallelizes them and ``REPRO_RESULT_CACHE`` lets a rerun
-skip every already-simulated point.
+``REPRO_JOBS`` parallelizes them.
 """
 
 from conftest import BENCH_SCALES, once

@@ -19,9 +19,8 @@ small-memory jobs wait in shorter queues and start sooner.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.errors import SimulationError
 

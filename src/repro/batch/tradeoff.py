@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.batch.queues import BatchSimulator, Job, JobOutcome
 from repro.util.rng import derive_rng
 

@@ -9,6 +9,7 @@ and derived seeds never depend on argument order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exec.runner import AppWorkloadSpec, PointResult, SweepPointSpec
@@ -35,7 +36,11 @@ def build_sim_config(
     grid and the sweep server all build configs here, which is what
     guarantees a job submitted over HTTP produces the *same* point key
     -- and therefore the same cached result and digest -- as the CLI.
+    A non-finite size raises :class:`ValueError` naming the field.
     """
+    for name, value in (("cache_mb", cache_mb), ("block_kb", block_kb)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: {value}")
     kwargs = dict(
         block_bytes=int(block_kb * KB),
         read_ahead=read_ahead,

@@ -9,9 +9,9 @@ tape library which requires operator intervention."
 The buffering study (section 6) sits above this layer, but a production
 file's life starts here: before a job can stream its data set at disk
 speed, the data must be *staged in* through a small number of tape
-drives.  This package models that hierarchy -- residence levels, a
-drive-limited staging queue, and an idle-time migration policy -- so the
-whole disk/SSD/tape pyramid of section 2.2 is executable.
+drives.  This package models that hierarchy -- residence levels and a
+drive-limited staging queue -- so the whole disk/SSD/tape pyramid of
+section 2.2 is executable.
 """
 
 from repro.mss.hierarchy import (
@@ -21,7 +21,6 @@ from repro.mss.hierarchy import (
     MSSConfig,
     StageRequest,
 )
-from repro.mss.migration import MigrationPolicy, MigrationReport
 
 __all__ = [
     "DriveStats",
@@ -29,6 +28,4 @@ __all__ = [
     "MassStorageSystem",
     "MSSConfig",
     "StageRequest",
-    "MigrationPolicy",
-    "MigrationReport",
 ]

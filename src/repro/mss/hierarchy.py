@@ -17,7 +17,7 @@ the buffering simulator uses.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -90,7 +90,6 @@ class DriveStats:
 class _FileState:
     level: Level
     size_bytes: int
-    last_access: float = 0.0
 
 
 class MassStorageSystem:
@@ -144,7 +143,7 @@ class MassStorageSystem:
         if self._disk_used + size > self.config.disk_capacity_bytes:
             raise SimulationError(
                 f"online disk full: need {size} bytes, "
-                f"{self.disk_free_bytes} free (migrate something out)"
+                f"{self.disk_free_bytes} free"
             )
         self._disk_used += size
 
@@ -156,7 +155,6 @@ class MassStorageSystem:
         disk-resident file (``on_ready`` is then called synchronously).
         """
         state = self._state(file_id)
-        state.last_access = self.engine.now
         if state.level is Level.DISK:
             on_ready()
             return None
@@ -205,21 +203,3 @@ class MassStorageSystem:
         if request.on_done is not None:
             request.on_done()
         self._dispatch()
-
-    # -- migration hook --------------------------------------------------------
-    def migrate_out(self, file_id: int, to: Level = Level.NEARLINE) -> None:
-        """Demote a disk-resident file (frees online capacity).
-
-        Writing the tape copy is assumed to happen lazily off the
-        critical path, as real MSS migration daemons do.
-        """
-        if to is Level.DISK:
-            raise SimulationError("migrate_out target must be tape")
-        state = self._state(file_id)
-        if state.level is not Level.DISK:
-            raise SimulationError(f"file {file_id} is not on disk")
-        state.level = to
-        self._disk_used -= state.size_bytes
-
-    def last_access(self, file_id: int) -> float:
-        return self._state(file_id).last_access

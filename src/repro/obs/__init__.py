@@ -10,7 +10,7 @@ The default registry is disabled and near-zero-cost; ``python -m repro
 profile <experiment>`` installs an enabled one and renders the report.
 """
 
-from repro.obs.events import JsonlEventSink, TeeEventSink, read_events
+from repro.obs.events import JsonlEventSink, read_events
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -32,7 +32,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "Span",
-    "TeeEventSink",
     "get_registry",
     "metrics_to_jsonl",
     "read_events",

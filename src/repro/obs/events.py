@@ -77,53 +77,6 @@ class JsonlEventSink:
         self.close()
 
 
-class TeeEventSink:
-    """Fan one event stream out to several sinks.
-
-    A *sink* is anything with ``emit(kind, **fields)``; ``flush`` and
-    ``close`` are optional and forwarded when present.  The sweep server
-    uses this to feed one job's events both to its per-job server-sent
-    event stream and to an on-disk :class:`JsonlEventSink` at the same
-    time; ``repro profile`` stays a single plain sink.
-
-    The tee does not own its children's lifecycles beyond forwarding:
-    ``close`` closes every child that has a ``close``, and keeps going
-    past a failing child so one broken sink never silences the rest.
-    """
-
-    def __init__(self, *sinks):
-        self.sinks = tuple(sinks)
-
-    def emit(self, kind: str, **fields) -> None:
-        for sink in self.sinks:
-            sink.emit(kind, **fields)
-
-    def flush(self) -> None:
-        for sink in self.sinks:
-            flush = getattr(sink, "flush", None)
-            if flush is not None:
-                flush()
-
-    def close(self) -> None:
-        errors: list[BaseException] = []
-        for sink in self.sinks:
-            close = getattr(sink, "close", None)
-            if close is None:
-                continue
-            try:
-                close()
-            except Exception as exc:
-                errors.append(exc)
-        if errors:
-            raise errors[0]
-
-    def __enter__(self) -> "TeeEventSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def read_events(path: str | Path) -> list[dict]:
     """Load a JSONL event log back into dicts (for tests and tooling)."""
     out = []

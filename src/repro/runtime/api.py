@@ -24,7 +24,7 @@ Timing semantics while *generating* a trace:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.runtime.clock import ProcessClock
 from repro.runtime.files import FileSystem, SimulatedFile

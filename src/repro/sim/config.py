@@ -66,10 +66,6 @@ class DiskConfig:
         """Deterministic plain-dict form (stable field order)."""
         return _config_dict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DiskConfig":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -130,10 +126,6 @@ class CacheConfig:
     def to_dict(self) -> dict:
         """Deterministic plain-dict form (stable field order)."""
         return _config_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheConfig":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -298,10 +290,6 @@ class SchedulerConfig:
         """Deterministic plain-dict form (stable field order)."""
         return _config_dict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SchedulerConfig":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -337,21 +325,3 @@ class SimConfig:
     def to_dict(self) -> dict:
         """Deterministic nested-dict form (stable field order throughout)."""
         return _config_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        data = dict(data)
-        # Pre-fault-layer dicts lack the faults/recovery sections; they
-        # deserialize to the disabled defaults (the identical simulation).
-        faults = data.pop("faults", None)
-        recovery = data.pop("recovery", None)
-        return cls(
-            cache=CacheConfig.from_dict(data.pop("cache")),
-            disk=DiskConfig.from_dict(data.pop("disk")),
-            scheduler=SchedulerConfig.from_dict(data.pop("scheduler")),
-            faults=FaultConfig.from_dict(faults) if faults else FaultConfig(),
-            recovery=(
-                RecoveryConfig.from_dict(recovery) if recovery else RecoveryConfig()
-            ),
-            **data,
-        )

@@ -22,8 +22,6 @@ Faithfully to that description:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.obs.registry import get_registry
 from repro.sim.config import DiskConfig
 from repro.util.rng import derive_rng

@@ -7,17 +7,16 @@ plot as they wish.
 All the sweep-shaped experiments (Figure 8, the per-app SSD runs, the
 ablations, the n+1 rule) execute through :class:`repro.exec.SweepRunner`:
 pass ``jobs`` to fan the points over worker processes (default: honour
-``$REPRO_JOBS`` when set, else run serially) and ``result_cache`` to
-memoize results on disk.  Every point simulates with its config's own
-seed, so the numbers do not depend on ``jobs`` and match what direct
-``simulate()`` calls produce.
+``$REPRO_JOBS`` when set, else run serially), or a configured ``runner``
+(for instance one with a result cache).  Every point simulates with its
+config's own seed, so the numbers do not depend on ``jobs`` and match
+what direct ``simulate()`` calls produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exec.cache import ResultCache
 from repro.exec.runner import (
     AppWorkloadSpec,
     PointResult,
@@ -33,7 +32,7 @@ from repro.sim.system import simulate
 from repro.trace.array import TraceArray
 from repro.util.rng import DEFAULT_SEED
 from repro.util.units import KB, MB
-from repro.workloads.base import GeneratedWorkload, generate_workload
+from repro.workloads.base import GeneratedWorkload
 
 #: Figure 8's caption: "Execution time would be 761 seconds if there were
 #: no idle time" (two venus runs back to back on one CPU).
@@ -51,11 +50,7 @@ def two_copies(workload: GeneratedWorkload) -> list[TraceArray]:
     return relabel_copies(workload.trace, 2)
 
 
-def _runner(
-    runner: SweepRunner | None,
-    jobs: int | None,
-    result_cache: ResultCache | None,
-) -> SweepRunner:
+def _runner(runner: SweepRunner | None, jobs: int | None) -> SweepRunner:
     """The runner an experiment should use (an explicit one wins).
 
     ``jobs=None`` honours ``$REPRO_JOBS`` when set and otherwise runs
@@ -63,7 +58,7 @@ def _runner(
     """
     if runner is not None:
         return runner
-    return SweepRunner(jobs=resolve_jobs(jobs, default=1), cache=result_cache)
+    return SweepRunner(jobs=resolve_jobs(jobs, default=1))
 
 
 @dataclass(frozen=True)
@@ -157,7 +152,6 @@ def run_two_venus(
     seed: int | None = None,
     max_blocks_per_process: int | None = None,
     runner: SweepRunner | None = None,
-    result_cache: ResultCache | None = None,
 ) -> BufferingRun:
     """The paper's workhorse experiment: two venus copies, one CPU."""
     point = _two_venus_point(
@@ -170,7 +164,7 @@ def run_two_venus(
         seed=seed,
         max_blocks_per_process=max_blocks_per_process,
     )
-    r = _runner(runner, 1, result_cache)
+    r = _runner(runner, 1)
     return _buffering_run(r.run_point(point), cache_mb, block_kb)
 
 
@@ -191,7 +185,6 @@ def cache_size_sweep(
     ssd: bool = False,
     seed: int = DEFAULT_SEED,
     jobs: int | None = None,
-    result_cache: ResultCache | None = None,
     runner: SweepRunner | None = None,
 ) -> list[SweepPoint]:
     """Figure 8: idle time versus cache size, per block size.
@@ -216,7 +209,7 @@ def cache_size_sweep(
                     max_blocks_per_process=None,
                 )
             )
-    r = _runner(runner, jobs, result_cache)
+    r = _runner(runner, jobs)
     out = []
     for spec, pr in zip(points, r.run(points)):
         out.append(
@@ -258,7 +251,6 @@ def ssd_utilization_per_app(
     warmup_fraction: float = 0.25,
     seed: int = DEFAULT_SEED,
     jobs: int | None = None,
-    result_cache: ResultCache | None = None,
     runner: SweepRunner | None = None,
 ) -> list[AppSSDRun]:
     """Section 6.3: each application alone with a 32 MW (256 MB) SSD cache.
@@ -286,7 +278,7 @@ def ssd_utilization_per_app(
         )
         for name in apps
     ]
-    r = _runner(runner, jobs, result_cache)
+    r = _runner(runner, jobs)
     runs = []
     for name, pr in zip(apps, r.run(points)):
         result = pr.result
@@ -310,12 +302,11 @@ def _two_venus_pair(
     with_kwargs: dict,
     *,
     jobs: int | None,
-    result_cache: ResultCache | None,
     runner: SweepRunner | None,
 ) -> tuple[BufferingRun, BufferingRun]:
     """Run an (off, on) ablation pair through one runner."""
     points = [_two_venus_point(**without_kwargs), _two_venus_point(**with_kwargs)]
-    r = _runner(runner, jobs, result_cache)
+    r = _runner(runner, jobs)
     results = r.run(points)
     return tuple(
         _buffering_run(pr, kw["cache_mb"], kw["block_kb"])
@@ -344,7 +335,6 @@ def writebehind_ablation(
     scale: float = 0.25,
     ssd: bool = True,
     jobs: int | None = None,
-    result_cache: ResultCache | None = None,
     runner: SweepRunner | None = None,
 ) -> tuple[BufferingRun, BufferingRun]:
     """Section 6.2's claim: "writebehind reduced idle time from 211 seconds
@@ -355,7 +345,6 @@ def writebehind_ablation(
         _ablation_kwargs(cache_mb=cache_mb, scale=scale, ssd=ssd, write_behind=False),
         _ablation_kwargs(cache_mb=cache_mb, scale=scale, ssd=ssd, write_behind=True),
         jobs=jobs,
-        result_cache=result_cache,
         runner=runner,
     )
 
@@ -365,7 +354,6 @@ def readahead_ablation(
     cache_mb: float = 32.0,
     scale: float = 0.25,
     jobs: int | None = None,
-    result_cache: ResultCache | None = None,
     runner: SweepRunner | None = None,
 ) -> tuple[BufferingRun, BufferingRun]:
     """Read-ahead off/on at a main-memory-sized cache."""
@@ -373,7 +361,6 @@ def readahead_ablation(
         _ablation_kwargs(cache_mb=cache_mb, scale=scale, read_ahead=False),
         _ablation_kwargs(cache_mb=cache_mb, scale=scale, read_ahead=True),
         jobs=jobs,
-        result_cache=result_cache,
         runner=runner,
     )
 
@@ -384,7 +371,6 @@ def buffer_cap_ablation(
     scale: float = 0.25,
     cap_fraction: float = 0.5,
     jobs: int | None = None,
-    result_cache: ResultCache | None = None,
     runner: SweepRunner | None = None,
 ) -> tuple[BufferingRun, BufferingRun]:
     """Section 6.2: capping per-process buffer ownership "did not relieve
@@ -398,7 +384,6 @@ def buffer_cap_ablation(
             cache_mb=cache_mb, scale=scale, max_blocks_per_process=cap_blocks
         ),
         jobs=jobs,
-        result_cache=result_cache,
         runner=runner,
     )
 
@@ -429,7 +414,6 @@ def fault_rate_sweep(
     scale: float = 0.25,
     seed: int = DEFAULT_SEED,
     jobs: int | None = None,
-    result_cache: ResultCache | None = None,
     runner: SweepRunner | None = None,
 ) -> list[FaultSweepPoint]:
     """Figure-8-style utilization versus device fault rate.
@@ -462,7 +446,7 @@ def fault_rate_sweep(
                 label=f"{spec.label} err={rate:g} slow={slow_rate:g}",
             )
         )
-    r = _runner(runner, jobs, result_cache)
+    r = _runner(runner, jobs)
     out = []
     for rate, pr in zip(error_rates, r.run(points)):
         res = pr.result
@@ -579,7 +563,6 @@ def n_plus_one_rule(
     scale: float = 0.1,
     seed: int = DEFAULT_SEED,
     jobs: int | None = None,
-    result_cache: ResultCache | None = None,
     runner: SweepRunner | None = None,
 ) -> list[NPlusOnePoint]:
     """Section 2.2's multiprogramming rule, measured.
@@ -607,7 +590,7 @@ def n_plus_one_rule(
         )
         for n_jobs in job_counts
     ]
-    r = _runner(runner, jobs, result_cache)
+    r = _runner(runner, jobs)
     return [
         NPlusOnePoint(
             n_cpus=n_cpus,

@@ -19,16 +19,9 @@ Layers, bottom to top:
 
 from repro.trace import flags
 from repro.trace.array import TraceArray
-from repro.trace.decode import TraceDecoder, decode_lines
+from repro.trace.decode import TraceDecoder, decode_array, decode_lines
 from repro.trace.encode import EncoderStats, TraceEncoder, encode_records
-from repro.trace.io import (
-    read_comments,
-    read_io_records,
-    read_trace,
-    read_trace_array,
-    write_trace,
-    write_trace_array,
-)
+from repro.trace.io import read_trace_array, write_trace, write_trace_array
 from repro.trace.packets import (
     IOEvent,
     TracePacket,
@@ -49,19 +42,17 @@ from repro.trace.record import (
     parse_file_name_comment,
 )
 from repro.trace.stats import TraceSizeReport, measure_trace_sizes
-from repro.trace.validate import ValidationReport, validate_array, validate_records
+from repro.trace.validate import ValidationReport, validate_array
 
 __all__ = [
     "flags",
     "TraceArray",
     "TraceDecoder",
+    "decode_array",
     "decode_lines",
     "EncoderStats",
     "TraceEncoder",
     "encode_records",
-    "read_comments",
-    "read_io_records",
-    "read_trace",
     "read_trace_array",
     "write_trace",
     "write_trace_array",
@@ -83,5 +74,4 @@ __all__ = [
     "measure_trace_sizes",
     "ValidationReport",
     "validate_array",
-    "validate_records",
 ]

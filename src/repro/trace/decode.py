@@ -9,11 +9,9 @@ Two consumption styles share one field parser:
 
 * :meth:`TraceDecoder.decode` yields a :class:`TraceRecord` per line --
   the right shape for streaming filters and the format round-trip tests;
-* :meth:`TraceDecoder.decode_array` batch-decodes a whole line stream
-  straight into :class:`~repro.trace.array.TraceArray` columns via
-  :class:`~repro.trace.array.TraceArrayBuilder`, skipping the per-record
-  object entirely (a multi-million-line trace load allocates nine lists
-  instead of millions of dataclass instances).
+* :func:`decode_array` batch-decodes a whole document (a trace file's
+  bytes) straight into :class:`~repro.trace.array.TraceArray` columns,
+  skipping the per-record object entirely.
 """
 
 from __future__ import annotations
@@ -73,46 +71,9 @@ class TraceDecoder:
             if record is not None:
                 yield record
 
-    def decode_array(self, lines) -> TraceArray:
-        """Batch-decode a whole trace directly into columnar form.
-
-        Accepts an iterable of lines (list, generator, open text file)
-        or a whole document as ``str``, ``bytes``, ``mmap``, or a
-        binary file object -- byte inputs are consumed directly, with
-        no intermediate per-line ``str`` round trip.  Comment records
-        and blank lines are skipped; the format's per-process
-        ``processTime`` deltas are integrated into absolute
-        ``process_clock`` ticks exactly as
-        :meth:`TraceArray.from_records` would.  Raises the same
-        :class:`TraceFormatError` diagnostics (with line numbers) as the
-        per-record path.
-
-        Strictly-formatted input (the encoder's own output grammar) is
-        decoded by the NumPy fast path in :mod:`repro.trace.decode_fast`
-        when the decoder is fresh; anything else falls back wholesale to
-        the scalar loop below, which is the behavioral contract.  The
-        whole input is materialized either way.
-        """
-        buf, n_lines, fallback = _fast.prepare(lines)
-        if buf is not None and self._is_fresh():
-            decoded = _fast.decode_document(buf)
-            if decoded is not None:
-                trace, state = decoded
-                self._line_number = n_lines
-                if state is not None:
-                    prev_start, prev_process, file_of_process, files = state
-                    self._prev_start = prev_start
-                    self._prev_process = prev_process
-                    self._file_of_process = file_of_process
-                    self._files = {
-                        fid: _FileState(*fstate) for fid, fstate in files.items()
-                    }
-                get_registry().counter("trace.decode.vectorized_lines").add(
-                    n_lines
-                )
-                return trace
-        lines = fallback
-        first_line = self._line_number
+    def _decode_columns(self, lines: list[str]) -> TraceArray:
+        """The scalar batch loop: every line of a document, in order, into
+        columns via :class:`~repro.trace.array.TraceArrayBuilder`."""
         builder = TraceArrayBuilder()
         append = builder.append
         clocks: dict[int, int] = {}
@@ -146,20 +107,7 @@ class TraceDecoder:
                 fields[3],  # duration
                 clock,
             )
-        get_registry().counter("trace.decode.scalar_fallback_lines").add(
-            self._line_number - first_line
-        )
         return builder.build()
-
-    def _is_fresh(self) -> bool:
-        """True while no line has touched the reconstruction state."""
-        return (
-            self._line_number == 0
-            and self._prev_start == 0
-            and self._prev_process is None
-            and not self._file_of_process
-            and not self._files
-        )
 
     def _fail(self, message: str) -> TraceFormatError:
         return TraceFormatError(message, line_number=self._line_number)
@@ -306,3 +254,34 @@ class TraceDecoder:
 def decode_lines(lines: Iterable[str]) -> list[AnyRecord]:
     """One-shot helper: decode all lines and return the records."""
     return list(TraceDecoder().decode_all(lines))
+
+
+def decode_array(document: bytes) -> TraceArray:
+    """Batch-decode a whole trace document (a file's bytes) into columns.
+
+    Comment records and blank lines are skipped; the format's
+    per-process ``processTime`` deltas are integrated into absolute
+    ``process_clock`` ticks exactly as :meth:`TraceArray.from_records`
+    would.  Raises the same :class:`TraceFormatError` diagnostics (with
+    line numbers) as the per-record path.
+
+    Strictly-formatted input (the encoder's own output grammar) is
+    decoded by the NumPy fast path in :mod:`repro.trace.decode_fast`.
+    Only when it declines is the document split into lines and run
+    through a fresh decoder's scalar loop, which is the behavioural
+    contract.
+    """
+    registry = get_registry()
+    trace = _fast.decode_document(document)
+    if trace is not None:
+        n_lines = document.count(b"\n")
+        if document and not document.endswith(b"\n"):
+            n_lines += 1
+        registry.counter("trace.decode.vectorized_lines").add(n_lines)
+        return trace
+    lines = document.decode("latin-1").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    trace = TraceDecoder()._decode_columns(lines)
+    registry.counter("trace.decode.scalar_fallback_lines").add(len(lines))
+    return trace

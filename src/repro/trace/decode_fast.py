@@ -1,4 +1,4 @@
-"""Vectorized fast path for :meth:`TraceDecoder.decode_array`.
+"""Vectorized fast path for :func:`~repro.trace.decode.decode_array`.
 
 The scalar decoder walks the trace line by line in Python; at a few
 million lines that loop dominates every cold trace load.  This module
@@ -17,24 +17,17 @@ run at all.  It therefore accepts only the strict output grammar of
 single spaces, ``\\n`` line ends, ``255``-prefixed comment lines -- and
 *wholesale falls back* to the scalar path on any deviation: stray
 bytes, tabs, oversized numbers, unknown compression bits, omitted
-fields without prior state, anything.  The fallback reruns the scalar
-decoder from the same pristine state, so every
+fields without prior state, anything.  The fallback decodes the whole
+document with a fresh scalar decoder, so every
 :class:`~repro.util.errors.TraceFormatError` (message and line number)
-and every weird-but-accepted input (``int("1_0")``, unicode digits,
-``+5``) behaves exactly as before -- just slower.  Divergence is only
-possible when the fast path *succeeds*, and success requires the strict
-grammar plus magnitude guards that make its int64 arithmetic provably
-exact (see ``_MAX_ABS`` / ``_MAX_ACC``).
-
-The decoder only attempts the fast path from a *fresh* state (no prior
-lines decoded); seeding the vectorized reconstruction from mid-stream
-dict state is not worth the complexity for the callers that matter
-(file loads and benchmarks always start fresh).
+and every weird-but-accepted input (``int("1_0")``, ``+5``) behaves
+exactly as before -- just slower.  Divergence is only possible when the
+fast path *succeeds*, and success requires the strict grammar plus
+magnitude guards that make its int64 arithmetic provably exact (see
+``_MAX_ABS`` / ``_MAX_ACC``).
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -63,103 +56,22 @@ _MAX_ACC = float(1 << 52)
 _UINT32_MAX = (1 << 32) - 1
 
 
-def prepare(lines) -> tuple[bytes | None, int, Iterable[str]]:
-    """Normalize any ``decode_array`` input into one ASCII document.
+def decode_document(buf: bytes) -> TraceArray | None:
+    """Decode a whole document; ``None`` means scalar fallback.
 
-    Returns ``(buf, n_lines, fallback)``: ``buf`` is the document as
-    bytes ending in a newline (or ``None`` when the input cannot be
-    expressed in the strict grammar, e.g. non-ASCII text or an element
-    with an interior newline), ``n_lines`` the logical line count, and
-    ``fallback`` an iterable of ``str`` lines equivalent to the input
-    for the scalar path.  Accepts ``str``/``bytes``/``mmap``-style
-    whole documents, file objects (read in one call -- no per-line text
-    layer round trip for binary handles), and any iterable of lines.
+    Only ASCII documents are taken, comment text included.
     """
-    if hasattr(lines, "read"):
-        lines = lines.read()
-    if isinstance(lines, (bytes, bytearray, memoryview)):
-        buf = bytes(lines)
-        text = buf.decode("latin-1")
-        n_lines = _document_line_count(text)
-        fallback = _document_lines(text)
-        if not buf.isascii():
-            return None, n_lines, fallback
-        return _terminate(buf, n_lines), n_lines, fallback
-    if isinstance(lines, str):
-        n_lines = _document_line_count(lines)
-        fallback = _document_lines(lines)
-        try:
-            buf = lines.encode("ascii")
-        except UnicodeEncodeError:
-            return None, n_lines, fallback
-        return _terminate(buf, n_lines), n_lines, fallback
-    lst = lines if isinstance(lines, list) else list(lines)
-    n_lines = len(lst)
-    # Fast shape check: elements with neither interior nor trailing
-    # newlines join into exactly n_lines - 1 separators.
-    joined = "\n".join(lst)
-    if joined.count("\n") != max(n_lines - 1, 0):
-        # Slow path: strip one trailing newline per element; interior
-        # newlines would make the fast path's line splits disagree with
-        # the scalar path's element boundaries, so refuse those.
-        norm = []
-        for element in lst:
-            cut = element.find("\n")
-            if cut == -1:
-                norm.append(element)
-            elif cut == len(element) - 1:
-                norm.append(element[:-1])
-            else:
-                return None, n_lines, lst
-        joined = "\n".join(norm)
-    try:
-        buf = joined.encode("ascii")
-    except UnicodeEncodeError:
-        return None, n_lines, lst
-    return _terminate(buf, n_lines), n_lines, lst
-
-
-def _terminate(buf: bytes, n_lines: int) -> bytes | None:
-    # Every construction path above yields a buffer whose newline count
-    # matches the logical line count exactly (1:1 codecs, normalized
-    # join), except a trailing run of empty elements, which encodes
-    # fewer physical lines -- harmless, since blank lines decode to
-    # nothing and the caller takes the line count from ``n_lines``.
-    if n_lines and not buf.endswith(b"\n"):
+    if not buf:
+        return TraceArray.empty()
+    if not buf.isascii():
+        return None
+    if not buf.endswith(b"\n"):
         buf += b"\n"
-    return buf
-
-
-def _document_line_count(text: str) -> int:
-    if not text:
-        return 0
-    return text.count("\n") + (0 if text.endswith("\n") else 1)
-
-
-def _document_lines(text: str) -> list[str]:
-    parts = text.split("\n")
-    if parts and parts[-1] == "":
-        parts.pop()
-    return parts
-
-
-def decode_document(buf: bytes):
-    """Decode a prepared document; ``None`` means scalar fallback.
-
-    On success returns ``(trace, state)`` where ``state`` is ``None``
-    for a record-free document, else ``(prev_start, prev_process,
-    file_of_process, files)`` with ``files`` mapping file id ->
-    ``(next_offset, length, operation_id)`` -- the exact reconstruction
-    state the scalar decoder would hold after the same lines.
-    """
     a = np.frombuffer(buf, dtype=np.uint8)
     n = a.size
-    if n == 0:
-        return TraceArray.empty(), None
     isnl = a == _NL
     nl_pos = np.flatnonzero(isnl)
     line_starts = np.concatenate((np.zeros(1, dtype=np.int64), nl_pos[:-1] + 1))
-    n_lines = nl_pos.size
 
     # -- comment lines: "255" at line start, then space or end-of-line.
     # Comment text is arbitrary, so those bytes are excluded from both
@@ -207,7 +119,7 @@ def decode_document(buf: bytes):
     if has_comments:
         tok &= ~in_comment
     if not tok.any():
-        return TraceArray.empty(), None
+        return TraceArray.empty()
     tok_start = tok.copy()
     tok_start[1:] &= ~tok[:-1]
     ts = np.flatnonzero(tok_start)
@@ -248,7 +160,7 @@ def decode_document(buf: bytes):
     record_lines = np.flatnonzero(counts > 0)
     m = record_lines.size
     if m == 0:
-        return TraceArray.empty(), None
+        return TraceArray.empty()
     base = tok_before_eol[record_lines] - counts[record_lines]
     cnt = counts[record_lines]
     if (cnt < 2).any():
@@ -387,7 +299,7 @@ def decode_document(buf: bytes):
     offset = np.empty(m, dtype=np.int64)
     offset[forder] = off_s
 
-    trace = TraceArray(
+    return TraceArray(
         record_type.astype(np.uint16),
         file_id.astype(np.uint32),
         process_id.astype(np.uint32),
@@ -398,29 +310,6 @@ def decode_document(buf: bytes):
         duration,
         process_clock,
     )
-    # Reconstruction state after the last line: the latest record per
-    # file / per process.  The stable group sorts above keep trace
-    # order within each group, so each group's final element is exactly
-    # that file's / process's most recent record -- no extra sort.
-    fgroup_last = np.concatenate((np.flatnonzero(fgroup_start)[1:] - 1, [m - 1]))
-    files = {}
-    for i in forder[fgroup_last].tolist():
-        files[int(file_id[i])] = (
-            int(offset[i] + length[i]),
-            int(length[i]),
-            int(operation_id[i]),
-        )
-    pgroup_last = np.concatenate((np.flatnonzero(pgroup_start)[1:] - 1, [m - 1]))
-    file_of_process = {
-        int(process_id[i]): int(file_id[i]) for i in porder[pgroup_last].tolist()
-    }
-    state = (
-        int(start_time[-1]),
-        int(process_id[-1]),
-        file_of_process,
-        files,
-    )
-    return trace, state
 
 
 def _ffill_index(present: np.ndarray) -> np.ndarray:

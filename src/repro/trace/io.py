@@ -7,18 +7,19 @@ identify each trace with information in the trace itself").
 
 Both writers encode the records after the header comments as one
 document (:func:`~repro.trace.encode.encode_columns`) and fall back to
-the streaming encoder for a trace outside its grammar.
+the streaming encoder for a trace outside its grammar.  The one reader,
+:func:`read_trace_array`, decodes a file into columns.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.trace.array import TraceArray
-from repro.trace.decode import TraceDecoder
+from repro.trace.decode import decode_array
 from repro.trace.encode import (
     RECORD_FIELDS,
     EncoderStats,
@@ -26,7 +27,7 @@ from repro.trace.encode import (
     encode_columns,
     record_columns,
 )
-from repro.trace.record import AnyRecord, CommentRecord, TraceRecord
+from repro.trace.record import AnyRecord, CommentRecord
 
 
 def _write(
@@ -80,28 +81,6 @@ def write_trace(
     )
 
 
-def read_trace(path: str | Path) -> Iterator[AnyRecord]:
-    """Stream all records (including comments) from a trace file."""
-    decoder = TraceDecoder()
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            record = decoder.decode(line)
-            if record is not None:
-                yield record
-
-
-def read_io_records(path: str | Path) -> Iterator[TraceRecord]:
-    """Stream only I/O records, skipping comments."""
-    for record in read_trace(path):
-        if isinstance(record, TraceRecord):
-            yield record
-
-
-def read_comments(path: str | Path) -> list[CommentRecord]:
-    """All comment records of a trace, in order."""
-    return [r for r in read_trace(path) if isinstance(r, CommentRecord)]
-
-
 def write_trace_array(
     path: str | Path,
     trace: TraceArray,
@@ -135,13 +114,11 @@ def write_trace_array(
 def read_trace_array(path: str | Path) -> TraceArray:
     """Load a trace file into the columnar representation.
 
-    Uses the batch decoder (:meth:`TraceDecoder.decode_array`), which
-    fills the columns directly without materializing a record object per
-    line; tested byte-identical to the record-at-a-time path.  The file
-    is opened in binary mode so the whole document reaches the
-    vectorized decoder as one bytes buffer -- no text-layer decode and
-    no per-line ``str`` round trip.
+    The one trace-file reader.  The file's bytes go to the batch decoder
+    (:func:`~repro.trace.decode.decode_array`) as one document, which
+    fills the columns directly without a record object or a ``str`` per
+    line; tested byte-identical to the record-at-a-time path.
     """
     with open(path, "rb") as fh:
-        return TraceDecoder().decode_array(fh)
+        return decode_array(fh.read())
 

@@ -1,17 +1,17 @@
-"""Structural validation of decoded trace streams.
+"""Structural validation of decoded traces.
 
-These checks codify the format's implicit invariants; the workload
-generators run them before handing traces to the simulator, and the tests
-use them as a property-test oracle.
+These checks codify the format's implicit invariants; the tests use them
+as a property-test oracle over generated, reconstructed and decoded
+traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+
+import numpy as np
 
 from repro.trace.array import TraceArray
-from repro.trace.record import TraceRecord
 from repro.util.errors import TraceFormatError
 
 
@@ -33,58 +33,17 @@ class ValidationReport:
             raise TraceFormatError(f"trace validation failed: {shown}{more}")
 
 
-def validate_records(records: Iterable[TraceRecord]) -> ValidationReport:
-    """Check ordering and range invariants over a record stream.
+def validate_array(trace: TraceArray) -> ValidationReport:
+    """Check ordering and range invariants over a columnar trace.
 
     Invariants:
 
     * wall-clock start times are nondecreasing;
-    * per-process CPU clocks (cumulative ``process_time``) never decrease
-      and never run ahead of wall time elapsed since the process's first
-      record (a process cannot accumulate more CPU than wall time on one
-      CPU);
+    * per-process CPU clocks never decrease and never run ahead of wall
+      time elapsed since the process's first record (a process cannot
+      accumulate more CPU than wall time on one CPU);
     * lengths are positive, offsets nonnegative, durations nonnegative.
     """
-    report = ValidationReport()
-    prev_start: int | None = None
-    first_wall: dict[int, int] = {}
-    cpu_clock: dict[int, int] = {}
-    # CPU burned before a process's first traced I/O has no wall-time
-    # counterpart inside the trace, so each process is allowed that much
-    # slack between its CPU clock and elapsed wall clock.
-    slack: dict[int, int] = {}
-    for i, r in enumerate(records):
-        report.n_records += 1
-        if r.length <= 0:
-            report.problems.append(f"record {i}: non-positive length {r.length}")
-        if r.offset < 0:
-            report.problems.append(f"record {i}: negative offset {r.offset}")
-        if r.duration < 0:
-            report.problems.append(f"record {i}: negative duration {r.duration}")
-        if prev_start is not None and r.start_time < prev_start:
-            report.problems.append(
-                f"record {i}: start time {r.start_time} precedes previous {prev_start}"
-            )
-        prev_start = r.start_time
-
-        if r.process_id not in first_wall:
-            first_wall[r.process_id] = r.start_time
-            slack[r.process_id] = r.process_time
-        clock = cpu_clock.get(r.process_id, 0) + r.process_time
-        cpu_clock[r.process_id] = clock
-        wall_elapsed = r.start_time - first_wall[r.process_id]
-        if clock > wall_elapsed + slack[r.process_id]:
-            report.problems.append(
-                f"record {i}: process {r.process_id} CPU clock {clock} exceeds "
-                f"wall time elapsed {wall_elapsed}"
-            )
-    return report
-
-
-def validate_array(trace: TraceArray) -> ValidationReport:
-    """Vectorized validation of a columnar trace (same invariants)."""
-    import numpy as np
-
     report = ValidationReport(n_records=len(trace))
     if len(trace) == 0:
         return report

@@ -1,4 +1,4 @@
-"""Shared substrate: units, time base, statistics, time series, rendering.
+"""Shared substrate: units, time base, time series, rendering.
 
 The whole reproduction uses two time bases:
 
@@ -31,12 +31,6 @@ from repro.util.units import (
 )
 from repro.util.errors import ReproError, TraceFormatError, SimulationError, CalibrationError
 from repro.util.rng import make_rng, derive_rng
-from repro.util.stats import (
-    Histogram,
-    OnlineStats,
-    weighted_mean,
-    percentile,
-)
 from repro.util.timeseries import BinnedSeries, RateSeries
 from repro.util.tables import TextTable, format_table, format_si
 from repro.util.asciiplot import ascii_line_plot, ascii_bar_plot, sparkline
@@ -62,10 +56,6 @@ __all__ = [
     "CalibrationError",
     "make_rng",
     "derive_rng",
-    "Histogram",
-    "OnlineStats",
-    "weighted_mean",
-    "percentile",
     "BinnedSeries",
     "RateSeries",
     "TextTable",

@@ -29,7 +29,6 @@ from repro.trace.array import TraceArray
 from repro.trace.procstat import ProcstatCollector
 from repro.trace.record import CommentRecord
 from repro.trace.reconstruct import events_to_array
-from repro.util.errors import CalibrationError
 from repro.util.rng import DEFAULT_SEED, derive_rng
 from repro.workloads.catalog import PaperAppRow, paper_row
 

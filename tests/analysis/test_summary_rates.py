@@ -1,6 +1,5 @@
 """Table summaries and rate series."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.rates import data_rate_series, rate_series_csv, request_rate_series

@@ -6,7 +6,6 @@ from repro.batch import (
     BatchSimulator,
     Job,
     QueueConfig,
-    default_queues,
     venus_design_tradeoff,
 )
 from repro.util.errors import SimulationError

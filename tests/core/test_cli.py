@@ -214,8 +214,8 @@ class TestTraceFileErrors:
 
 
 class TestConfigRange:
-    """An out-of-range cache geometry or CPU count is one stderr line
-    naming the value and exit 2, before anything runs."""
+    """An out-of-range or non-finite cache geometry or CPU count is one
+    stderr line naming the value and exit 2, before anything runs."""
 
     @pytest.mark.parametrize(
         "flags, field, value",
@@ -224,8 +224,13 @@ class TestConfigRange:
             (["--cache-mb", "0"], "size_bytes", 0),
             (["--block-kb", "0"], "block_bytes", 0),
             (["--cpus", "0"], "n_cpus", 0),
+            (["--cache-mb", "inf"], "cache_mb", "inf"),
+            (["--block-kb", "inf"], "block_kb", "inf"),
         ],
-        ids=["cache-mb-neg", "cache-mb-0", "block-kb-0", "cpus-0"],
+        ids=[
+            "cache-mb-neg", "cache-mb-0", "block-kb-0", "cpus-0",
+            "cache-mb-inf", "block-kb-inf",
+        ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_rejected_before_running(

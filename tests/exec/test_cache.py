@@ -8,6 +8,7 @@ re-run, never a wrong result.
 
 import pickle
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -15,7 +16,14 @@ from repro.exec import keys as keys_mod
 from repro.exec.cache import ResultCache
 from repro.exec.keys import canonical_json, canonical_value, point_key
 from repro.exec.runner import AppWorkloadSpec, SweepPointSpec, SweepRunner
-from repro.sim.config import CacheConfig, DiskConfig, SchedulerConfig, SimConfig
+from repro.sim.config import (
+    CacheConfig,
+    DiskConfig,
+    FaultConfig,
+    RecoveryConfig,
+    SchedulerConfig,
+    SimConfig,
+)
 from repro.util.units import KB, MB
 
 WORKLOAD = AppWorkloadSpec(app="venus", scale=0.05, n_copies=2)
@@ -53,19 +61,43 @@ class TestCanonicalJson:
             canonical_value(object())
 
     def test_config_field_order_stable(self):
-        d = SimConfig().to_dict()
-        assert list(d["cache"]) == [f.name for f in CacheConfig.__dataclass_fields__.values()]
-
-
-class TestConfigRoundTrip:
-    def test_to_from_dict_identity(self):
+        # Every field of every sub-config reaches the point key's dict,
+        # with its value, in declaration order.
         config = SimConfig(
             cache=CacheConfig(size_bytes=32 * MB, block_bytes=8 * KB),
             disk=DiskConfig(n_disks=4),
             scheduler=SchedulerConfig(n_cpus=2),
             seed=7,
         )
-        rebuilt = SimConfig.from_dict(config.to_dict())
+        d = config.to_dict()
+        for section in ("cache", "disk", "scheduler"):
+            sub = getattr(config, section)
+            assert d[section] == {f.name: getattr(sub, f.name) for f in fields(sub)}
+            assert list(d[section]) == [f.name for f in fields(sub)]
+        assert d["seed"] == 7
+
+
+class TestConfigRoundTrip:
+    def test_to_from_dict_identity(self):
+        # The dict the point key hashes loses nothing: the dataclass
+        # constructors rebuild an equal config from it.
+        config = SimConfig(
+            cache=CacheConfig(size_bytes=32 * MB, block_bytes=8 * KB),
+            disk=DiskConfig(n_disks=4),
+            scheduler=SchedulerConfig(n_cpus=2),
+            faults=FaultConfig(error_rate=0.01, crash_at_s=3.0),
+            recovery=RecoveryConfig(max_retries=5),
+            seed=7,
+        )
+        d = config.to_dict()
+        rebuilt = SimConfig(
+            cache=CacheConfig(**d.pop("cache")),
+            disk=DiskConfig(**d.pop("disk")),
+            scheduler=SchedulerConfig(**d.pop("scheduler")),
+            faults=FaultConfig.from_dict(d.pop("faults")),
+            recovery=RecoveryConfig.from_dict(d.pop("recovery")),
+            **d,
+        )
         assert rebuilt == config
         assert canonical_json(rebuilt) == canonical_json(config)
 

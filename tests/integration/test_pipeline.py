@@ -17,10 +17,11 @@ from repro.fslayout import analyze_physical, translate_trace
 from repro.sim import SimConfig, simulate, ssd_cache
 from repro.sim.procmodel import relabel_copies
 from repro.trace import (
+    CommentRecord,
     ProcstatCollector,
+    decode_lines,
     dump_packets,
     load_packets,
-    read_comments,
     read_trace_array,
     reconstruct_array,
     write_trace_array,
@@ -65,7 +66,12 @@ class TestFullPipeline:
         decoded = read_trace_array(trace_path)
         assert validate_array(decoded).ok
         np.testing.assert_array_equal(decoded.offset, venus.trace.offset)
-        assert len(read_comments(trace_path)) == len(venus.comments)
+        comments = [
+            r
+            for r in decode_lines(trace_path.read_text().splitlines())
+            if isinstance(r, CommentRecord)
+        ]
+        assert len(comments) == len(venus.comments)
 
         # 5. analysis on the decoded trace matches analysis on the original
         direct = trace_table1("venus", venus.trace)

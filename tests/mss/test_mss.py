@@ -1,13 +1,8 @@
-"""The mass storage hierarchy: staging, drive queueing, migration."""
+"""The mass storage hierarchy: staging and drive queueing."""
 
 import pytest
 
-from repro.mss import (
-    Level,
-    MassStorageSystem,
-    MigrationPolicy,
-    MSSConfig,
-)
+from repro.mss import Level, MassStorageSystem, MSSConfig
 from repro.sim.events import Engine
 from repro.util.errors import SimulationError
 from repro.util.units import MB
@@ -119,59 +114,3 @@ class TestStaging:
         mss.register(2, 50 * MB, Level.NEARLINE)
         with pytest.raises(SimulationError, match="disk full"):
             mss.open_file(2, lambda: None)
-
-
-class TestMigration:
-    def make_loaded(self):
-        engine, mss = make_mss(disk_capacity_bytes=1000 * MB)
-        for fid, age in ((1, 5.0), (2, 1.0), (3, 9.0)):
-            mss.register(fid, 300 * MB, Level.DISK)
-            mss._files[fid].last_access = age
-        return engine, mss
-
-    def test_watermark_pass_demotes_lru(self):
-        _, mss = self.make_loaded()
-        policy = MigrationPolicy(mss, high_watermark=0.85, low_watermark=0.5)
-        assert policy.needed()
-        report = policy.run_pass()
-        # LRU order: file 2 (age 1.0) goes first; one demotion reaches 60%,
-        # still above 50%, so file 1 follows.
-        assert report.migrated_files == [2, 1]
-        assert mss.level_of(2) == Level.NEARLINE
-        assert not policy.needed()
-
-    def test_pinned_files_skipped(self):
-        _, mss = self.make_loaded()
-        policy = MigrationPolicy(mss, high_watermark=0.85, low_watermark=0.5)
-        policy.pin(2)
-        report = policy.run_pass()
-        assert 2 not in report.migrated_files
-
-    def test_ensure_room(self):
-        _, mss = self.make_loaded()
-        policy = MigrationPolicy(mss)
-        report = policy.ensure_room(200 * MB)
-        assert report.bytes_freed >= 200 * MB - mss.disk_free_bytes
-        assert mss.disk_free_bytes >= 200 * MB
-
-    def test_ensure_room_fails_when_all_pinned(self):
-        _, mss = self.make_loaded()
-        policy = MigrationPolicy(mss, pinned={1, 2, 3})
-        with pytest.raises(SimulationError, match="pinned"):
-            policy.ensure_room(500 * MB)
-
-    def test_watermark_validation(self):
-        _, mss = self.make_loaded()
-        with pytest.raises(ValueError):
-            MigrationPolicy(mss, high_watermark=0.5, low_watermark=0.9)
-
-    def test_stage_after_migration_round_trip(self):
-        engine, mss = self.make_loaded()
-        policy = MigrationPolicy(mss)
-        policy.ensure_room(300 * MB)
-        demoted = [f for f in (1, 2, 3) if mss.level_of(f) == Level.NEARLINE]
-        fid = demoted[0]
-        done = []
-        mss.open_file(fid, lambda: done.append(engine.now))
-        engine.run()
-        assert done and mss.level_of(fid) == Level.DISK

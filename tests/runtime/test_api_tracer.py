@@ -4,13 +4,13 @@ import pytest
 
 from repro.runtime.api import AppRuntime
 from repro.runtime.files import FileSystem
-from repro.runtime.latency import DISK_PROFILE, SSD_PROFILE, DeviceLatencyModel, ssd_transfer_ticks
+from repro.runtime.latency import DISK_PROFILE, SSD_PROFILE, ssd_transfer_ticks
 from repro.runtime.tracer import LibraryTracer
 from repro.trace import flags as F
 from repro.trace.procstat import ProcstatCollector
 from repro.trace.record import parse_file_name_comment
 from repro.trace.reconstruct import events_to_array
-from repro.trace.validate import validate_records
+from repro.trace.validate import validate_array
 from repro.util.errors import RuntimeAPIError
 
 
@@ -227,6 +227,5 @@ class TestTracing:
         rt.seek(fd, 0)
         out = rt.open("out", create=True)
         rt.write(out, 8192)
-        records = list(events_to_array(rt.tracer.events).to_records())
-        report = validate_records(records)
+        report = validate_array(events_to_array(rt.tracer.events))
         assert report.ok, report.problems

@@ -1,5 +1,7 @@
 """Job spec parsing: HTTP bodies must build exactly the CLI's points."""
 
+import json
+
 import pytest
 
 from repro.exec.grid import GridSpec, build_sim_config
@@ -8,11 +10,15 @@ from repro.serve.jobs import JobSpecError, JobState, parse_job, MAX_RUNNER_JOBS
 from repro.util.rng import DEFAULT_SEED
 
 
-#: Out-of-range cache geometry and CPU counts, with the error naming each.
+#: Out-of-range or non-finite cache geometry and CPU counts, with the
+#: error naming each.  JSON reads an overflowing number such as 1e400 as
+#: infinity.
 OUT_OF_RANGE = [
     ({"block_kb": 0}, "block_bytes must be > 0: 0"),
     ({"cache_mb": -4}, "size_bytes must be >= block_bytes"),
     ({"cpus": 0}, "n_cpus must be >= 1: 0"),
+    (json.loads('{"cache_mb": 1e400}'), "cache_mb must be finite: inf"),
+    (json.loads('{"block_kb": 1e400}'), "block_kb must be finite: inf"),
 ]
 
 
@@ -119,7 +125,9 @@ class TestSimulateSpec:
             )
 
     @pytest.mark.parametrize(
-        "spec, named", OUT_OF_RANGE, ids=["block-kb-0", "cache-mb-neg", "cpus-0"]
+        "spec, named",
+        OUT_OF_RANGE,
+        ids=["block-kb-0", "cache-mb-neg", "cpus-0", "cache-mb-inf", "block-kb-inf"],
     )
     def test_out_of_range_config_rejected(self, spec, named):
         body = {"kind": "simulate", "spec": {"traces": ["/t"], **spec}}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.config import CacheConfig, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.procmodel import relabel_copies, split_trace_by_process
 from repro.sim.system import SimulatedSystem, simulate
 from repro.trace import flags as F

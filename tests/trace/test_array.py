@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.trace import flags as F
 from repro.trace.array import TraceArray
 from repro.trace.record import TraceRecord
 

@@ -1,6 +1,6 @@
 """Batch decode and columnar-replay helpers: byte-identical to row paths.
 
-The batch decoder (:meth:`TraceDecoder.decode_array`) and the
+The batch decoder (:func:`~repro.trace.decode.decode_array`) and the
 :class:`TraceArrayBuilder` exist purely for speed; every test here pins
 them to the record-at-a-time reference output, including the error
 diagnostics (a truncated line must fail identically through both
@@ -12,7 +12,7 @@ import pytest
 
 from repro.trace import flags as F
 from repro.trace.array import TraceArray, TraceArrayBuilder
-from repro.trace.decode import TraceDecoder, decode_lines
+from repro.trace.decode import decode_array, decode_lines
 from repro.trace.encode import TraceEncoder
 from repro.trace.io import read_trace_array, write_trace_array
 from repro.trace.record import TraceRecord
@@ -28,6 +28,10 @@ def venus_lines():
     return [encoder.encode(r) for r in workload.trace.to_records()]
 
 
+def _document(lines) -> bytes:
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def _assert_arrays_equal(a: TraceArray, b: TraceArray) -> None:
     assert len(a) == len(b)
     for name, col in a.columns().items():
@@ -40,13 +44,13 @@ def test_decode_array_matches_record_path(venus_lines):
     via_records = TraceArray.from_records(
         r for r in decode_lines(venus_lines) if isinstance(r, TraceRecord)
     )
-    via_batch = TraceDecoder().decode_array(venus_lines)
+    via_batch = decode_array(_document(venus_lines))
     _assert_arrays_equal(via_batch, via_records)
 
 
 def test_decode_array_skips_comments_and_blanks(venus_lines):
     noisy = [f"{F.TRACE_COMMENT} a header comment", "", *venus_lines, "  "]
-    batch = TraceDecoder().decode_array(noisy)
+    batch = decode_array(_document(noisy))
     assert len(batch) == len(venus_lines)
 
 
@@ -55,7 +59,7 @@ def test_decode_array_errors_match_record_path():
     # decode_array shares the field parser with decode().
     lines = ["8 0 4096 4096"]  # plain write, truncated before startTime
     with pytest.raises(TraceFormatError, match="truncated before") as batch:
-        TraceDecoder().decode_array(lines)
+        decode_array(_document(lines))
     with pytest.raises(TraceFormatError, match="truncated before") as record:
         decode_lines(lines)
     assert str(batch.value) == str(record.value)
@@ -77,7 +81,7 @@ def test_decode_array_integrates_process_clocks_per_process():
     ]
     encoder = TraceEncoder()
     lines = [encoder.encode(r) for r in records]
-    batch = TraceDecoder().decode_array(lines)
+    batch = decode_array(_document(lines))
     np.testing.assert_array_equal(batch.process_clock, [100, 7, 150])
 
 

@@ -1,11 +1,10 @@
 """Property tests pinning the vectorized decoder to the scalar one.
 
 The NumPy fast path (:mod:`repro.trace.decode_fast`) is an optimization,
-not a second implementation of the format: on any input it accepts it
-must produce *byte-identical* columns and leave the decoder holding
-*exactly* the reconstruction state the scalar loop would have, and on
-any input it rejects the scalar loop must take over wholesale and raise
-the very same diagnostics.  Hypothesis drives both directions here --
+not a second implementation of the format: on any document it accepts
+it must produce *byte-identical* columns, and on any document it
+rejects the scalar loop must take over wholesale and raise the very
+same diagnostics.  Hypothesis drives both directions here --
 generated valid streams for the equivalence half, seeded mutations for
 the rejection-parity half -- and the observability counters are used to
 prove which path actually ran (a vacuous pass through the fallback would
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.trace import flags as F
 from repro.trace.array import TraceArray
-from repro.trace.decode import TraceDecoder
+from repro.trace.decode import TraceDecoder, decode_array
 from repro.trace.encode import TraceEncoder
 from repro.trace.record import CommentRecord, TraceRecord
 from repro.util.errors import TraceFormatError
@@ -31,12 +30,15 @@ FALLBACK = "trace.decode.scalar_fallback_lines"
 
 
 def _scalar_reference(lines):
-    """Record-at-a-time decode: the ground truth columns and state."""
-    decoder = TraceDecoder()
+    """Record-at-a-time decode: the ground truth columns."""
     records = [
-        r for r in decoder.decode_all(lines) if isinstance(r, TraceRecord)
+        r for r in TraceDecoder().decode_all(lines) if isinstance(r, TraceRecord)
     ]
-    return TraceArray.from_records(records), decoder
+    return TraceArray.from_records(records)
+
+
+def _document(lines) -> bytes:
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _assert_columns_equal(a: TraceArray, b: TraceArray) -> None:
@@ -47,47 +49,29 @@ def _assert_columns_equal(a: TraceArray, b: TraceArray) -> None:
         np.testing.assert_array_equal(col, other, err_msg=name)
 
 
-def _assert_state_equal(a: TraceDecoder, b: TraceDecoder) -> None:
-    assert a._prev_start == b._prev_start
-    assert a._prev_process == b._prev_process
-    assert a._file_of_process == b._file_of_process
-    assert a._files == b._files
-    assert a._line_number == b._line_number
-
-
 @settings(max_examples=75, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 80),
     omit_ops=st.booleans(),
     with_comment=st.booleans(),
-    form=st.sampled_from(["list", "str", "bytes"]),
 )
-def test_vectorized_decode_byte_identical(seed, n, omit_ops, with_comment, form):
+def test_vectorized_decode_byte_identical(seed, n, omit_ops, with_comment):
     encoder = TraceEncoder(omit_operation_ids=omit_ops)
     lines = []
     if with_comment:
         lines.append(encoder.encode(CommentRecord(f"fuzz seed={seed}")))
     lines.extend(encoder.encode(r) for r in random_records(seed, n))
-    reference, ref_decoder = _scalar_reference(lines)
-
-    if form == "list":
-        doc = list(lines)
-    elif form == "str":
-        doc = "\n".join(lines) + "\n"
-    else:
-        doc = ("\n".join(lines) + "\n").encode("ascii")
+    reference = _scalar_reference(lines)
 
     registry = MetricsRegistry()
-    decoder = TraceDecoder()
     with use_registry(registry):
-        decoded = decoder.decode_array(doc)
+        decoded = decode_array(_document(lines))
 
     # The fast path must actually have run -- the counters are the proof.
     assert registry.counter(VECTORIZED).value == len(lines)
     assert registry.counter(FALLBACK).value == 0
     _assert_columns_equal(decoded, reference)
-    _assert_state_equal(decoder, ref_decoder)
 
 
 # A tiny hand-built stream whose token layout is known, so mutations can
@@ -150,7 +134,7 @@ def test_malformed_rejection_parity(name, target):
     registry = MetricsRegistry()
     with use_registry(registry):
         with pytest.raises(TraceFormatError) as batch_err:
-            TraceDecoder().decode_array(lines)
+            decode_array(_document(lines))
 
     assert str(batch_err.value) == str(scalar_err.value)
     assert registry.counter(VECTORIZED).value == 0
@@ -174,7 +158,7 @@ def test_malformed_rejection_parity_fuzzed(seed, n, target_frac, name):
     with pytest.raises(TraceFormatError) as scalar_err:
         _scalar_reference(lines)
     with pytest.raises(TraceFormatError) as batch_err:
-        TraceDecoder().decode_array(lines)
+        decode_array(_document(lines))
     assert str(batch_err.value) == str(scalar_err.value)
 
 
@@ -183,8 +167,8 @@ def test_multi_space_separator_matches():
     # (str.split); whichever path handles them, output must match.
     lines = _base_lines()
     lines[0] = lines[0].replace(" ", "  ", 1)
-    reference, _ = _scalar_reference(lines)
-    _assert_columns_equal(TraceDecoder().decode_array(lines), reference)
+    reference = _scalar_reference(lines)
+    _assert_columns_equal(decode_array(_document(lines)), reference)
 
 
 def test_indented_comment_falls_back_and_matches():
@@ -192,11 +176,11 @@ def test_indented_comment_falls_back_and_matches():
     # grammar (comment detection keys on a "255 " line prefix): the
     # whole document must be re-decoded scalar, with identical output.
     lines = [" 255 an indented comment", *_base_lines()]
-    reference, _ = _scalar_reference(lines)
+    reference = _scalar_reference(lines)
 
     registry = MetricsRegistry()
     with use_registry(registry):
-        decoded = TraceDecoder().decode_array(lines)
+        decoded = decode_array(_document(lines))
 
     assert registry.counter(VECTORIZED).value == 0
     assert registry.counter(FALLBACK).value == len(lines)
@@ -205,23 +189,24 @@ def test_indented_comment_falls_back_and_matches():
 
 def test_trailing_newline_variants_equal():
     lines = _base_lines()
-    reference, _ = _scalar_reference(lines)
-    doc = "\n".join(lines)
-    for variant in (doc, doc + "\n", doc + "\n\n"):
-        for raw in (variant, variant.encode("ascii")):
-            _assert_columns_equal(
-                TraceDecoder().decode_array(raw), reference
-            )
+    reference = _scalar_reference(lines)
+    doc = "\n".join(lines).encode("ascii")
+    for variant in (doc, doc + b"\n", doc + b"\n\n"):
+        _assert_columns_equal(decode_array(variant), reference)
 
 
-def test_stale_decoder_never_takes_fast_path():
-    # The fast path assumes pristine reconstruction state; a decoder
-    # that has already consumed lines must stay on the scalar loop.
+def test_non_ascii_comment_falls_back_and_matches():
+    # The fast path takes ASCII documents only; a Latin-1 byte in a
+    # comment sends the whole document to the scalar loop, which skips
+    # the comment and yields the same columns.
     lines = _base_lines()
-    decoder = TraceDecoder()
-    decoder.decode(lines[0])
+    reference = _scalar_reference(lines)
+    doc = b"255 caf\xe9\n" + _document(lines)
+
     registry = MetricsRegistry()
     with use_registry(registry):
-        decoder.decode_array(lines[1:])
+        decoded = decode_array(doc)
+
     assert registry.counter(VECTORIZED).value == 0
-    assert registry.counter(FALLBACK).value == 1
+    assert registry.counter(FALLBACK).value == len(lines) + 1
+    _assert_columns_equal(decoded, reference)

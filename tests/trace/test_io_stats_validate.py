@@ -1,18 +1,13 @@
-"""Trace file I/O, size accounting and stream validation."""
+"""Trace file I/O, size accounting and trace validation."""
 
 import pytest
 
 from repro.trace.array import TraceArray
-from repro.trace.io import (
-    read_comments,
-    read_io_records,
-    read_trace_array,
-    write_trace,
-    write_trace_array,
-)
+from repro.trace.decode import decode_lines
+from repro.trace.io import read_trace_array, write_trace, write_trace_array
 from repro.trace.record import CommentRecord, TraceRecord
 from repro.trace.stats import BINARY_RECORD_BYTES, measure_trace_sizes
-from repro.trace.validate import validate_array, validate_records
+from repro.trace.validate import validate_array
 from repro.util.errors import TraceFormatError
 
 
@@ -41,9 +36,13 @@ class TestFileIO:
         records = sequential_records()
         stats = write_trace(path, records, header_comments=["venus trace"])
         assert stats.records == len(records)
-        back = list(read_io_records(path))
-        assert back == records
-        comments = read_comments(path)
+        back = read_trace_array(path)
+        assert list(back.to_records()) == records
+        comments = [
+            r
+            for r in decode_lines(path.read_text().splitlines())
+            if isinstance(r, CommentRecord)
+        ]
         assert comments == [CommentRecord("venus trace")]
 
     def test_array_round_trip(self, tmp_path):
@@ -78,14 +77,14 @@ class TestSizes:
 
 class TestValidation:
     def test_valid_stream(self):
-        report = validate_records(sequential_records())
+        report = validate_array(TraceArray.from_records(sequential_records()))
         assert report.ok
         report.raise_if_failed()
 
     def test_detects_zero_length(self):
         bad = sequential_records(3)
         bad[1] = bad[1].replaced(length=0)
-        report = validate_records(bad)
+        report = validate_array(TraceArray.from_records(bad))
         assert not report.ok
         assert "length" in report.problems[0]
         with pytest.raises(TraceFormatError):
@@ -94,8 +93,8 @@ class TestValidation:
     def test_detects_time_reversal(self):
         recs = sequential_records(3)
         recs[2] = recs[2].replaced(start_time=recs[1].start_time - 50)
-        report = validate_records(recs)
-        assert any("precedes" in p for p in report.problems)
+        report = validate_array(TraceArray.from_records(recs))
+        assert any("nondecreasing" in p for p in report.problems)
 
     def test_detects_cpu_clock_overrun(self):
         # Process claims 1000 ticks of CPU between I/Os only 100 wall
@@ -110,7 +109,7 @@ class TestValidation:
                 operation_id=1, file_id=1, process_id=1, process_time=1000,
             ),
         ]
-        report = validate_records(recs)
+        report = validate_array(TraceArray.from_records(recs))
         assert any("CPU clock" in p for p in report.problems)
 
     def test_array_validation_matches(self):

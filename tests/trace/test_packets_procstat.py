@@ -9,7 +9,6 @@ from repro.trace.packets import (
     ENTRY_WORDS,
     PACKET_HEADER_WORDS,
     IOEvent,
-    TracePacket,
     dump_packets,
     load_packets,
     packet_overhead_ratio,

@@ -7,7 +7,6 @@ and shared across the checks.
 import numpy as np
 import pytest
 
-from repro.trace import flags as F
 from repro.trace.procstat import ProcstatCollector
 from repro.trace.reconstruct import reconstruct_array
 from repro.trace.validate import validate_array
