@@ -128,20 +128,34 @@ def _axis_floats(value, name: str) -> tuple[float, ...]:
     raise JobSpecError(f"bad {name} axis {value!r}")
 
 
+def _toggle(value, name: str) -> bool:
+    """One toggle: a JSON bool, or a string ``parse_toggles`` reads as
+    exactly one value ("on", "off", "true", "false", "1", "0", ...)."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            (toggle,) = parse_toggles(value)
+            return toggle
+        except ValueError:
+            pass
+    raise JobSpecError(f"bad {name} toggle {value!r} (want true/false or on/off)")
+
+
 def _axis_toggles(value, name: str) -> tuple[bool, ...]:
     """A toggle axis from a JSON bool/list or a CLI-style "on,off" string."""
-    try:
-        if isinstance(value, str):
+    if isinstance(value, str):
+        try:
             return parse_toggles(value)
-        if isinstance(value, bool):
-            return (value,)
-        if isinstance(value, list) and value:
-            toggles = tuple(bool(v) for v in value)
-            if len(set(toggles)) != len(toggles):
-                raise ValueError("repeated toggle value")
-            return toggles
-    except (TypeError, ValueError) as exc:
-        raise JobSpecError(f"bad {name} axis {value!r}: {exc}") from exc
+        except ValueError as exc:
+            raise JobSpecError(f"bad {name} axis {value!r}: {exc}") from exc
+    if isinstance(value, bool):
+        return (value,)
+    if isinstance(value, list) and value:
+        toggles = tuple(_toggle(v, name) for v in value)
+        if len(set(toggles)) != len(toggles):
+            raise JobSpecError(f"bad {name} axis {value!r}: repeated toggle value")
+        return toggles
     raise JobSpecError(f"bad {name} axis {value!r}")
 
 
@@ -182,9 +196,9 @@ def _simulate_points(spec: dict) -> list[SweepPointSpec]:
         config = build_sim_config(
             cache_mb=float(spec.get("cache_mb", 32.0)),
             block_kb=float(spec.get("block_kb", 4.0)),
-            ssd=bool(spec.get("ssd", False)),
-            read_ahead=bool(spec.get("read_ahead", True)),
-            write_behind=bool(spec.get("write_behind", True)),
+            ssd=_toggle(spec.get("ssd", False), "ssd"),
+            read_ahead=_toggle(spec.get("read_ahead", True), "read_ahead"),
+            write_behind=_toggle(spec.get("write_behind", True), "write_behind"),
             n_cpus=int(spec.get("cpus", 1)),
         )
     except (TypeError, ValueError) as exc:
@@ -192,7 +206,7 @@ def _simulate_points(spec: dict) -> list[SweepPointSpec]:
     config = _fault_config(spec, config)
     workload = TraceFileSpec(
         paths=tuple(traces),
-        share_files=bool(spec.get("share_files", False)),
+        share_files=_toggle(spec.get("share_files", False), "share_files"),
     )
     label = spec.get("label") or f"simulate {' '.join(traces)}"
     return [SweepPointSpec(workload=workload, config=config, label=str(label))]
@@ -220,7 +234,7 @@ def _sweep_points(spec: dict) -> list[SweepPointSpec]:
             write_behind=_axis_toggles(
                 spec.get("write_behind", True), "write_behind"
             ),
-            ssd=bool(spec.get("ssd", False)),
+            ssd=_toggle(spec.get("ssd", False), "ssd"),
             n_cpus=int(spec.get("cpus", 1)),
         )
         return grid.points()
@@ -272,7 +286,7 @@ def parse_job(body: dict, job_id: str) -> Job:
         priority=priority,
         points=builder(spec),
         runner_jobs=runner_jobs,
-        use_result_cache=bool(spec.get("result_cache", True)),
+        use_result_cache=_toggle(spec.get("result_cache", True), "result_cache"),
     )
 
 

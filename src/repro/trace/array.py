@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,35 +49,31 @@ _FIELDS = (
 #: the sum or difference of any two of them is exact in int64.
 SAFE_INT = 1 << 62
 
-#: A :class:`TraceRecord`'s fields in column order, ``process_time``
-#: (a delta) in the place of ``process_clock``: the order in which
-#: :meth:`TraceArray.from_records` reads and assigns them.
-_RECORD_VALUES = attrgetter(*(name for name, _ in _FIELDS[:-1]), "process_time")
+#: Each column's index in a :class:`TraceRecord`, ``process_time`` (a
+#: delta) in the place of ``process_clock``: the order in which
+#: :meth:`TraceArray.from_records` assigns them.
+_RECORD_COLUMNS = [
+    TraceRecord._fields.index(name) for name, _ in _FIELDS[:-1]
+] + [TraceRecord._fields.index("process_time")]
 
 
-def int_table(
-    rows: Sequence, width: int, get: Callable[[object], Iterable[int]] | None = None
-) -> np.ndarray:
+def int_table(rows: Sequence, width: int) -> np.ndarray:
     """Rows of ``width`` Python ints as one ``(len(rows), width)`` table.
 
-    ``get`` maps a row to its values; by default a row is its values (a
-    tuple, an :class:`~repro.trace.packets.IOEvent`).  NumPy reads them
-    all in one pass, with no Python object per row or value.  The table
-    is int64 when every value lies strictly within ``+-SAFE_INT``;
+    A row is a tuple of its values (an :class:`~repro.trace.packets.IOEvent`,
+    a :class:`~repro.trace.record.TraceRecord`).  NumPy reads them all
+    in one pass, with no Python object per row or value.  The table is
+    int64 when every value lies strictly within ``+-SAFE_INT``;
     otherwise it holds the same Python ints with ``dtype=object``, on
     which the same NumPy code computes exactly, only slower.
     """
     n = len(rows)
-
-    def values() -> Iterator[int]:
-        return chain.from_iterable(rows if get is None else map(get, rows))
-
     try:
-        flat = np.fromiter(values(), dtype=np.int64, count=n * width)
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n * width)
     except OverflowError:
         flat = None
     if flat is None or (n and (flat.min() <= -SAFE_INT or flat.max() >= SAFE_INT)):
-        flat = np.fromiter(values(), dtype=object, count=n * width)
+        flat = np.fromiter(chain.from_iterable(rows), dtype=object, count=n * width)
     return flat.reshape(n, width)
 
 
@@ -260,7 +255,7 @@ class TraceArray:
         process with one grouped cumulative sum.
         """
         rows = records if isinstance(records, list) else list(records)
-        table = int_table(rows, len(_FIELDS), get=_RECORD_VALUES)
+        table = int_table(rows, len(_FIELDS))[:, _RECORD_COLUMNS]
         deltas = table[:, -1]
         if table.dtype != object and (
             float(np.abs(deltas).sum(dtype=np.float64)) >= SAFE_INT

@@ -40,7 +40,6 @@ stay as they are.  Where both run, their bytes and
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -227,9 +226,7 @@ def encode_records(
 
 #: The fields of a :class:`TraceRecord`, in its order: the columns
 #: :func:`encode_columns` takes.
-RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))
-
-_record_values = attrgetter(*RECORD_FIELDS)
+RECORD_FIELDS = TraceRecord._fields
 
 
 def record_columns(records: Sequence[AnyRecord]) -> list[np.ndarray] | None:
@@ -241,7 +238,7 @@ def record_columns(records: Sequence[AnyRecord]) -> list[np.ndarray] | None:
     """
     if set(map(type, records)) - {TraceRecord}:
         return None
-    table = int_table(records, len(RECORD_FIELDS), get=_record_values)
+    table = int_table(records, len(RECORD_FIELDS))
     if table.dtype == object:
         return None
     return [table[:, j] for j in range(len(RECORD_FIELDS))]

@@ -27,8 +27,7 @@ columns respectively.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,6 +41,12 @@ from repro.trace.record import TraceRecord
 # IOEvent field indexes in an int_table row.
 _RECORD_TYPE, _FILE, _PROCESS, _OPERATION = 0, 1, 2, 3
 _OFFSET, _LENGTH, _START, _DURATION, _CLOCK = 4, 5, 6, 7, 8
+
+#: ``TraceRecord``'s positional fields before ``process_time``, as
+#: IOEvent field indexes.
+_RECORD_FIELDS = (
+    _RECORD_TYPE, _OFFSET, _LENGTH, _START, _DURATION, _OPERATION, _FILE, _PROCESS,
+)
 
 
 def _sort_key(e: IOEvent) -> tuple[int, int]:
@@ -182,44 +187,15 @@ def _clock_deltas(process: np.ndarray, clock: np.ndarray) -> np.ndarray:
     return clock - np.where(prev >= 0, clock[prev], 0)
 
 
-def _backwards(
-    process: np.ndarray, clock: np.ndarray, deltas: np.ndarray, row: int
-) -> ValueError:
-    return ValueError(
-        f"process {process[row]} CPU clock went backwards "
-        f"({clock[row] - deltas[row]} -> {clock[row]})"
-    )
+def _check_rows(table: np.ndarray, deltas: np.ndarray) -> None:
+    """Raise the first error, in row order, that building the records
+    of ``table``'s event rows with clock ``deltas`` would raise.
 
-
-#: ``TraceRecord``'s positional fields before ``process_time``, as
-#: IOEvent field indexes.
-_RECORD_FIELDS = (
-    _RECORD_TYPE, _OFFSET, _LENGTH, _START, _DURATION, _OPERATION, _FILE, _PROCESS,
-)
-
-
-def _record_list(events: Sequence[IOEvent], deltas: np.ndarray) -> list[TraceRecord]:
-    # Fields are the events' own int objects, as a record built from
-    # an event's attributes holds; only the deltas are new.
-    columns = (map(itemgetter(j), events) for j in _RECORD_FIELDS)
-    return list(map(TraceRecord, *columns, deltas.tolist()))
-
-
-def events_to_array(events: Sequence[IOEvent]) -> TraceArray:
-    """Time-ordered events as a columnar trace.
-
-    What generation yields: the trace of the records the events make
-    (process clocks as per-process deltas, as
-    :func:`reconstruct_records` computes them) and their first error,
-    without a record object per event.  A backwards process clock and
-    the fields a :class:`~repro.trace.record.TraceRecord` rejects are
-    found over the columns, and the row at fault is rebuilt as a record
-    only to raise that record's own error.  A value that does not fit
-    its column raises as in :meth:`TraceArray.from_records`.
+    A backwards process clock, and the fields a
+    :class:`~repro.trace.record.TraceRecord` rejects, are found over the
+    columns; the row at fault is rebuilt as a record only to raise that
+    record's own error.  A backwards clock wins within its row.
     """
-    table = int_table(events, len(IOEvent._fields))
-    process, clock = table[:, _PROCESS], table[:, _CLOCK]
-    deltas = _clock_deltas(process, clock)
     backwards = deltas < 0
     bad = np.flatnonzero(
         backwards
@@ -228,11 +204,31 @@ def events_to_array(events: Sequence[IOEvent]) -> TraceArray:
         | (table[:, _LENGTH] < 0)
         | (table[:, _DURATION] < 0)
     )
-    if bad.size:
-        row = int(bad[0])
-        if backwards[row]:
-            raise _backwards(process, clock, deltas, row)
-        _record_list(events[row : row + 1], deltas[row : row + 1])  # raises
+    if not bad.size:
+        return
+    row = int(bad[0])
+    values = table[row].tolist()
+    if backwards[row]:
+        clock = values[_CLOCK]
+        raise ValueError(
+            f"process {values[_PROCESS]} CPU clock went backwards "
+            f"({clock - int(deltas[row])} -> {clock})"
+        )
+    TraceRecord(*(values[j] for j in _RECORD_FIELDS), int(deltas[row]))  # raises
+
+
+def events_to_array(events: Sequence[IOEvent]) -> TraceArray:
+    """Time-ordered events as a columnar trace.
+
+    What generation yields: the trace of the records the events make
+    (process clocks as per-process deltas, as
+    :func:`reconstruct_records` computes them) and their first error
+    (:func:`_check_rows`), without a record object per event.  A value
+    that does not fit its column raises as in
+    :meth:`TraceArray.from_records`.
+    """
+    table = int_table(events, len(IOEvent._fields))
+    _check_rows(table, _clock_deltas(table[:, _PROCESS], table[:, _CLOCK]))
     # The clock column is already what from_records integrates the
     # deltas back into.
     return TraceArray.from_table(table)
@@ -244,18 +240,17 @@ def reconstruct_records(packets: Iterable[TracePacket]) -> list[TraceRecord]:
     Each record's ``process_time`` is its clock delta since the same
     process's previous record.  Raises the first error in time order: a
     process clock going backwards, or a field
-    :class:`~repro.trace.record.TraceRecord` rejects.
+    :class:`~repro.trace.record.TraceRecord` rejects.  The rows are
+    checked over columns (:func:`_check_rows`), so the records are built
+    by the C tuple constructor, with no Python call per record.
     """
-    events, table, order = _merge(packets)
-    ordered = list(map(events.__getitem__, order.tolist()))
-    process, clock = table[order, _PROCESS], table[order, _CLOCK]
-    deltas = _clock_deltas(process, clock)
-    bad = np.flatnonzero(deltas < 0)
-    stop = int(bad[0]) if bad.size else len(ordered)
-    records = _record_list(ordered[:stop], deltas[:stop])
-    if bad.size:
-        raise _backwards(process, clock, deltas, stop)
-    return records
+    _, table, order = _merge(packets)
+    table = table[order]
+    deltas = _clock_deltas(table[:, _PROCESS], table[:, _CLOCK])
+    _check_rows(table, deltas)
+    columns = [table[:, j].tolist() for j in _RECORD_FIELDS]
+    rows = zip(*columns, deltas.tolist())
+    return list(map(tuple.__new__, repeat(TraceRecord), rows))
 
 
 def reconstruct_array(packets: Iterable[TracePacket]) -> TraceArray:

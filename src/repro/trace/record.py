@@ -13,14 +13,25 @@ Comment records (``recordType == 0xff``) are represented by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import dataclass
+from typing import NamedTuple, Union
 
 from repro.trace import flags as F
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class _TraceRecordFields(NamedTuple):
+    record_type: int
+    offset: int
+    length: int
+    start_time: int
+    duration: int
+    operation_id: int
+    file_id: int
+    process_id: int
+    process_time: int
+
+
+class TraceRecord(_TraceRecordFields):
     """One I/O event.
 
     Attributes mirror ``struct traceRecord`` in the paper's appendix, with
@@ -36,29 +47,56 @@ class TraceRecord:
       length for logical records; 512-byte block address and block count
       times 512 for physical records (the decoder normalizes blocks to
       bytes).
+
+    A named tuple: immutable, hashed and compared by value (it equals
+    the plain tuple of its fields), iterable in field order.  Every way
+    to build one -- the constructor, :meth:`make`, :meth:`replaced`,
+    ``_make``, ``_replace``, unpickling -- checks its fields.  Bulk
+    producers that have checked their columns already
+    (:func:`~repro.trace.reconstruct.reconstruct_records`) build rows
+    with ``tuple.__new__`` instead.
     """
 
-    record_type: int
-    offset: int
-    length: int
-    start_time: int
-    duration: int
-    operation_id: int
-    file_id: int
-    process_id: int
-    process_time: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.record_type == F.TRACE_COMMENT:
+    def __new__(
+        cls,
+        record_type: int,
+        offset: int,
+        length: int,
+        start_time: int,
+        duration: int,
+        operation_id: int,
+        file_id: int,
+        process_id: int,
+        process_time: int,
+    ) -> "TraceRecord":
+        if record_type == F.TRACE_COMMENT:
             raise ValueError("use CommentRecord for comment records")
-        if self.offset < 0:
-            raise ValueError(f"negative offset {self.offset}")
-        if self.length < 0:
-            raise ValueError(f"negative length {self.length}")
-        if self.duration < 0:
-            raise ValueError(f"negative duration {self.duration}")
-        if self.process_time < 0:
-            raise ValueError(f"negative process_time {self.process_time}")
+        if offset < 0:
+            raise ValueError(f"negative offset {offset}")
+        if length < 0:
+            raise ValueError(f"negative length {length}")
+        if duration < 0:
+            raise ValueError(f"negative duration {duration}")
+        if process_time < 0:
+            raise ValueError(f"negative process_time {process_time}")
+        return tuple.__new__(
+            cls,
+            (
+                record_type, offset, length, start_time, duration,
+                operation_id, file_id, process_id, process_time,
+            ),
+        )
+
+    # The named tuple's own _make (and _replace, which calls it), and
+    # unpickling at protocols 0 and 1, would skip the checks.
+    @classmethod
+    def _make(cls, iterable) -> "TraceRecord":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     # -- structured views of record_type ---------------------------------
     @property
@@ -92,8 +130,8 @@ class TraceRecord:
         return self.start_time + self.duration
 
     def replaced(self, **changes) -> "TraceRecord":
-        """A copy with some fields replaced (frozen-dataclass helper)."""
-        return replace(self, **changes)
+        """A copy with some fields replaced."""
+        return self._replace(**changes)
 
     @classmethod
     def make(

@@ -161,3 +161,82 @@ class TestEnvelope:
     def test_seed_defaults_to_default_seed(self):
         job = parse_job(sweep_body(cache_mb=8, block_kb=4), "j000001")
         assert job.points[0].workload.seed == DEFAULT_SEED
+
+
+
+#: Toggle spellings a spec may use, and the value each one means.
+TOGGLE_VALUES = [
+    (True, True), (False, False), ("on", True), ("off", False),
+    ("true", True), ("false", False), ("1", True), ("0", False),
+    ("yes", True), ("NO", False),
+]
+
+#: Values no toggle key accepts: not a JSON boolean, or not one toggle.
+BAD_TOGGLES = ["maybe", "", "on,off", 1, 0, None, 2.5, ["off"], {"on": 1}]
+
+#: Every boolean key of a ``simulate`` spec.
+SIMULATE_TOGGLES = ("ssd", "read_ahead", "write_behind", "share_files", "result_cache")
+
+
+def simulate_body(**spec):
+    return {"kind": "simulate", "spec": {"traces": ["/t"], **spec}}
+
+
+class TestToggles:
+    """Every boolean spec key reads a toggle as ``parse_toggles`` does."""
+
+    def test_simulate_toggles(self):
+        for value, meaning in TOGGLE_VALUES:
+            job = parse_job(
+                simulate_body(**{key: value for key in SIMULATE_TOGGLES}), "j000007"
+            )
+            (point,) = job.points
+            assert point.config == build_sim_config(
+                cache_mb=32, block_kb=4, ssd=meaning, read_ahead=meaning,
+                write_behind=meaning,
+            )
+            assert point.workload.share_files is meaning
+            assert job.use_result_cache is meaning
+
+    def test_read_ahead_off_string(self):
+        (point,) = parse_job(simulate_body(read_ahead="off"), "j000008").points
+        assert point.config.cache.read_ahead is False
+        assert point.config.cache.write_behind is True
+
+    @pytest.mark.parametrize("key", SIMULATE_TOGGLES)
+    def test_simulate_rejects_bad_toggles(self, key):
+        for value in BAD_TOGGLES:
+            with pytest.raises(JobSpecError, match=key):
+                parse_job(simulate_body(**{key: value}), "j000009")
+
+    def test_sweep_toggles(self):
+        for value, meaning in TOGGLE_VALUES:
+            job = parse_job(
+                sweep_body(
+                    cache_mb=8, block_kb=4, ssd=value, read_ahead=[value],
+                    write_behind=[value, not meaning], result_cache=value,
+                ),
+                "j000010",
+            )
+            grid = GridSpec(
+                cache_sizes_mb=(8.0,), block_sizes_kb=(4.0,), ssd=meaning,
+                read_ahead=(meaning,), write_behind=(meaning, not meaning),
+            )
+            assert [p.key(None) for p in job.points] == [
+                p.key(None) for p in grid.points()
+            ]
+            assert job.use_result_cache is meaning
+
+    @pytest.mark.parametrize("key", ["read_ahead", "write_behind"])
+    def test_sweep_rejects_bad_toggle_elements(self, key):
+        for value in BAD_TOGGLES:
+            with pytest.raises(JobSpecError, match=key):
+                parse_job(sweep_body(**{key: [True, value]}), "j000011")
+        with pytest.raises(JobSpecError, match=key):
+            parse_job(sweep_body(**{key: [True, "on"]}), "j000012")
+
+    @pytest.mark.parametrize("key", ["ssd", "result_cache"])
+    def test_sweep_rejects_bad_scalar_toggles(self, key):
+        for value in BAD_TOGGLES:
+            with pytest.raises(JobSpecError, match=key):
+                parse_job(sweep_body(**{key: value}), "j000013")

@@ -478,6 +478,9 @@ def test_generation_keeps_the_record_errors(change, message):
     with pytest.raises(ValueError) as info:
         events_to_array(events)
     assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        reconstruct_records([TracePacket(0, 0, 1, 1, events)])
+    assert str(info.value) == message
 
 
 def test_first_error_in_row_order_wins():
@@ -488,6 +491,19 @@ def test_first_error_in_row_order_wins():
         events_to_array(events)
     with pytest.raises(ValueError, match="negative offset -4"):
         reconstruct_records([TracePacket(0, 0, 1, 1, events)])
+
+
+def test_first_error_in_row_order_wins_for_a_backwards_clock():
+    events = [_event(i) for i in range(4)]
+    events[1] = events[1]._replace(process_clock=0)
+    events[2] = events[2]._replace(offset=-4)
+    message = "process 1 CPU clock went backwards (50 -> 0)"
+    with pytest.raises(ValueError) as info:
+        events_to_array(events)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        reconstruct_records([TracePacket(0, 0, 1, 1, events)])
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Record-type flags and the TraceRecord model."""
 
+import pickle
+
 import pytest
 
 from repro.trace import flags as F
@@ -109,6 +111,33 @@ class TestTraceRecord:
         r2 = r.replaced(offset=4096)
         assert r2.offset == 4096
         assert r.offset == 0  # original untouched (frozen)
+
+    def test_value_contract(self):
+        """Repr, hash, equality, immutability, pickling and errors."""
+        r = self.make(write=True, offset=512)
+        assert repr(r) == (
+            "TraceRecord(record_type=192, offset=512, length=1024, "
+            "start_time=100, duration=5, operation_id=1, file_id=1, "
+            "process_id=1, process_time=50)"
+        )
+        assert hash(r) == hash((192, 512, 1024, 100, 5, 1, 1, 1, 50))
+        assert r == self.make(write=True, offset=512)
+        assert r != self.make(write=True, offset=512, duration=6)
+        with pytest.raises(AttributeError):
+            r.offset = 0
+        assert pickle.loads(pickle.dumps(r)) == r
+        with pytest.raises(ValueError) as info:
+            r.replaced(offset=-1)
+        assert str(info.value) == "negative offset -1"
+
+    def test_named_tuple_builders_check_fields(self):
+        r = self.make()
+        with pytest.raises(ValueError) as info:
+            r._replace(length=-1)
+        assert str(info.value) == "negative length -1"
+        with pytest.raises(ValueError) as info:
+            TraceRecord._make([*r[:2], -1, *r[3:]])
+        assert str(info.value) == "negative length -1"
 
     def test_file_name_comments(self):
         c = file_name_comment(3, "/scratch/venus/data1")
