@@ -51,6 +51,8 @@ from repro.core.registry import EXPERIMENTS, run_experiment
 from repro.core.study import Study
 from repro.exec.cache import ResultCache
 from repro.exec.grid import (
+    FIG8_BLOCK_SIZES_KB,
+    FIG8_CACHE_SIZES_MB,
     GridSpec,
     build_sim_config,
     parse_floats,
@@ -443,12 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scale", type=float, default=0.25)
     p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sweep.add_argument(
-        "--cache-mb", default="4,8,16,32,64,128,256",
+        "--cache-mb", default=",".join(map(str, FIG8_CACHE_SIZES_MB)),
         help="comma-separated cache sizes in MB (default: the Figure 8 axis)",
     )
     p_sweep.add_argument(
-        "--block-kb", default="4,8",
-        help="comma-separated cache block sizes in KB (default: 4,8)",
+        "--block-kb", default=",".join(map(str, FIG8_BLOCK_SIZES_KB)),
+        help="comma-separated cache block sizes in KB (default: %(default)s)",
     )
     p_sweep.add_argument(
         "--read-ahead", default="on",

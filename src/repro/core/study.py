@@ -15,6 +15,7 @@ from repro.analysis.rates import data_rate_series
 from repro.analysis.report import render_table1, render_table2
 from repro.analysis.sequentiality import SequentialityReport, analyze_sequentiality
 from repro.sim.experiments import (
+    DEFAULT_SCALES,
     AppSSDRun,
     BufferingRun,
     SweepPoint,
@@ -27,19 +28,6 @@ from repro.util.rng import DEFAULT_SEED
 from repro.util.timeseries import RateSeries
 from repro.workloads.base import GeneratedWorkload
 from repro.workloads.catalog import APP_NAMES
-
-#: Per-app default scales: the heavier generators run fewer cycles so a
-#: full study stays interactive, while every app still runs enough cycles
-#: for its cyclic structure to show.
-DEFAULT_SCALES: dict[str, float] = {
-    "bvi": 0.05,
-    "forma": 0.1,
-    "ccm": 0.2,
-    "gcm": 0.2,
-    "les": 0.25,
-    "venus": 0.2,
-    "upw": 0.2,
-}
 
 
 @dataclass

@@ -12,11 +12,7 @@ The scaling layer the section-6 experiments run on:
 * :mod:`repro.exec.keys` -- stable point keys (exact-float canonical
   JSON + a code-version tag);
 * :mod:`repro.exec.grid` -- :class:`GridSpec`, the cross-product spec
-  behind the ``sweep`` CLI command.
-
-``grid`` names are re-exported lazily (PEP 562): ``grid`` imports the
-canned experiments, which themselves run on the runner, so loading it
-eagerly here would be circular.
+  behind the ``sweep`` CLI command and the canned Figure 8 experiments.
 """
 
 from repro.exec.cache import CacheCounters, ResultCache, default_cache_dir
@@ -26,6 +22,13 @@ from repro.exec.executor import (
     QueueExecutor,
     SerialExecutor,
 )
+from repro.exec.grid import (
+    GridSpec,
+    parse_floats,
+    parse_toggles,
+    render_sweep_table,
+    sweep_summary,
+)
 from repro.exec.keys import canonical_json, code_version_tag, point_key
 from repro.exec.runner import (
     AppWorkloadSpec,
@@ -34,14 +37,6 @@ from repro.exec.runner import (
     SweepRunner,
     TraceFileSpec,
     resolve_jobs,
-)
-
-_GRID_EXPORTS = (
-    "GridSpec",
-    "parse_floats",
-    "parse_toggles",
-    "render_sweep_table",
-    "sweep_summary",
 )
 
 __all__ = [
@@ -61,13 +56,9 @@ __all__ = [
     "default_cache_dir",
     "point_key",
     "resolve_jobs",
-    *_GRID_EXPORTS,
+    "GridSpec",
+    "parse_floats",
+    "parse_toggles",
+    "render_sweep_table",
+    "sweep_summary",
 ]
-
-
-def __getattr__(name: str):
-    if name in _GRID_EXPORTS:
-        from repro.exec import grid
-
-        return getattr(grid, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

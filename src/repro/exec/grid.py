@@ -14,10 +14,15 @@ from dataclasses import dataclass
 
 from repro.exec.runner import AppWorkloadSpec, PointResult, SweepPointSpec
 from repro.sim.config import CacheConfig, SimConfig, ssd_cache
-from repro.sim.experiments import FIG8_BLOCK_SIZES_KB, FIG8_CACHE_SIZES_MB
 from repro.util.rng import DEFAULT_SEED
 from repro.util.tables import TextTable
 from repro.util.units import KB, MB
+
+#: Figure 8's cache sizes, in MB.
+FIG8_CACHE_SIZES_MB = (4, 8, 16, 32, 64, 128, 256)
+
+#: Figure 8 compares 4 KB and 8 KB cache blocks.
+FIG8_BLOCK_SIZES_KB = (4, 8)
 
 
 def build_sim_config(

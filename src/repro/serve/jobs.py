@@ -14,10 +14,18 @@ with batch runs.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass, field
 
-from repro.exec.grid import GridSpec, build_sim_config, parse_floats, parse_toggles
+from repro.exec.grid import (
+    FIG8_BLOCK_SIZES_KB,
+    FIG8_CACHE_SIZES_MB,
+    GridSpec,
+    build_sim_config,
+    parse_floats,
+    parse_toggles,
+)
 from repro.exec.runner import PointResult, SweepPointSpec, TraceFileSpec
 from repro.sim.faults import FaultPlan
 from repro.util.rng import DEFAULT_SEED
@@ -114,18 +122,42 @@ class Job:
         return record
 
 
-def _axis_floats(value, name: str) -> tuple[float, ...]:
-    """A float axis from a JSON list or a CLI-style "4,8,16" string."""
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, never a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, name: str) -> float:
+    """A float key: any JSON number.  An integer past the float range
+    reads as infinity, as JSON reads ``1e400``."""
+    if not _is_number(value):
+        raise JobSpecError(f"bad {name} {value!r} (want a number)")
     try:
-        if isinstance(value, str):
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _integer(value, name: str) -> int:
+    """An integer key: a JSON number with no fractional part."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif _is_number(value):
+        return value
+    raise JobSpecError(f"bad {name} {value!r} (want an integer)")
+
+
+def _axis_floats(value, name: str) -> tuple[float, ...]:
+    """A float axis from a JSON number, a non-empty list of them, or a
+    CLI-style "4,8,16" string."""
+    if isinstance(value, str):
+        try:
             return parse_floats(value)
-        if isinstance(value, (int, float)):
-            return (float(value),)
-        if isinstance(value, list) and value:
-            return tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise JobSpecError(f"bad {name} axis {value!r}: {exc}") from exc
-    raise JobSpecError(f"bad {name} axis {value!r}")
+        except ValueError as exc:
+            raise JobSpecError(f"bad {name} axis {value!r}: {exc}") from exc
+    elements = value if isinstance(value, list) and value else [value]
+    return tuple(_number(v, name) for v in elements)
 
 
 def _toggle(value, name: str) -> bool:
@@ -192,16 +224,17 @@ def _simulate_points(spec: dict) -> list[SweepPointSpec]:
         or not all(isinstance(t, str) for t in traces)
     ):
         raise JobSpecError("'traces' must be a non-empty list of paths")
+    knobs = dict(
+        cache_mb=_number(spec.get("cache_mb", 32.0), "cache_mb"),
+        block_kb=_number(spec.get("block_kb", 4.0), "block_kb"),
+        ssd=_toggle(spec.get("ssd", False), "ssd"),
+        read_ahead=_toggle(spec.get("read_ahead", True), "read_ahead"),
+        write_behind=_toggle(spec.get("write_behind", True), "write_behind"),
+        n_cpus=_integer(spec.get("cpus", 1), "cpus"),
+    )
     try:
-        config = build_sim_config(
-            cache_mb=float(spec.get("cache_mb", 32.0)),
-            block_kb=float(spec.get("block_kb", 4.0)),
-            ssd=_toggle(spec.get("ssd", False), "ssd"),
-            read_ahead=_toggle(spec.get("read_ahead", True), "read_ahead"),
-            write_behind=_toggle(spec.get("write_behind", True), "write_behind"),
-            n_cpus=int(spec.get("cpus", 1)),
-        )
-    except (TypeError, ValueError) as exc:
+        config = build_sim_config(**knobs)
+    except ValueError as exc:
         raise JobSpecError(f"bad simulate config: {exc}") from exc
     config = _fault_config(spec, config)
     workload = TraceFileSpec(
@@ -223,19 +256,21 @@ def _sweep_points(spec: dict) -> list[SweepPointSpec]:
     try:
         grid = GridSpec(
             app=app,
-            n_copies=int(spec.get("copies", 2)),
-            scale=float(spec.get("scale", 0.25)),
-            workload_seed=int(spec.get("seed", DEFAULT_SEED)),
+            n_copies=_integer(spec.get("copies", 2), "copies"),
+            scale=_number(spec.get("scale", 0.25), "scale"),
+            workload_seed=_integer(spec.get("seed", DEFAULT_SEED), "seed"),
             cache_sizes_mb=_axis_floats(
-                spec.get("cache_mb", "4,8,16,32,64,128,256"), "cache_mb"
+                spec.get("cache_mb", list(FIG8_CACHE_SIZES_MB)), "cache_mb"
             ),
-            block_sizes_kb=_axis_floats(spec.get("block_kb", "4,8"), "block_kb"),
+            block_sizes_kb=_axis_floats(
+                spec.get("block_kb", list(FIG8_BLOCK_SIZES_KB)), "block_kb"
+            ),
             read_ahead=_axis_toggles(spec.get("read_ahead", True), "read_ahead"),
             write_behind=_axis_toggles(
                 spec.get("write_behind", True), "write_behind"
             ),
             ssd=_toggle(spec.get("ssd", False), "ssd"),
-            n_cpus=int(spec.get("cpus", 1)),
+            n_cpus=_integer(spec.get("cpus", 1), "cpus"),
         )
         return grid.points()
     except JobSpecError:
@@ -268,14 +303,8 @@ def parse_job(body: dict, job_id: str) -> Job:
     spec = body.get("spec") or {}
     if not isinstance(spec, dict):
         raise JobSpecError(f"'spec' must be a JSON object: {spec!r}")
-    try:
-        priority = int(body.get("priority", 0))
-    except (TypeError, ValueError) as exc:
-        raise JobSpecError(f"bad priority {body.get('priority')!r}") from exc
-    try:
-        runner_jobs = int(spec.get("jobs", 1))
-    except (TypeError, ValueError) as exc:
-        raise JobSpecError(f"bad jobs {spec.get('jobs')!r}") from exc
+    priority = _integer(body.get("priority", 0), "priority")
+    runner_jobs = _integer(spec.get("jobs", 1), "jobs")
     if not 1 <= runner_jobs <= MAX_RUNNER_JOBS:
         raise JobSpecError(
             f"jobs must be in [1, {MAX_RUNNER_JOBS}], got {runner_jobs}"

@@ -15,8 +15,9 @@ what direct ``simulate()`` calls produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.exec.grid import FIG8_BLOCK_SIZES_KB, FIG8_CACHE_SIZES_MB, GridSpec
 from repro.exec.runner import (
     AppWorkloadSpec,
     PointResult,
@@ -38,11 +39,19 @@ from repro.workloads.base import GeneratedWorkload
 #: no idle time" (two venus runs back to back on one CPU).
 PAPER_TWO_VENUS_NO_IDLE_SECONDS = 761.0
 
-#: Figure 8's cache sizes, in MB.
-FIG8_CACHE_SIZES_MB = (4, 8, 16, 32, 64, 128, 256)
-
-#: Figure 8 compares 4 KB and 8 KB cache blocks.
-FIG8_BLOCK_SIZES_KB = (4, 8)
+#: Per-app default scales: the heavier generators run fewer cycles so a
+#: full study stays interactive, while every app runs at least ~4
+#: cycles -- with fewer, the first (cold) sweep dominates a simulated
+#: run and no window is "warm".
+DEFAULT_SCALES: dict[str, float] = {
+    "bvi": 0.05,
+    "forma": 0.1,
+    "ccm": 0.2,
+    "gcm": 0.2,
+    "les": 0.25,
+    "venus": 0.2,
+    "upw": 0.2,
+}
 
 
 def two_copies(workload: GeneratedWorkload) -> list[TraceArray]:
@@ -79,26 +88,6 @@ class BufferingRun:
         return self.result.utilization
 
 
-def _venus_cache(
-    *,
-    cache_mb: float,
-    block_kb: float,
-    read_ahead: bool,
-    write_behind: bool,
-    ssd: bool,
-    max_blocks_per_process: int | None,
-) -> CacheConfig:
-    kwargs = dict(
-        block_bytes=int(block_kb * KB),
-        read_ahead=read_ahead,
-        write_behind=write_behind,
-        max_blocks_per_process=max_blocks_per_process,
-    )
-    if ssd:
-        return ssd_cache(int(cache_mb * MB), **kwargs)
-    return CacheConfig(size_bytes=int(cache_mb * MB), **kwargs)
-
-
 def _two_venus_point(
     *,
     cache_mb: float,
@@ -110,26 +99,21 @@ def _two_venus_point(
     seed: int | None,
     max_blocks_per_process: int | None,
 ) -> SweepPointSpec:
-    cache = _venus_cache(
-        cache_mb=cache_mb,
-        block_kb=block_kb,
-        read_ahead=read_ahead,
-        write_behind=write_behind,
+    """One point of the two-venus sweep grid, with the per-process
+    buffer cap (if any) applied on top of the grid's config."""
+    (point,) = GridSpec(
+        scale=scale,
+        workload_seed=DEFAULT_SEED if seed is None else seed,
+        cache_sizes_mb=(cache_mb,),
+        block_sizes_kb=(block_kb,),
+        read_ahead=(read_ahead,),
+        write_behind=(write_behind,),
         ssd=ssd,
-        max_blocks_per_process=max_blocks_per_process,
-    )
-    kind = "SSD" if ssd else "mem"
-    return SweepPointSpec(
-        workload=AppWorkloadSpec(
-            app="venus",
-            scale=scale,
-            seed=DEFAULT_SEED if seed is None else seed,
-            n_copies=2,
-        ),
-        config=SimConfig(cache=cache),
-        label=f"2xvenus {kind} {cache_mb:g}MB/{block_kb:g}KB "
-        f"ra={'on' if read_ahead else 'off'} wb={'on' if write_behind else 'off'}",
-    )
+    ).points()
+    if max_blocks_per_process is None:
+        return point
+    config = point.config.with_cache(max_blocks_per_process=max_blocks_per_process)
+    return replace(point, config=config)
 
 
 def _buffering_run(point_result: PointResult, cache_mb: float, block_kb: float) -> BufferingRun:
@@ -194,21 +178,13 @@ def cache_size_sweep(
     parameters over fixed trace files.  ``jobs`` fans the grid over
     worker processes; the results are identical at any worker count.
     """
-    points = []
-    for block_kb in block_sizes_kb:
-        for cache_mb in cache_sizes_mb:
-            points.append(
-                _two_venus_point(
-                    cache_mb=cache_mb,
-                    block_kb=block_kb,
-                    read_ahead=True,
-                    write_behind=True,
-                    ssd=ssd,
-                    scale=scale,
-                    seed=seed,
-                    max_blocks_per_process=None,
-                )
-            )
+    points = GridSpec(
+        scale=scale,
+        workload_seed=seed,
+        cache_sizes_mb=tuple(cache_sizes_mb),
+        block_sizes_kb=tuple(block_sizes_kb),
+        ssd=ssd,
+    ).points()
     r = _runner(runner, jobs)
     out = []
     for spec, pr in zip(points, r.run(points)):
@@ -258,18 +234,7 @@ def ssd_utilization_per_app(
     "all but one of the applications nearly completely utilized a Cray
     Y-MP CPU by itself when using a 32 MW SSD cache."
     """
-    # Scales are chosen so every app runs at least ~4 cycles: with fewer,
-    # the first (cold) sweep dominates the run and no window is "warm".
-    default_scales = {
-        "bvi": 0.05,
-        "forma": 0.1,
-        "ccm": 0.2,
-        "gcm": 0.2,
-        "les": 0.25,
-        "venus": 0.2,
-        "upw": 0.2,
-    }
-    scales = {**default_scales, **(scales or {})}
+    scales = {**DEFAULT_SCALES, **(scales or {})}
     points = [
         SweepPointSpec(
             workload=AppWorkloadSpec(app=name, scale=scales[name], seed=seed),

@@ -7,7 +7,9 @@ Layers, bottom to top:
 * :mod:`repro.trace.encode` / :mod:`repro.trace.decode` /
   :mod:`repro.trace.io` -- the compressed ASCII on-disk format;
   :mod:`repro.trace.digits` formats and parses its digits, and the
-  packet log's, a whole document at a time.
+  packet log's, a whole document at a time.  A trace outside the
+  encoder's strict grammar is read by the one scalar decoder,
+  :class:`TraceDecoder`, whose errors name the line.
 * :mod:`repro.trace.array` -- columnar bulk representation used by
   analysis and simulation.
 * :mod:`repro.trace.packets` / :mod:`repro.trace.procstat` /
@@ -30,10 +32,7 @@ from repro.trace.packets import (
     packet_overhead_ratio,
 )
 from repro.trace.procstat import ProcstatCollector, collect_to_list
-from repro.trace.reconstruct import (
-    reconstruct_array,
-    reconstruct_records,
-)
+from repro.trace.reconstruct import reconstruct_records
 from repro.trace.record import (
     AnyRecord,
     CommentRecord,
@@ -63,7 +62,6 @@ __all__ = [
     "packet_overhead_ratio",
     "ProcstatCollector",
     "collect_to_list",
-    "reconstruct_array",
     "reconstruct_records",
     "AnyRecord",
     "CommentRecord",

@@ -14,11 +14,11 @@ on demand.
 
 This module is also the canonical *decode target*.  Producers that
 hold their rows as Python objects (the tracer's events, the packet-log
-merge, :meth:`TraceArray.from_records`) read every field in one pass
-with :func:`int_table` and convert the table once with
-:meth:`TraceArray.from_table`; the scalar fallback of the ASCII decoder
-appends scalars to a :class:`TraceArrayBuilder`.  No path builds an
-intermediate object per record.
+merge, :meth:`TraceArray.from_records` over the ASCII decoder's records)
+read every field in one pass with :func:`int_table` and convert the
+table once with :meth:`TraceArray.from_table`.  The per-process clock
+deltas of the trace format, in both directions, are grouped NumPy
+passes (:func:`group_cumsum`, :func:`clock_deltas`).
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ _FIELDS = (
     ("duration", np.int64),
     ("process_clock", np.int64),
 )
+
+#: Exclusive upper bounds of the columns above: the ``uint32`` ids, the
+#: ``uint64`` operation id and the ``int64`` rest.
+ID_END, OPERATION_ID_END, INT64_END = 1 << 32, 1 << 64, 1 << 63
 
 #: Bound on the magnitude of every value of an int64 :func:`int_table`:
 #: the sum or difference of any two of them is exact in int64.
@@ -114,55 +118,11 @@ def group_cumsum(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-class TraceArrayBuilder:
-    """Append-only columnar sink for streaming decoders.
-
-    Rows are appended as plain Python scalars (no intermediate record
-    objects) and converted to NumPy columns exactly once in
-    :meth:`build`.  ``process_clock`` must already be the *absolute*
-    per-process CPU tick -- integrating the format's ``processTime``
-    deltas is the producer's job, since only it knows which rows belong
-    to which stream.
-    """
-
-    __slots__ = tuple(name for name, _ in _FIELDS)
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, [])
-
-    def __len__(self) -> int:
-        return len(self.record_type)
-
-    def append(
-        self,
-        record_type: int,
-        file_id: int,
-        process_id: int,
-        operation_id: int,
-        offset: int,
-        length: int,
-        start_time: int,
-        duration: int,
-        process_clock: int,
-    ) -> None:
-        self.record_type.append(record_type)
-        self.file_id.append(file_id)
-        self.process_id.append(process_id)
-        self.operation_id.append(operation_id)
-        self.offset.append(offset)
-        self.length.append(length)
-        self.start_time.append(start_time)
-        self.duration.append(duration)
-        self.process_clock.append(process_clock)
-
-    def build(self) -> "TraceArray":
-        return TraceArray(
-            *(
-                np.asarray(getattr(self, name), dtype=dtype)
-                for name, dtype in _FIELDS
-            )
-        )
+def clock_deltas(process: np.ndarray, clock: np.ndarray) -> np.ndarray:
+    """Each row's clock delta since its process's previous row (the
+    format's ``processTime``); a process's first row counts from 0."""
+    prev = previous_in_group(process)
+    return clock - np.where(prev >= 0, clock[prev], 0)
 
 
 @dataclass
@@ -220,15 +180,14 @@ class TraceArray:
         return cls(*cols)
 
     @classmethod
-    def from_table(cls, table: np.ndarray, *, row_major: bool = True) -> "TraceArray":
+    def from_table(cls, table: np.ndarray) -> "TraceArray":
         """Build from an ``(n, 9)`` :func:`int_table` in column order.
 
         Each column is copied into its own array of its final dtype, so
         no column keeps the table alive.  A value that does not fit its
         column never wraps: NumPy raises its own ``OverflowError`` for
         the first such value in row-major order (the order
-        :meth:`from_records` assigns in) or, with ``row_major=False``,
-        column-major order (the order of :meth:`TraceArrayBuilder.build`).
+        :meth:`from_records` assigns in).
         """
         first_bad: tuple[int, int] | None = None
         for j, (_, dtype) in enumerate(_FIELDS):
@@ -236,10 +195,10 @@ class TraceArray:
             info = np.iinfo(dtype)
             bad = np.flatnonzero((col < info.min) | (col > info.max))
             if bad.size:
-                at = (int(bad[0]), j) if row_major else (j, int(bad[0]))
+                at = (int(bad[0]), j)
                 first_bad = at if first_bad is None else min(first_bad, at)
         if first_bad is not None:
-            row, j = first_bad if row_major else first_bad[::-1]
+            row, j = first_bad
             np.array(int(table[row, j]), dtype=_FIELDS[j][1])  # raises
         return cls(
             *(np.array(table[:, j], dtype=dtype) for j, (_, dtype) in enumerate(_FIELDS))
@@ -384,19 +343,15 @@ class TraceArray:
 
         This is exactly the ``processTime`` field the trace format stores.
         Rows must be in a consistent order (per-process nondecreasing
-        ``process_clock``); the first record of each process gets its full
-        clock value.
+        ``process_clock``; otherwise ``ValueError`` names the lowest
+        process id whose clock goes back); the first record of each
+        process gets its full clock value.
         """
-        deltas = np.zeros(len(self), dtype=np.int64)
-        for pid in self.process_ids():
-            mask = self.process_id == pid
-            clock = self.process_clock[mask]
-            d = np.diff(clock, prepend=0)
-            if np.any(d < 0):
-                raise ValueError(
-                    f"process {pid} clock is not nondecreasing in row order"
-                )
-            deltas[mask] = d
+        deltas = clock_deltas(self.process_id, self.process_clock)
+        backwards = deltas < 0
+        if backwards.any():
+            pid = int(self.process_id[backwards].min())
+            raise ValueError(f"process {pid} clock is not nondecreasing in row order")
         return deltas
 
     # -- conversion ---------------------------------------------------------

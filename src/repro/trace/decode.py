@@ -1,17 +1,20 @@
 """Decoder for the ASCII trace format (inverse of :mod:`repro.trace.encode`).
 
 The decoder maintains the same per-file / per-process reconstruction state
-the appendix specifies and raises :class:`TraceFormatError` on any line
-that references state which does not exist (e.g. an omitted file id before
-the process has touched any file).
+the appendix specifies.  It raises :class:`TraceFormatError`, with the
+line number, on any line that references state which does not exist
+(e.g. an omitted file id before the process has touched any file), on a
+field :class:`TraceRecord` rejects (a negative offset, length,
+completionTime or processTime), and on a value no
+:class:`~repro.trace.array.TraceArray` column can hold (see
+:meth:`TraceDecoder.decode`).
 
-Two consumption styles share one field parser:
-
-* :meth:`TraceDecoder.decode` yields a :class:`TraceRecord` per line --
-  the right shape for streaming filters and the format round-trip tests;
-* :func:`decode_array` batch-decodes a whole document (a trace file's
-  bytes) straight into :class:`~repro.trace.array.TraceArray` columns,
-  skipping the per-record object entirely.
+:meth:`TraceDecoder.decode` turns one line into a :class:`TraceRecord`:
+the one scalar decoding path.  :func:`decode_array` decodes a whole
+document (a trace file's bytes) into columns, with the NumPy fast path
+of :mod:`repro.trace.decode_fast` where the document is in the encoder's
+strict grammar, and otherwise as :meth:`TraceArray.from_records` over
+the records of :meth:`TraceDecoder.decode_all`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Iterator
 from repro.obs.registry import get_registry
 from repro.trace import decode_fast as _fast
 from repro.trace import flags as F
-from repro.trace.array import TraceArray, TraceArrayBuilder
+from repro.trace.array import ID_END, INT64_END, OPERATION_ID_END, TraceArray
 from repro.trace.record import AnyRecord, CommentRecord, TraceRecord
 from repro.util.errors import TraceFormatError
 
@@ -46,10 +49,19 @@ class TraceDecoder:
         self._prev_process: int | None = None
         self._file_of_process: dict[int, int] = {}
         self._files: dict[int, _FileState] = {}
+        self._clocks: dict[int, int] = {}
         self._line_number = 0
 
     def decode(self, line: str) -> AnyRecord | None:
-        """Decode one line; returns None for blank lines."""
+        """Decode one line; returns None for blank lines.
+
+        Besides the format's own errors, a record raises when a
+        :class:`TraceArray` column could not hold it: a file or process
+        id outside ``[0, 2**32)``, an operation id outside
+        ``[0, 2**64)``, or an offset, length, startTime, completionTime
+        or process clock (the sum of the process's processTimes) of
+        ``2**63`` or more.
+        """
         self._line_number += 1
         stripped = line.strip()
         if not stripped:
@@ -71,71 +83,11 @@ class TraceDecoder:
             if record is not None:
                 yield record
 
-    def _decode_columns(self, lines: list[str]) -> TraceArray:
-        """The scalar batch loop: every line of a document, in order, into
-        columns via :class:`~repro.trace.array.TraceArrayBuilder`."""
-        builder = TraceArrayBuilder()
-        append = builder.append
-        clocks: dict[int, int] = {}
-        for line in lines:
-            self._line_number += 1
-            stripped = line.strip()
-            if not stripped:
-                continue
-            head, _, rest = stripped.partition(" ")
-            try:
-                record_type = int(head)
-            except ValueError as exc:
-                raise TraceFormatError(
-                    f"bad recordType field {head!r}",
-                    line_number=self._line_number,
-                ) from exc
-            if record_type == F.TRACE_COMMENT:
-                continue
-            fields = self._decode_fields(record_type, rest)
-            process_id = fields[7]
-            clock = clocks.get(process_id, 0) + fields[8]
-            clocks[process_id] = clock
-            append(
-                record_type,
-                fields[6],  # file_id
-                process_id,
-                fields[5],  # operation_id
-                fields[0],  # offset
-                fields[1],  # length
-                fields[2],  # start_time
-                fields[3],  # duration
-                clock,
-            )
-        return builder.build()
-
     def _fail(self, message: str) -> TraceFormatError:
         return TraceFormatError(message, line_number=self._line_number)
 
     def _decode_io(self, record_type: int, rest: str) -> TraceRecord:
-        fields = self._decode_fields(record_type, rest)
-        return TraceRecord(
-            record_type=record_type,
-            offset=fields[0],
-            length=fields[1],
-            start_time=fields[2],
-            duration=fields[3],
-            operation_id=fields[5],
-            file_id=fields[6],
-            process_id=fields[7],
-            process_time=fields[8],
-        )
-
-    def _decode_fields(
-        self, record_type: int, rest: str
-    ) -> tuple[int, int, int, int, int, int, int, int, int]:
-        """Parse one I/O line and update reconstruction state.
-
-        Returns ``(offset, length, start_time, duration, record_type,
-        operation_id, file_id, process_id, process_time)`` as plain ints
-        -- the shared backend for both the record path and the batch
-        array path.
-        """
+        """Parse one I/O line and update reconstruction state."""
         if record_type > 0xFF or record_type < 0:
             raise self._fail(f"recordType {record_type} out of range")
         try:
@@ -228,6 +180,27 @@ class TraceDecoder:
             operation_id = fstate.operation_id
 
         start_time = self._prev_start + start_delta
+        try:
+            record = TraceRecord(
+                record_type, offset, length, start_time, duration,
+                operation_id, file_id, process_id, process_time,
+            )
+        except ValueError as exc:
+            raise self._fail(str(exc)) from None
+        for name, value, end in (
+            ("fileId", file_id, ID_END),
+            ("processId", process_id, ID_END),
+            ("operationId", operation_id, OPERATION_ID_END),
+            ("offset", offset, INT64_END),
+            ("length", length, INT64_END),
+            ("startTime", start_time, INT64_END),
+            ("completionTime", duration, INT64_END),
+        ):
+            if not 0 <= value < end:
+                raise self._fail(f"{name} {value} out of range")
+        clock = self._clocks.get(process_id, 0) + process_time
+        if clock >= INT64_END:
+            raise self._fail(f"process {process_id} clock {clock} out of range")
 
         # -- update state ---------------------------------------------------
         self._prev_start = start_time
@@ -238,17 +211,8 @@ class TraceDecoder:
             length=length,
             operation_id=operation_id,
         )
-        return (
-            offset,
-            length,
-            start_time,
-            duration,
-            record_type,
-            operation_id,
-            file_id,
-            process_id,
-            process_time,
-        )
+        self._clocks[process_id] = clock
+        return record
 
 
 def decode_lines(lines: Iterable[str]) -> list[AnyRecord]:
@@ -261,15 +225,14 @@ def decode_array(document: bytes) -> TraceArray:
 
     Comment records and blank lines are skipped; the format's
     per-process ``processTime`` deltas are integrated into absolute
-    ``process_clock`` ticks exactly as :meth:`TraceArray.from_records`
-    would.  Raises the same :class:`TraceFormatError` diagnostics (with
-    line numbers) as the per-record path.
+    ``process_clock`` ticks.  The columns, and every
+    :class:`TraceFormatError` (message and line number), are those of
+    :meth:`TraceArray.from_records` over :func:`decode_lines`.
 
     Strictly-formatted input (the encoder's own output grammar) is
     decoded by the NumPy fast path in :mod:`repro.trace.decode_fast`.
-    Only when it declines is the document split into lines and run
-    through a fresh decoder's scalar loop, which is the behavioural
-    contract.
+    Only when it declines is the document split into lines and decoded
+    record by record.
     """
     registry = get_registry()
     trace = _fast.decode_document(document)
@@ -282,6 +245,8 @@ def decode_array(document: bytes) -> TraceArray:
     lines = document.decode("latin-1").split("\n")
     if lines[-1] == "":
         lines.pop()
-    trace = TraceDecoder()._decode_columns(lines)
+    records = [
+        r for r in TraceDecoder().decode_all(lines) if isinstance(r, TraceRecord)
+    ]
     registry.counter("trace.decode.scalar_fallback_lines").add(len(lines))
-    return trace
+    return TraceArray.from_records(records)

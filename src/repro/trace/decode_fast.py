@@ -13,18 +13,19 @@ Correctness contract
 --------------------
 The fast path must be **byte-identical** to the scalar decoder or not
 run at all.  It therefore accepts only the strict output grammar of
-:class:`~repro.trace.encode.TraceEncoder` -- ASCII digits, ``-``,
-single spaces, ``\\n`` line ends, ``255``-prefixed comment lines -- and
+:class:`~repro.trace.encode.TraceEncoder` -- ASCII digits, single
+spaces, ``\\n`` line ends, ``255``-prefixed comment lines -- and
 *wholesale falls back* to the scalar path on any deviation: stray
-bytes, tabs, oversized numbers, unknown compression bits, omitted
-fields without prior state, anything.  The fallback decodes the whole
-document with a fresh scalar decoder, so every
-:class:`~repro.util.errors.TraceFormatError` (message and line number)
-and every weird-but-accepted input (``int("1_0")``, ``+5``) behaves
-exactly as before -- just slower.  Divergence is only possible when the
-fast path *succeeds*, and success requires the strict grammar plus
-magnitude guards that make its int64 arithmetic provably exact (see
-``_MAX_ABS`` / ``_MAX_ACC``).
+bytes, tabs, a minus sign (no field of a decodable record is negative),
+oversized numbers, unknown compression bits, omitted fields without
+prior state, anything.  The fallback decodes the whole document record
+by record with a fresh :class:`~repro.trace.decode.TraceDecoder`, so
+every :class:`~repro.util.errors.TraceFormatError` (message and line
+number) and every weird-but-accepted input (``int("1_0")``, ``+5``,
+``-0``) is the decoder's -- just slower.  Divergence is only possible
+when the fast path *succeeds*, and success requires the strict grammar
+plus magnitude guards that make its int64 arithmetic provably exact
+(see ``_MAX_ABS`` / ``_MAX_ACC``).
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace import flags as F
-from repro.trace.array import TraceArray, group_order
+from repro.trace.array import ID_END, TraceArray, group_cumsum, group_order
 from repro.trace.digits import MAX_DIGITS, parse_digits
 
 _NL = 0x0A
 _SPACE = 0x20
-_MINUS = 0x2D
 _D0 = 0x30
 _D9 = 0x39
 
@@ -49,11 +49,9 @@ _MAX_ABS = 1 << 45
 #: per-process clocks) are shadowed in float64; while every partial sum
 #: stays under 2**52 the float arithmetic is exact, so a bounded shadow
 #: proves the int64 cumsum did not wrap.  Beyond it: scalar fallback
-#: (Python ints are unbounded there, and the array build raises its own
-#: OverflowError exactly as before).
+#: (Python ints are unbounded there, and the decoder rejects a value no
+#: column can hold).
 _MAX_ACC = float(1 << 52)
-
-_UINT32_MAX = (1 << 32) - 1
 
 
 def decode_document(buf: bytes) -> TraceArray | None:
@@ -97,25 +95,15 @@ def decode_document(buf: bytes) -> TraceArray | None:
 
     # Byte-compare chains beat a classification LUT here: comparisons
     # vectorize (SIMD), per-element table gathers do not.
-    isdig = (a >= _D0) & (a <= _D9)
-    ismin = a == _MINUS
-    any_min = bool(ismin.any())
+    tok = (a >= _D0) & (a <= _D9)
     grammar_ok = a == _SPACE
     grammar_ok |= isnl
-    grammar_ok |= isdig
-    if any_min:
-        grammar_ok |= ismin
+    grammar_ok |= tok
     if has_comments:
         grammar_ok |= in_comment
     if not grammar_ok.all():
         return None
 
-    if any_min:
-        tok = isdig | ismin
-    elif has_comments:
-        tok = isdig.copy()
-    else:
-        tok = isdig  # aliasing is fine: isdig is only reread for minus signs
     if has_comments:
         tok &= ~in_comment
     if not tok.any():
@@ -132,25 +120,11 @@ def decode_document(buf: bytes) -> TraceArray | None:
         tok_end = tok.copy()
         tok_end[:-1] &= ~tok[1:]
         dig_len = np.flatnonzero(tok_end) - ts + 1
-    dig_start = ts
-    neg = None
-
-    minus_idx = np.flatnonzero(ismin & tok) if any_min else None
-    if minus_idx is not None and minus_idx.size:
-        # '-' only as a sign: token-initial and digit-followed.  (The
-        # last byte is '\n', so minus_idx + 1 is always in range.)
-        if not tok_start[minus_idx].all() or not isdig[minus_idx + 1].all():
-            return None
-        neg = ismin[ts]
-        dig_start = ts + neg
-        dig_len = dig_len - neg
     if (dig_len > MAX_DIGITS).any():
         return None
 
-    vals = parse_digits(a, dig_start, dig_len)
-    if neg is not None:
-        np.negative(vals, out=vals, where=neg)
-    if (np.abs(vals) > _MAX_ABS).any():
+    vals = parse_digits(a, ts, dig_len)
+    if (vals > _MAX_ABS).any():
         return None
 
     # -- line structure of the token table: cumulative token count at
@@ -166,7 +140,7 @@ def decode_document(buf: bytes) -> TraceArray | None:
     if (cnt < 2).any():
         return None  # "record has no compression field"
     record_type = vals[base]
-    if ((record_type < 0) | (record_type > 254)).any():
+    if (record_type > 254).any():
         return None  # out of range, or a comment the prefix test missed
     comp = vals[base + 1]
     if (comp & ~F.TRACE_COMPRESSION_MASK).any():
@@ -196,11 +170,10 @@ def decode_document(buf: bytes) -> TraceArray | None:
     pid_idx = fid_idx + has_fid
     pt_idx = pid_idx + has_pid
 
+    # Every token is nonnegative, so every partial sum of a cumsum below
+    # is bounded by its total; a bounded float64 total proves the int64
+    # cumsum is exact.
     start_delta = vals[start_idx]
-    if (start_delta < 0).any():
-        return None
-    # Deltas are nonnegative, so every partial sum is bounded by the
-    # total; a bounded float64 total proves the int64 cumsum is exact.
     if float(np.sum(start_delta, dtype=np.float64)) >= _MAX_ACC:
         return None
     start_time = np.cumsum(start_delta)
@@ -210,8 +183,7 @@ def decode_document(buf: bytes) -> TraceArray | None:
     if not has_pid[0]:
         return None  # omitted on first record
     pid_exp = vals[pid_idx]
-    explicit = pid_exp[has_pid]
-    if ((explicit < 0) | (explicit > _UINT32_MAX)).any():
+    if (pid_exp[has_pid] >= ID_END).any():
         return None
     process_id = pid_exp[_ffill_index(has_pid)]
 
@@ -225,8 +197,7 @@ def decode_document(buf: bytes) -> TraceArray | None:
     if (pgroup_start & ~has_fid_s).any():
         return None  # fileId omitted but process has no prior record
     fid_exp = vals[fid_idx]
-    explicit = fid_exp[has_fid]
-    if ((explicit < 0) | (explicit > _UINT32_MAX)).any():
+    if (fid_exp[has_fid] >= ID_END).any():
         return None
     # First-of-group is always explicit, so a plain running maximum of
     # explicit indices never leaks state across group boundaries.
@@ -236,15 +207,9 @@ def decode_document(buf: bytes) -> TraceArray | None:
 
     # -- processTime deltas -> absolute per-process clock
     pt = vals[pt_idx]
-    pt_s = pt[porder]
-    if np.abs(np.cumsum(pt_s, dtype=np.float64)).max() >= _MAX_ACC:
+    if float(np.sum(pt, dtype=np.float64)) >= _MAX_ACC:
         return None
-    csum = np.cumsum(pt_s)
-    pgid = np.cumsum(pgroup_start) - 1
-    before_group = (csum - pt_s)[np.flatnonzero(pgroup_start)]
-    clock_s = csum - before_group[pgid]
-    process_clock = np.empty(m, dtype=np.int64)
-    process_clock[porder] = clock_s
+    process_clock = group_cumsum(process_id, pt)
 
     # -- per-file state: length / operationId ffill, offset by
     # sequential extension (anchor + sum of lengths since the anchor)
@@ -281,13 +246,11 @@ def decode_document(buf: bytes) -> TraceArray | None:
     length[forder] = len_s
 
     op_exp = vals[op_idx]
-    if (op_exp[has_op] < 0).any():
-        return None
     op_s = op_exp[forder][op_fill]
     operation_id = np.empty(m, dtype=np.int64)
     operation_id[forder] = op_s
 
-    if np.abs(np.cumsum(len_s, dtype=np.float64)).max() >= _MAX_ACC:
+    if float(np.sum(len_s, dtype=np.float64)) >= _MAX_ACC:
         return None
     lcsum = np.cumsum(len_s)
     excl = lcsum - len_s  # lengths of earlier records, all files mixed;

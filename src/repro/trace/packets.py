@@ -14,11 +14,13 @@ stream reconstruction in :mod:`repro.trace.reconstruct`.
 
 The packet log is written and parsed as one document, with NumPy
 (:mod:`repro.trace.digits`), not a ``str()`` or ``int()`` per field.
-The parse accepts only the strict grammar :func:`dump_packets` writes;
-any other input -- blank lines, extra tokens, signs, tabs, an unknown
-tag, a truncated packet -- goes wholesale to the per-line loader, so its
-result and its every error, with its line number, are the per-line
-loader's.
+:func:`dump_packets` writes only the strict grammar -- every value an
+unsigned decimal of at most :data:`~repro.trace.digits.MAX_DIGITS`
+digits -- and refuses any other value, so every log it writes parses as
+one document.  The parse accepts only that grammar; any other input --
+blank lines, extra tokens, signs, tabs, an unknown tag, a truncated
+packet -- goes wholesale to the per-line loader, so its result and its
+every error, with its line number, are the per-line loader's.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,7 +122,12 @@ _SPACE = 0x20
 #: Fields of an ``E`` line, as :class:`IOEvent` indexes: the packet
 #: header carries the file and process ids.
 _EVENT_LINE_FIELDS = [0, 3, 4, 5, 6, 7, 8]
-_PACKET_FIELDS = 5
+#: Fields of a ``P`` line.
+_PACKET_FIELD_NAMES = ("sequence", "flush_epoch", "process_id", "file_id", "events")
+_PACKET_FIELDS = len(_PACKET_FIELD_NAMES)
+
+#: Exclusive bound of a value in the log: at most ``MAX_DIGITS`` digits.
+_VALUE_END = 10**MAX_DIGITS
 
 #: ``IOEvent`` from a tuple of its nine fields, without a Python frame.
 _new_event = partial(tuple.__new__, IOEvent)
@@ -129,35 +136,33 @@ _new_event = partial(tuple.__new__, IOEvent)
 def dump_packets(path: str | Path, packets: Iterable[TracePacket]) -> None:
     """Write a packet log file (one packet header line, then event lines).
 
-    The log is formatted as one document; a log with a negative value or
-    one past int64 is written line by line instead, to the same bytes.
+    Every value must be an integer from 0 to ``10**MAX_DIGITS - 1``, the
+    strict grammar :func:`load_packets` parses as one document; any
+    other raises ``ValueError`` naming it, before the file is opened.
     """
-    packets = list(packets)
-    document = _format_log(packets)
-    if document is None:
-        _dump_lines(path, packets)
-        return
-    with open(path, "wb") as fh:
-        fh.write(document)
-
-
-def _format_log(packets: list[TracePacket]) -> bytes | None:
-    """The whole log as one document; None if a value is negative or
-    beyond int64, which only the per-line writer formats."""
-    lines = _log_lines(packets)
-    if lines is None:
-        return None
-    columns, is_event = lines
+    columns, is_event = _log_lines(list(packets))
     present = [None] * _PACKET_FIELDS + [is_event] * (
         len(_EVENT_LINE_FIELDS) - _PACKET_FIELDS
     )
     tags = np.where(is_event, ord(_EVENT_TAG), ord(_PACKET_TAG)).astype(np.uint8)
-    return format_rows(columns, present, tags)
+    document = format_rows(columns, present, tags)
+    with open(path, "wb") as fh:
+        fh.write(document)
 
 
-def _log_lines(
-    packets: list[TracePacket],
-) -> tuple[list[np.ndarray], np.ndarray] | None:
+def _check_values(table: np.ndarray, names: Sequence[str]) -> None:
+    """Raise ``ValueError`` for the first value of ``table`` outside the
+    log grammar, naming its field."""
+    bad = np.argwhere((table < 0) | (table >= _VALUE_END))
+    if bad.size:
+        row, j = bad[0]
+        raise ValueError(
+            f"packet log cannot hold {names[j]} {table[row, j]}: "
+            f"values must be 0 to {_VALUE_END - 1}"
+        )
+
+
+def _log_lines(packets: list[TracePacket]) -> tuple[list[np.ndarray], np.ndarray]:
     """The log's lines as seven value columns (a ``P`` line fills the
     first five) and the mask of its ``E`` lines.  The event table is
     freed on return, before the document is formatted."""
@@ -172,10 +177,8 @@ def _log_lines(
     events = int_table(
         list(chain.from_iterable(p.events for p in packets)), len(IOEvent._fields)
     )
-    if headers.dtype == object or events.dtype == object:
-        return None
-    if (headers.size and headers.min() < 0) or (events.size and events.min() < 0):
-        return None
+    _check_values(headers, _PACKET_FIELD_NAMES)
+    _check_values(events, IOEvent._fields)
     # Packet k's header is line k + (events before it); its events follow.
     n_packets = len(packets)
     n_lines = n_packets + len(events)
@@ -192,21 +195,6 @@ def _log_lines(
             column[header_lines] = headers[:, j]
         columns.append(column)
     return columns, is_event
-
-
-def _dump_lines(path: str | Path, packets: list[TracePacket]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for p in packets:
-            fh.write(
-                f"{_PACKET_TAG} {p.sequence} {p.flush_epoch} "
-                f"{p.process_id} {p.file_id} {len(p.events)}\n"
-            )
-            for e in p.events:
-                fh.write(
-                    f"{_EVENT_TAG} {e.record_type} {e.operation_id} "
-                    f"{e.offset} {e.length} {e.start_time} {e.duration} "
-                    f"{e.process_clock}\n"
-                )
 
 
 def load_packets(path: str | Path) -> Iterator[TracePacket]:

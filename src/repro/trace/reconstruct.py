@@ -20,9 +20,9 @@ The merge runs over columns: every event's fields are read into one
 integer table (:func:`~repro.trace.array.int_table`), and the epoch loop
 moves index arrays, one NumPy step per epoch rather than a Python step
 per event.  Its result is a permutation of the events, which
-:func:`iter_events_in_time_order`, :func:`reconstruct_records` and
-:func:`reconstruct_array` apply to the events, to trace records and to
-columns respectively.
+:func:`iter_events_in_time_order` applies to the events and
+:func:`reconstruct_records` to trace records; a columnar trace of the
+log is ``TraceArray.from_records(reconstruct_records(packets))``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.obs.registry import get_registry
 from repro.trace import flags as F
-from repro.trace.array import TraceArray, int_table, previous_in_group
+from repro.trace.array import TraceArray, clock_deltas, int_table
 from repro.trace.packets import IOEvent, TracePacket
 from repro.trace.record import TraceRecord
 
@@ -180,13 +180,6 @@ def iter_events_in_time_order(packets: Iterable[TracePacket]) -> Iterator[IOEven
     yield from map(events.__getitem__, order.tolist())
 
 
-def _clock_deltas(process: np.ndarray, clock: np.ndarray) -> np.ndarray:
-    """Each row's process-clock delta since its process's previous row
-    (the format's ``processTime``); a process's first row counts from 0."""
-    prev = previous_in_group(process)
-    return clock - np.where(prev >= 0, clock[prev], 0)
-
-
 def _check_rows(table: np.ndarray, deltas: np.ndarray) -> None:
     """Raise the first error, in row order, that building the records
     of ``table``'s event rows with clock ``deltas`` would raise.
@@ -228,7 +221,7 @@ def events_to_array(events: Sequence[IOEvent]) -> TraceArray:
     :meth:`TraceArray.from_records`.
     """
     table = int_table(events, len(IOEvent._fields))
-    _check_rows(table, _clock_deltas(table[:, _PROCESS], table[:, _CLOCK]))
+    _check_rows(table, clock_deltas(table[:, _PROCESS], table[:, _CLOCK]))
     # The clock column is already what from_records integrates the
     # deltas back into.
     return TraceArray.from_table(table)
@@ -246,19 +239,9 @@ def reconstruct_records(packets: Iterable[TracePacket]) -> list[TraceRecord]:
     """
     _, table, order = _merge(packets)
     table = table[order]
-    deltas = _clock_deltas(table[:, _PROCESS], table[:, _CLOCK])
+    deltas = clock_deltas(table[:, _PROCESS], table[:, _CLOCK])
     _check_rows(table, deltas)
     columns = [table[:, j].tolist() for j in _RECORD_FIELDS]
     rows = zip(*columns, deltas.tolist())
     return list(map(tuple.__new__, repeat(TraceRecord), rows))
 
-
-def reconstruct_array(packets: Iterable[TracePacket]) -> TraceArray:
-    """Packet log -> columnar trace.
-
-    Events carry absolute process clocks, so the merged table is the
-    trace as it stands; a value that does not fit its column raises
-    NumPy's ``OverflowError`` for the first such value column by column.
-    """
-    _, table, order = _merge(packets)
-    return TraceArray.from_table(table[order], row_major=False)

@@ -212,6 +212,28 @@ class TestTraceFileErrors:
         assert "line 1: record truncated" in err
         assert str(malformed) in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "128 0 -4096 4096 0 10 1 1 1 5\n128 0 -8192 4096 10 10 2 1 1 5\n",
+                "line 1: negative offset -4096",
+            ),
+            ("128 0 0 4096 0 10 1 1 1 -5\n", "line 1: negative process_time -5"),
+            (
+                "128 0 0 4096 0 10 1 4294967301 1 5\n",
+                "line 1: fileId 4294967301 out of range",
+            ),
+        ],
+        ids=["negative-offset", "negative-process-time", "file-id-past-uint32"],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_unrepresentable_record(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"{path}: {message}\n"
+
 
 class TestConfigRange:
     """An out-of-range or non-finite cache geometry or CPU count is one

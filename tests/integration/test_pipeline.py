@@ -19,11 +19,12 @@ from repro.sim.procmodel import relabel_copies
 from repro.trace import (
     CommentRecord,
     ProcstatCollector,
+    TraceArray,
     decode_lines,
     dump_packets,
     load_packets,
     read_trace_array,
-    reconstruct_array,
+    reconstruct_records,
     write_trace_array,
 )
 from repro.trace.validate import validate_array
@@ -47,7 +48,9 @@ class TestFullPipeline:
         # 2. persist and reload the packet log
         packet_log = tmp_path / "venus.packets"
         dump_packets(packet_log, packets)
-        rebuilt = reconstruct_array(list(load_packets(packet_log)))
+        rebuilt = TraceArray.from_records(
+            reconstruct_records(load_packets(packet_log))
+        )
 
         # 3. the reconstructed stream matches the directly generated one
         np.testing.assert_array_equal(rebuilt.offset, venus.trace.offset)

@@ -12,13 +12,15 @@ from repro.util.rng import DEFAULT_SEED
 
 #: Out-of-range or non-finite cache geometry and CPU counts, with the
 #: error naming each.  JSON reads an overflowing number such as 1e400 as
-#: infinity.
+#: infinity, and the spec parser reads an integer past the float range
+#: the same way.
 OUT_OF_RANGE = [
     ({"block_kb": 0}, "block_bytes must be > 0: 0"),
     ({"cache_mb": -4}, "size_bytes must be >= block_bytes"),
     ({"cpus": 0}, "n_cpus must be >= 1: 0"),
     (json.loads('{"cache_mb": 1e400}'), "cache_mb must be finite: inf"),
     (json.loads('{"block_kb": 1e400}'), "block_kb must be finite: inf"),
+    ({"cache_mb": 10**400}, "cache_mb must be finite: inf"),
 ]
 
 
@@ -127,7 +129,10 @@ class TestSimulateSpec:
     @pytest.mark.parametrize(
         "spec, named",
         OUT_OF_RANGE,
-        ids=["block-kb-0", "cache-mb-neg", "cpus-0", "cache-mb-inf", "block-kb-inf"],
+        ids=[
+            "block-kb-0", "cache-mb-neg", "cpus-0", "cache-mb-inf", "block-kb-inf",
+            "cache-mb-huge-int",
+        ],
     )
     def test_out_of_range_config_rejected(self, spec, named):
         body = {"kind": "simulate", "spec": {"traces": ["/t"], **spec}}
@@ -240,3 +245,60 @@ class TestToggles:
         for value in BAD_TOGGLES:
             with pytest.raises(JobSpecError, match=key):
                 parse_job(sweep_body(**{key: value}), "j000013")
+
+
+#: Values no integer key accepts: a JSON boolean, a string, a fraction,
+#: or anything else that is not a whole number.
+BAD_INTEGERS = [True, False, "7", "", 2.5, None, [2], {"n": 2}]
+
+#: Values no number key accepts.
+BAD_NUMBERS = [True, False, "7", None, [2], {"n": 2}]
+
+#: Values no number axis accepts: an element that is not a number.
+BAD_AXES = [True, False, None, [], [True], [8, False], [8, None], [8, "16"], {"mb": 8}]
+
+#: Every numeric key, with the values it rejects: a ``simulate`` or
+#: ``sweep`` spec key, or a key of the body itself.
+NUMERIC_KEYS = [
+    ("simulate", "cpus", BAD_INTEGERS),
+    ("simulate", "jobs", BAD_INTEGERS),
+    ("simulate", "cache_mb", BAD_NUMBERS),
+    ("simulate", "block_kb", BAD_NUMBERS),
+    ("sweep", "copies", BAD_INTEGERS),
+    ("sweep", "seed", BAD_INTEGERS),
+    ("sweep", "cpus", BAD_INTEGERS),
+    ("sweep", "jobs", BAD_INTEGERS),
+    ("sweep", "scale", BAD_NUMBERS),
+    ("sweep", "cache_mb", BAD_AXES),
+    ("sweep", "block_kb", BAD_AXES),
+    ("envelope", "priority", BAD_INTEGERS),
+]
+
+
+class TestNumbers:
+    """Integer keys take a JSON integer and number keys a JSON number;
+    anything else is a 400 naming the key."""
+
+    def test_whole_numbers_accepted(self):
+        body = sweep_body(copies=3.0, seed=7.0, cpus=2, jobs=2.0, scale=1, cache_mb=8)
+        job = parse_job(body | {"priority": 2.0}, "j000014")
+        grid = GridSpec(
+            n_copies=3, workload_seed=7, n_cpus=2, scale=1.0, cache_sizes_mb=(8,)
+        )
+        assert [p.key(None) for p in job.points] == [p.key(None) for p in grid.points()]
+        assert (job.priority, job.runner_jobs) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "kind, key, values",
+        NUMERIC_KEYS,
+        ids=[f"{kind}-{key}" for kind, key, _ in NUMERIC_KEYS],
+    )
+    def test_rejects_values_of_the_wrong_kind(self, kind, key, values):
+        body = {
+            "simulate": simulate_body,
+            "sweep": sweep_body,
+            "envelope": lambda **envelope: sweep_body() | envelope,
+        }[kind]
+        for value in values:
+            with pytest.raises(JobSpecError, match=key):
+                parse_job(body(**{key: value}), "j000015")

@@ -1,17 +1,17 @@
 """Batch decode and columnar-replay helpers: byte-identical to row paths.
 
-The batch decoder (:func:`~repro.trace.decode.decode_array`) and the
-:class:`TraceArrayBuilder` exist purely for speed; every test here pins
-them to the record-at-a-time reference output, including the error
-diagnostics (a truncated line must fail identically through both
-paths).
+The batch decoder (:func:`~repro.trace.decode.decode_array`) exists
+purely for speed; every test here pins it to the record-at-a-time
+reference output, including the error diagnostics (a truncated line
+must fail identically through both paths).
 """
 
 import numpy as np
 import pytest
 
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.trace import flags as F
-from repro.trace.array import TraceArray, TraceArrayBuilder
+from repro.trace.array import TraceArray
 from repro.trace.decode import decode_array, decode_lines
 from repro.trace.encode import TraceEncoder
 from repro.trace.io import read_trace_array, write_trace_array
@@ -94,11 +94,16 @@ def test_read_trace_array_roundtrip(tmp_path, venus_lines):
     _assert_arrays_equal(read_trace_array(path), workload.trace)
 
 
-def test_builder_empty_and_dtypes():
-    built = TraceArrayBuilder().build()
-    assert len(built) == 0
+def test_fallback_without_records_has_the_column_dtypes():
+    # A non-ASCII comment and a tab send the document to the record
+    # decoder, which finds no record in it.
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        decoded = decode_array(b"255 caf\xe9\n\t\n")
+    assert registry.counter("trace.decode.scalar_fallback_lines").value == 2
+    assert len(decoded) == 0
     reference = TraceArray.empty()
-    for name, col in built.columns().items():
+    for name, col in decoded.columns().items():
         assert col.dtype == getattr(reference, name).dtype, name
 
 

@@ -2,8 +2,9 @@
 
 The packet-log writer and loader, the epoch merge and the whole-trace
 encoder each run over columns, and each has a per-record reference: the
-per-line writer and loader they fall back to, :func:`global_sort_events`
-and the streaming :class:`TraceEncoder`.  These tests pin the bytes the
+bytes of one ``str()`` per field and the per-line loader the parse
+falls back to, :func:`global_sort_events` and the streaming
+:class:`TraceEncoder`.  These tests pin the bytes the
 path writes to digests recorded before it was columnar, hold the
 whole-trace encoder to the streaming one on drawn streams (both paths),
 and pin every error message, with its line number, to what the
@@ -35,7 +36,6 @@ from repro.trace.reconstruct import (
     events_to_array,
     global_sort_events,
     iter_events_in_time_order,
-    reconstruct_array,
     reconstruct_records,
 )
 from repro.trace.record import CommentRecord, TraceRecord
@@ -255,12 +255,42 @@ class TestPacketLog:
         assert _as_tuples(loaded) == _as_tuples(packets)
         assert all(type(e) is IOEvent for p in loaded for e in p.events)
 
-    def test_negative_values_round_trip_through_the_line_writer(self, tmp_path):
-        packets = [TracePacket(0, 0, -1, 1, [_event(2, fid=1, pid=-1, clock=-7)])]
+    def test_values_at_the_grammar_bounds_parse_as_one_document(self, tmp_path):
+        top = 10**18 - 1
+        packets = [TracePacket(top, 0, 1, 1, [_event(0, clock=top)])]
         path = tmp_path / "p.log"
         dump_packets(path, packets)
-        assert path.read_text() == "P 0 0 -1 1 1\nE 128 2 2048 1024 200 5 -7\n"
+        assert path.read_text() == f"P {top} 0 1 1 1\nE 128 0 0 1024 0 5 {top}\n"
+        assert _log_fields(path.read_bytes()) is not None
         assert _as_tuples(load_packets(path)) == _as_tuples(packets)
+
+    @pytest.mark.parametrize(
+        "packet, message",
+        [
+            (
+                TracePacket(0, 0, -1, 1, [_event(2, pid=-1)]),
+                "packet log cannot hold process_id -1",
+            ),
+            (
+                TracePacket(0, 0, 1, 1, [_event(2, clock=-7)]),
+                "packet log cannot hold process_clock -7",
+            ),
+            (
+                TracePacket(0, 0, 1, 1, [_event(2, start=10**18)]),
+                "packet log cannot hold start_time 1000000000000000000",
+            ),
+            (
+                TracePacket(0, 0, 1, 1, [_event(2, start=2**70)]),
+                f"packet log cannot hold start_time {2**70}",
+            ),
+        ],
+        ids=["negative-header", "negative-event", "19-digits", "past-int64"],
+    )
+    def test_values_outside_the_grammar_raise(self, tmp_path, packet, message):
+        path = tmp_path / "p.log"
+        with pytest.raises(ValueError, match=message):
+            dump_packets(path, [packet])
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "text, message, line",
@@ -447,7 +477,7 @@ def test_merge_handles_values_past_int64():
     assert [r.start_time for r in records] == [big, big + 5, big + 9]
     assert records[-1].process_time == big - 150
     with pytest.raises(OverflowError, match="too large to convert"):
-        reconstruct_array(packets)
+        TraceArray.from_records(records)
 
 
 # -- errors the per-record conversions raised ----------------------------------

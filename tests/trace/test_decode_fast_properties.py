@@ -3,7 +3,7 @@
 The NumPy fast path (:mod:`repro.trace.decode_fast`) is an optimization,
 not a second implementation of the format: on any document it accepts
 it must produce *byte-identical* columns, and on any document it
-rejects the scalar loop must take over wholesale and raise the very
+rejects the record decoder must take over wholesale and raise the very
 same diagnostics.  Hypothesis drives both directions here --
 generated valid streams for the equivalence half, seeded mutations for
 the rejection-parity half -- and the observability counters are used to
@@ -95,17 +95,35 @@ def _set_field(line: str, index: int, value: str) -> str:
     return " ".join(parts)
 
 
-def _negate_start_delta(line: str) -> str:
-    # startTime's position depends on which leading fields the
-    # compression flags omitted; recompute it from the line itself.
-    parts = line.split(" ")
-    comp = int(parts[1])
-    index = 2
-    if not comp & F.TRACE_NO_BLOCK:
-        index += 1
-    if not comp & F.TRACE_NO_LENGTH:
-        index += 1
-    return _set_field(line, index, "-7")
+#: A record line's fields after recordType and compression, in struct
+#: order, each with the compression flag that omits it (0: never).
+_LINE_FIELDS = (
+    ("offset", F.TRACE_NO_BLOCK),
+    ("length", F.TRACE_NO_LENGTH),
+    ("start_time", 0),
+    ("duration", 0),
+    ("operation_id", F.TRACE_NO_OPERATIONID),
+    ("file_id", F.TRACE_NO_FILEID),
+    ("process_id", F.TRACE_NO_PROCESSID),
+    ("process_time", 0),
+)
+
+
+def _with_fields(line: str, **values: str) -> str:
+    """``line`` with the named fields set to ``values``; a field the
+    compression flags omitted is made explicit."""
+    record_type, compression, *rest = line.split(" ")
+    compression = int(compression)
+    tokens = iter(rest)
+    out = []
+    for name, omitted_by in _LINE_FIELDS:
+        token = None if compression & omitted_by else next(tokens)
+        if name in values:
+            token = values[name]
+            compression &= ~omitted_by
+        if token is not None:
+            out.append(token)
+    return " ".join([record_type, str(compression), *out])
 
 
 _MUTATIONS = {
@@ -114,17 +132,34 @@ _MUTATIONS = {
     "tab_separator": lambda line: line.replace(" ", "\t", 1),
     "bad_record_type": lambda line: "999 " + line.split(" ", 1)[1],
     "bad_compression": lambda line: _set_field(line, 1, "16"),
-    "negative_start_delta": _negate_start_delta,
+    "negative_start_delta": lambda line: _with_fields(line, start_time="-7"),
     "trailing_field": lambda line: line + " 1 2 3",
+    # Fields TraceRecord rejects, and a value its TraceArray column
+    # cannot hold (a new file's first record, so its state is explicit).
+    "negative_offset": lambda line: _with_fields(line, offset="-7"),
+    "negative_length": lambda line: _with_fields(line, length="-7"),
+    "negative_completion_time": lambda line: _with_fields(line, duration="-7"),
+    "negative_process_time": lambda line: _with_fields(line, process_time="-7"),
+    "file_id_past_uint32": lambda line: _with_fields(
+        line, offset="0", length="0", operation_id="0", file_id=str(2**32 + 5)
+    ),
+    "offset_past_int64": lambda line: _with_fields(line, offset=str(2**63)),
+    "operation_id_past_uint64": lambda line: _with_fields(
+        line, operation_id=str(2**64)
+    ),
+    "start_time_past_int64": lambda line: _with_fields(line, start_time=str(2**63)),
+    "process_clock_past_int64": lambda line: _with_fields(
+        line, process_time=str(2**63)
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MUTATIONS))
 @pytest.mark.parametrize("target", [0, 1])
 def test_malformed_rejection_parity(name, target):
-    # Any grammar or semantic deviation must route to the scalar loop,
-    # which raises the same error (message and line number) the
-    # record-at-a-time path does.
+    # Any grammar or semantic deviation must route to the scalar
+    # decoder, which raises the same error (message and line number)
+    # whether the document is decoded to records or to columns.
     lines = _base_lines()
     lines[target] = _MUTATIONS[name](lines[target])
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trace import flags as F
+from repro.trace.array import TraceArray
 from repro.trace.packets import (
     ENTRY_WORDS,
     PACKET_HEADER_WORDS,
@@ -14,11 +15,7 @@ from repro.trace.packets import (
     packet_overhead_ratio,
 )
 from repro.trace.procstat import ProcstatCollector, collect_to_list
-from repro.trace.reconstruct import (
-    iter_events_in_time_order,
-    reconstruct_array,
-    reconstruct_records,
-)
+from repro.trace.reconstruct import iter_events_in_time_order, reconstruct_records
 from repro.util.errors import TraceFormatError
 
 
@@ -138,10 +135,10 @@ class TestReconstruction:
         records = reconstruct_records(packets)
         assert [r.process_time for r in records] == [50, 50, 50, 50, 50]
 
-    def test_reconstruct_array(self):
+    def test_reconstructed_records_as_columns(self):
         events = [event(i, fid=i % 2) for i in range(10)]
         packets = collect_to_list(events, max_events_per_packet=3)
-        arr = reconstruct_array(packets)
+        arr = TraceArray.from_records(reconstruct_records(packets))
         assert len(arr) == 10
         assert list(arr.operation_id) == list(range(10))
 

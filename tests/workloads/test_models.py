@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.trace.procstat import ProcstatCollector
-from repro.trace.reconstruct import reconstruct_array
+from repro.trace.array import TraceArray
+from repro.trace.reconstruct import reconstruct_records
 from repro.trace.validate import validate_array
 from repro.util.errors import CalibrationError
 from repro.workloads import (
@@ -148,7 +149,7 @@ class TestCollectionPipeline:
         model = model_for("venus", scale=0.1)
         staged = model.generate(collector=collector)
         assert len(staged.trace) == 0  # events went to the collector
-        rebuilt = reconstruct_array(packets)
+        rebuilt = TraceArray.from_records(reconstruct_records(packets))
         assert len(rebuilt) == len(direct.trace)
         np.testing.assert_array_equal(rebuilt.offset, direct.trace.offset)
         np.testing.assert_array_equal(
