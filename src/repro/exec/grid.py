@@ -17,6 +17,7 @@ from repro.sim.config import CacheConfig, SimConfig, ssd_cache
 from repro.util.rng import DEFAULT_SEED
 from repro.util.tables import TextTable
 from repro.util.units import KB, MB
+from repro.workloads.base import check_scale
 
 #: Figure 8's cache sizes, in MB.
 FIG8_CACHE_SIZES_MB = (4, 8, 16, 32, 64, 128, 256)
@@ -89,7 +90,11 @@ def parse_toggles(text: str) -> tuple[bool, ...]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """The cross product defining one sweep."""
+    """The cross product defining one sweep.
+
+    A scale outside (0, 1] raises :class:`ValueError` here, so a bad
+    grid fails when it is given, not when its first point runs.
+    """
 
     app: str = "venus"
     n_copies: int = 2
@@ -101,6 +106,9 @@ class GridSpec:
     write_behind: tuple[bool, ...] = (True,)
     ssd: bool = False
     n_cpus: int = 1
+
+    def __post_init__(self) -> None:
+        check_scale(self.scale)
 
     @property
     def n_points(self) -> int:

@@ -35,15 +35,19 @@ than a Python object per frame, frame metadata lives in per-file
 columns:
 
 * ``st`` -- block state (absent / reading / valid / dirty / flushing),
-* ``own`` -- owning process, ``pf`` -- prefetched flag,
-* ``gen`` -- a generation counter bumped on every allocation: a disk
-  completion settles only blocks still at its allocation's generation
-  and in the state it left them (a dropped block is absent),
+* ``own`` -- owning process, kept only under an ownership cap,
+* ``pf`` -- prefetched flag,
+* ``gen`` -- the id of the allocation that installed the block, from
+  one cache-wide counter: a disk completion settles only blocks still
+  carrying its allocation's id and in the state it left them (a
+  dropped block is absent),
 * ``nid`` -- id of the clean-LRU node holding the block.
 
-``st`` and ``pf`` are ``bytearray`` buffers and ``nid`` an
-``array('q')``; ``st`` and ``nid`` also have zero-copy NumPy views
-(:class:`_FileFrames`).
+``st`` and ``pf`` are ``bytearray`` buffers, ``gen`` and ``nid``
+``array('q')`` buffers; ``st``, ``gen`` and ``nid`` also have zero-copy
+NumPy views (:class:`_FileFrames`).  No per-request bookkeeping calls
+into NumPy: the views serve only the rare mask of a partly reallocated
+run and the ownership cap's scans.
 Every set the cache handles is a contiguous block range ``[lo, hi)`` or
 an ascending list of them, and every span -- one block or a hundred --
 takes the same path: ``bytearray.count`` recognises an all-clean hit or
@@ -118,38 +122,41 @@ _ONES = _RUNS_OF[_READING]
 class _FileFrames:
     """Columnar frame metadata for one file, grown on demand.
 
-    ``st`` and ``nid`` are zero-copy NumPy views of the ``st_buf``
-    bytearray and the ``nid_buf`` ``array('q')``; the prefetch flags
-    live in the ``pf_buf`` bytearray alone.
-    ``own`` and ``gen`` stay NumPy arrays: ``np.zeros`` leaves the
-    never-used tail of a file-sized table unresident where an
-    ``array('q')`` would fill it.
+    ``st``, ``gen`` and ``nid`` are zero-copy NumPy views of the
+    ``st_buf`` bytearray and the ``gen_buf`` and ``nid_buf``
+    ``array('q')`` buffers; the prefetch flags live in the ``pf_buf``
+    bytearray alone.  ``own`` stays a NumPy array, written only under an
+    ownership cap: ``np.zeros`` leaves a table nothing writes
+    unresident where an ``array('q')`` would fill it.
     """
 
-    __slots__ = ("st_buf", "pf_buf", "nid_buf", "st", "nid", "own", "gen")
+    __slots__ = ("st_buf", "pf_buf", "gen_buf", "nid_buf", "st", "gen", "nid", "own")
 
     def __init__(self, n_blocks: int):
         self.own = np.zeros(n_blocks, dtype=np.int64)
-        self.gen = np.zeros(n_blocks, dtype=np.int64)
         self._bind(
-            bytearray(n_blocks), bytearray(n_blocks), array("q", [-1]) * n_blocks
+            bytearray(n_blocks),
+            bytearray(n_blocks),
+            array("q", [0]) * n_blocks,
+            array("q", [-1]) * n_blocks,
         )
 
     def grow(self, n_blocks: int) -> None:
         extra = n_blocks - self.st.size
         self.own = np.concatenate([self.own, np.zeros(extra, dtype=np.int64)])
-        self.gen = np.concatenate([self.gen, np.zeros(extra, dtype=np.int64)])
         # A buffer under a live view cannot resize in place: concatenate
         # into new buffers and rebind the views to them.
         self._bind(
             self.st_buf + bytearray(extra),
             self.pf_buf + bytearray(extra),
+            self.gen_buf + array("q", [0]) * extra,
             self.nid_buf + array("q", [-1]) * extra,
         )
 
-    def _bind(self, st: bytearray, pf: bytearray, nid: array) -> None:
-        self.st_buf, self.pf_buf, self.nid_buf = st, pf, nid
+    def _bind(self, st: bytearray, pf: bytearray, gen: array, nid: array) -> None:
+        self.st_buf, self.pf_buf, self.gen_buf, self.nid_buf = st, pf, gen, nid
         self.st = np.frombuffer(st, dtype=np.uint8)
+        self.gen = np.frombuffer(gen, dtype=np.int64)
         self.nid = np.frombuffer(nid, dtype=np.int64)
 
 
@@ -157,18 +164,18 @@ class _FileFrames:
 class _Run:
     """Handle to frames ``[lo, hi)`` of one file as allocated.
 
-    ``gen`` is the generation snapshot, with -1 at positions that are not
-    part of the run: the gaps of a prefetch over a partly resident
-    window, blocks a write's own allocation evicted, blocks a re-flush
-    leaves out.  Disk completions act only on blocks whose current
-    generation still equals the snapshot: the same incarnation, not a
-    later reallocation.
+    ``gen`` is the generation snapshot (an ``array('q')``), with -1 at
+    positions that are not part of the run: the gaps of a prefetch over
+    a partly resident window, blocks a write's own allocation evicted,
+    blocks a re-flush leaves out.  Disk completions act only on blocks
+    whose current generation still equals the snapshot: the same
+    incarnation, not a later reallocation.
     """
 
     fid: int
     lo: int
     hi: int
-    gen: np.ndarray
+    gen: array
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -283,10 +290,14 @@ class BufferCache:
         self._clean_count = 0
         self._next_node_id = 0
         self._nodes: dict[int, _CleanRun] = {}
+        #: id the next allocation stamps on its blocks' ``gen``; 0 is
+        #: the never-allocated block and -1 a run's gap
+        self._next_gen = 1
         #: waiters keyed by (file_id, block, generation): callbacks of
         #: demand reads overlapping a block whose disk read is in flight
         self._waiters: dict[tuple[int, int, int], list[Callable[[], None]]] = {}
         self._frame_waiters: deque[Callable[[], bool]] = deque()
+        #: blocks per owning process, kept only under a cap
         self._owner_counts: dict[int, int] = {}
         self._streams: dict[int, _StreamState] = {}
         #: known file sizes, bounding prefetch past end-of-file
@@ -461,11 +472,6 @@ class BufferCache:
     # ------------------------------------------------------------------
     # Geometry / bookkeeping
     # ------------------------------------------------------------------
-    def _block_range(self, offset: int, length: int) -> tuple[int, int]:
-        """Blocks ``[first, end)`` covering bytes [offset, offset+length)."""
-        bs = self._bs
-        return offset // bs, (offset + length - 1) // bs + 1
-
     def _file(self, file_id: int, n_blocks: int) -> _FileFrames:
         """The file's frame columns, grown to cover ``n_blocks``."""
         frames = self._files.get(file_id)
@@ -482,26 +488,29 @@ class BufferCache:
         return self._resident
 
     def owner_blocks(self, owner: int) -> int:
+        """Blocks ``owner`` holds; counted only under an ownership cap
+        (0 without one)."""
         return self._owner_counts.get(owner, 0)
 
     def _drop_frames(self, frames: _FileFrames, lo: int, hi: int) -> None:
-        """Free frames ``[lo, hi)`` (state -> absent) and settle the
-        owner accounting.  The clean-LRU is NOT touched:
+        """Free frames ``[lo, hi)`` (state -> absent) and, under a cap,
+        settle the owner accounting.  The clean-LRU is NOT touched:
         callers either took the frames off it already or are dropping
         pinned (reading/dirty/flushing) frames that were never on it.
         """
-        counts = self._owner_counts
         n = hi - lo
-        own = frames.own[lo:hi]
-        first_owner = int(own[0])
-        # Runs are allocated by a single process, so most ranges are
-        # single-owner; only write-extent settles can mix owners.
-        if own.tobytes() == own[:1].tobytes() * n:
-            counts[first_owner] = counts.get(first_owner, n) - n
-        else:
-            owners, counts_per = np.unique(own, return_counts=True)
-            for owner, k in zip(owners.tolist(), counts_per.tolist()):
-                counts[owner] = counts.get(owner, k) - k
+        if self._cap is not None:
+            counts = self._owner_counts
+            own = frames.own[lo:hi]
+            first_owner = int(own[0])
+            # Runs are allocated by a single process, so most ranges are
+            # single-owner; only write-extent settles can mix owners.
+            if own.tobytes() == own[:1].tobytes() * n:
+                counts[first_owner] = counts.get(first_owner, n) - n
+            else:
+                owners, counts_per = np.unique(own, return_counts=True)
+                for owner, k in zip(owners.tolist(), counts_per.tolist()):
+                    counts[owner] = counts.get(owner, k) - k
         frames.st_buf[lo:hi] = bytes(n)
         self._resident -= n
 
@@ -511,14 +520,14 @@ class BufferCache:
         """The blocks of ``run`` not reallocated since (and, given
         ``state``, in that state), as ascending ``[lo, hi)`` ranges."""
         lo, hi = run.lo, run.hi
-        gen = frames.gen[lo:hi]
-        if gen.tobytes() == run.gen.tobytes():
+        if frames.gen_buf[lo:hi] == run.gen:
             # The whole run is still this incarnation (the usual case):
             # only the state splits it.
-            if state is None:
+            st = frames.st_buf
+            if state is None or st.count(state, lo, hi) == hi - lo:
                 return [(lo, hi)]
-            return [m.span() for m in _RUNS_OF[state].finditer(frames.st_buf, lo, hi)]
-        mask = gen == run.gen
+            return [m.span() for m in _RUNS_OF[state].finditer(st, lo, hi)]
+        mask = frames.gen[lo:hi] == np.frombuffer(run.gen, dtype=np.int64)
         if state is not None:
             mask &= frames.st[lo:hi] == state
         return [(lo + m.start(), lo + m.end()) for m in _ONES.finditer(mask.tobytes())]
@@ -640,7 +649,8 @@ class BufferCache:
         Eviction pops whole nodes off the LRU head (trimming at most
         one), so the cost is O(nodes), not O(blocks).  ``state`` is
         ``_READING`` or ``_DIRTY``: new frames are pinned, never on the
-        clean LRU.  The returned run spans ``runs`` with -1 in the gaps.
+        clean LRU.  The returned run spans ``runs`` with -1 in the gaps;
+        its blocks carry one fresh allocation id.
         """
         needed = 0
         for lo, hi in runs:
@@ -703,20 +713,21 @@ class BufferCache:
                 else:
                     node.prev = None
 
-        st, pf, own, gens = frames.st_buf, frames.pf_buf, frames.own, frames.gen
+        st, pf, gens = frames.st_buf, frames.pf_buf, frames.gen_buf
         fill = bytes((state,))
+        stamp = array("q", [self._next_gen])
+        self._next_gen += 1
         lo0, hi0 = runs[0][0], runs[-1][1]
-        gen = gens[lo0:hi0] + 1
-        prev = lo0
+        gen = array("q", [-1]) * (hi0 - lo0)
         for lo, hi in runs:
             st[lo:hi] = fill * (hi - lo)
             pf[lo:hi] = bytes(hi - lo)
-            own[lo:hi] = owner
-            gens[lo:hi] = gen[lo - lo0:hi - lo0]
-            if lo > prev:
-                gen[prev - lo0:lo - lo0] = -1
-            prev = hi
-        counts[owner] = counts.get(owner, 0) + needed
+            gens[lo:hi] = gen[lo - lo0:hi - lo0] = stamp * (hi - lo)
+        if cap is not None:
+            own = frames.own
+            for lo, hi in runs:
+                own[lo:hi] = owner
+            counts[owner] = counts.get(owner, 0) + needed
         self._resident += needed
         return _Run(fid, lo0, hi0, gen)
 
@@ -831,7 +842,7 @@ class BufferCache:
                 if live and reflush < self.recovery.max_reflushes:
                     self.metrics.faults.reflushes += 1
                     # The re-flush covers exactly the blocks live now.
-                    gen = np.full(run.hi - run.lo, -1, dtype=np.int64)
+                    gen = array("q", [-1]) * (run.hi - run.lo)
                     for lo, hi in live:
                         frames.st_buf[lo:hi] = _DIRTY_BYTE * (hi - lo)
                         gen[lo - run.lo:hi - run.lo] = run.gen[lo - run.lo:hi - run.lo]
@@ -1026,24 +1037,35 @@ class BufferCache:
             self._streams[file_id] = _StreamState(next_offset=end, length=length)
 
     def _prefetch(self, file_id: int, stream: _StreamState, owner: int) -> None:
-        depth = self._auto_depth[stream.length]
-        window_end = stream.next_offset + depth * stream.length
+        """Keep up to ``depth`` requests of look-ahead in flight past the
+        demand read that just ended at ``stream.next_offset``.
+
+        Only the part of the window not covered before is looked at: on
+        a steady sequential stream that is one request's worth of bytes.
+        """
+        step = stream.length
+        start = stream.next_offset
+        window_end = start + self._auto_depth[step] * step
         file_end = self._file_sizes.get(file_id, 0)
-        window_end = min(window_end, file_end)
-        start = max(stream.prefetch_until, stream.next_offset)
+        if window_end > file_end:
+            window_end = file_end
+        if stream.prefetch_until > start:
+            start = stream.prefetch_until
         if start >= window_end:
             return
-        first, end = self._block_range(start, window_end - start)
+        bs = self._bs
         st = self._files[file_id].st_buf
-        if end <= len(st) and st.find(_ABSENT, first, end) < 0:
+        end = (window_end - 1) // bs + 1
+        if end <= len(st) and st.find(_ABSENT, start // bs, end) < 0:
             # Nothing absent in the window: the scan below would issue
             # nothing and march straight to its end.
             stream.prefetch_until = window_end
             return
-        bs = self._bs
         while start < window_end:
-            length = min(stream.length, window_end - start)
-            first, end = self._block_range(start, length)
+            stop = start + step
+            if stop > window_end:
+                stop = window_end
+            first, end = start // bs, (stop - 1) // bs + 1
             frames = self._file(file_id, end)
             # Only prefetch runs of absent blocks, as one disk read over
             # their extent; stop growing the window when frames are
@@ -1053,15 +1075,16 @@ class BufferCache:
                 run = self.try_allocate_run(file_id, runs, owner, _READING)
                 if run is None:
                     break
+                n_blocks = 0
                 for lo, hi in runs:
                     frames.pf_buf[lo:hi] = b"\x01" * (hi - lo)
+                    n_blocks += hi - lo
                 self._stats.prefetch_issued += 1
-                self._stats.prefetch_blocks += sum(hi - lo for lo, hi in runs)
+                self._stats.prefetch_blocks += n_blocks
                 self.issue_disk_read(
                     file_id, run.lo * bs, (run.hi - run.lo) * bs, run
                 )
-            start += length
-            stream.prefetch_until = start
+            start = stream.prefetch_until = stop
 
 
 class _PendingRead:
@@ -1155,7 +1178,7 @@ class _PendingRead:
         self.outstanding = len(allocated) + n_inflight
         waiters = cache._waiters
         for lo, hi in reading:
-            for b, g in zip(range(lo, hi), frames.gen[lo:hi].tolist()):
+            for b, g in zip(range(lo, hi), frames.gen_buf[lo:hi]):
                 waiters.setdefault((fid, b, g), []).append(self._one_arrived)
         for run in allocated:
             cache.issue_disk_read(
@@ -1228,9 +1251,10 @@ class _PendingWrite:
             return False
         # A block still absent now was present but evicted by this very
         # allocation: it is dead to this write (-1 matches no generation).
-        gen = frames.gen[first:end].copy()
+        gen = frames.gen_buf[first:end]
         for m in _ABSENTS.finditer(st, first, end):
-            gen[m.start() - first:m.end() - first] = -1
+            b, e = m.span()
+            gen[b - first:e - first] = array("q", [-1]) * (e - b)
         # Prefetch bits of the span are spent (absent blocks' bits are
         # never read, so clearing the whole span is exact).
         frames.pf_buf[first:end] = bytes(end - first)

@@ -14,17 +14,6 @@ beyond ``t``.  Callers that interleave ``run(until=...)`` with
 earlier version left ``now`` stuck at the last executed event, silently
 shifting every subsequently scheduled event backwards.
 
-Event times are floats.  Chains of ``schedule(self.now + delay)``
-accumulate floating-point error relative to the trace's 10 microsecond
-integer tick base -- after millions of events the accumulated time can
-drift past an exact ``until`` boundary and drop the event that should
-land on it.  Passing ``tick_s`` snaps every scheduled time to the
-nearest multiple of the tick, which resets the error at every event
-instead of letting it accumulate.  Grid multiples are fixed points of
-the snap, so times never move backwards.  ``run(until=t)`` can leave the
-clock between grid points, where the nearest point may lie behind it; a
-time that would snap there runs at ``now`` instead.
-
 Allocation discipline
 ---------------------
 The calendar runs millions of events per simulation, so the per-event
@@ -33,13 +22,16 @@ through ``schedule(delay, fn, *args)`` instead of capturing them in a
 closure (callers previously allocated a fresh lambda per event, which
 dominated the scheduler's profile).  The heap entry is ``(when, seq,
 fn, args)``; ``seq`` is unique, so ``fn``/``args`` never take part in
-heap comparisons.  Observation is bound at wiring time: with a disabled
-registry the calendar makes no instrument call at all.
+heap comparisons.  ``run`` pops each event once; one that lies beyond
+``until`` is pushed back as it was, keeping its ``(when, seq)`` slot.
+Observation is bound at wiring time: with a disabled registry the
+calendar makes no instrument call at all.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable
 
 from repro.obs.registry import get_registry
@@ -49,11 +41,8 @@ from repro.util.errors import SimulationError
 class Engine:
     """Event calendar and simulated clock."""
 
-    def __init__(self, *, tick_s: float | None = None, obs=None) -> None:
-        if tick_s is not None and tick_s <= 0:
-            raise SimulationError(f"tick_s must be positive, got {tick_s}")
+    def __init__(self, *, obs=None) -> None:
         self.now: float = 0.0
-        self.tick_s = tick_s
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._events_run = 0
@@ -65,11 +54,6 @@ class Engine:
 
     def schedule_at(self, when: float, fn: Callable[..., None], *args) -> None:
         """Run ``fn(*args)`` at absolute time ``when`` (>= now)."""
-        if self.tick_s is not None:
-            snapped = round(when / self.tick_s) * self.tick_s
-            # An off-grid clock (after ``run(until=)``) may have its
-            # nearest grid point behind it.
-            when = self.now if snapped < self.now <= when else snapped
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule event at {when} before now={self.now}"
@@ -116,22 +100,23 @@ class Engine:
         e0 = self._events_run
         heap = self._heap
         heappop = heapq.heappop
+        limit = math.inf if until is None else until
         try:
             while heap:
                 if max_events is not None and self._events_run >= max_events:
                     raise SimulationError(
                         f"event budget exhausted after {self._events_run} events"
                     )
-                item = heap[0]
-                when = item[0]
-                if until is not None and when > until:
+                item = heappop(heap)
+                when, _, fn, args = item
+                if when > limit:
+                    heapq.heappush(heap, item)
                     break
-                heappop(heap)
                 if when < self.now:
                     raise SimulationError("event queue went backwards")
                 self.now = when
                 self._events_run += 1
-                item[2](*item[3])
+                fn(*args)
             if until is not None and advance_clock and self.now < until:
                 self.now = until
         finally:

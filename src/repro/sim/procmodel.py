@@ -75,7 +75,7 @@ class TraceProcess:
             self._asyncs,
         ) = trace.replay_columns()
         self._n_records = len(trace)
-        self._pstats = metrics.process(process_id)
+        self.stats = metrics.process(process_id)
         self._fs_overhead_s = sched_config.fs_overhead_s
         self._cursor = 0
         self._pending_compute = self._deltas_s[0] if self._n_records else 0.0
@@ -110,7 +110,7 @@ class TraceProcess:
                 return False
 
             self._cursor = i + 1
-            self._pstats.n_ios += 1
+            self.stats.n_ios += 1
             # Load the *next* record's compute demand now; it runs after
             # this I/O is out the door.
             next_i = i + 1
@@ -151,7 +151,7 @@ class TraceProcess:
             return
         self._armed = False
         if self._blocked_at is not None:
-            self._pstats.blocked_seconds += self.engine.now - self._blocked_at
+            self.stats.blocked_seconds += self.engine.now - self._blocked_at
             self._blocked_at = None
         self.scheduler.unblock(self)
 

@@ -22,7 +22,7 @@ from typing import Protocol
 from repro.obs.registry import get_registry
 from repro.sim.config import SchedulerConfig
 from repro.sim.events import Engine
-from repro.sim.metrics import Metrics
+from repro.sim.metrics import Metrics, ProcessStats
 from repro.util.errors import SimulationError
 
 
@@ -30,6 +30,9 @@ class Runnable(Protocol):
     """What the scheduler needs from a process."""
 
     process_id: int
+    #: the process's entry in the run's :class:`Metrics`; CPU time is
+    #: charged to it on every slice
+    stats: ProcessStats
 
     def compute_remaining(self) -> float:
         """Seconds of CPU wanted before the next I/O (0 = issue now)."""
@@ -143,7 +146,7 @@ class RoundRobinScheduler:
             now = self.engine.now
             metrics.busy_seconds += slice_s
             metrics.record_busy(now - slice_s, now)
-            metrics.process(proc.process_id).cpu_seconds += slice_s
+            proc.stats.cpu_seconds += slice_s
         if proc.compute_remaining() > 0:
             # Quantum expired mid-compute: rotate to the queue tail.
             self.preemptions += 1
@@ -179,4 +182,4 @@ class RoundRobinScheduler:
 
     def mark_done(self, proc: Runnable) -> None:
         """The running process finished its trace."""
-        self.metrics.process(proc.process_id).finish_time = self.engine.now
+        proc.stats.finish_time = self.engine.now

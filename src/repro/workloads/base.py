@@ -55,6 +55,14 @@ class GeneratedWorkload:
         return self.trace.total_bytes
 
 
+def check_scale(scale: float) -> float:
+    """``scale`` itself if it lies in (0, 1], else :class:`ValueError`:
+    the one check of a workload scale, wherever one is given."""
+    if not 0.0 < scale <= 1.0:
+        raise ValueError(f"scale must be in (0, 1], got {scale}")
+    return scale
+
+
 class ApplicationModel(ABC):
     """Base class for the seven traced-application models.
 
@@ -67,9 +75,7 @@ class ApplicationModel(ABC):
     name: ClassVar[str]
 
     def __init__(self, *, scale: float = 1.0, seed: int = DEFAULT_SEED):
-        if not 0.0 < scale <= 1.0:
-            raise ValueError(f"scale must be in (0, 1], got {scale}")
-        self.scale = scale
+        self.scale = check_scale(scale)
         self.seed = seed
         self.paper = paper_row(self.name)
 

@@ -294,6 +294,22 @@ class TestSweepCommand:
         assert "0 simulated, 1 from cache" in footer()
         assert "1 simulated" in footer(["--no-cache"])
 
+    @pytest.mark.parametrize(
+        "scale, shown",
+        [("0", "0.0"), ("-1", "-1.0"), ("2", "2.0"), ("1e400", "inf")],
+        ids=["zero", "negative", "above-one", "1e400"],
+    )
+    def test_scale_outside_unit_interval_exits_2(self, scale, shown, tmp_path, capsys):
+        results = tmp_path / "results"
+        argv = [
+            "sweep", "--scale", scale, "--cache-mb", "8", "--block-kb", "4",
+            "--jobs", "1", "--cache-dir", str(results),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"bad grid: scale must be in (0, 1], got {shown}\n"
+        assert not results.exists()
+
 
 class TestJobsOption:
     @pytest.mark.parametrize("value", ["0", "-1"])

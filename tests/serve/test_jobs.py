@@ -81,6 +81,18 @@ class TestSweepSpec:
             with pytest.raises(JobSpecError, match=named):
                 parse_job(sweep_body(**spec), "j000001")
 
+    @pytest.mark.parametrize(
+        "scale, shown",
+        [(0, "0.0"), (-1, "-1.0"), (2, "2.0"), (json.loads("1e400"), "inf")],
+        ids=["zero", "negative", "above-one", "1e400"],
+    )
+    def test_scale_outside_unit_interval_rejected(self, scale, shown):
+        # Rejected at submission, with the workload models' message, not
+        # when the first point runs in a worker.
+        with pytest.raises(JobSpecError) as info:
+            parse_job(sweep_body(scale=scale), "j000001")
+        assert str(info.value) == f"bad sweep grid: scale must be in (0, 1], got {shown}"
+
 
 class TestSimulateSpec:
     def test_workload_and_config_mirror_the_cli(self):

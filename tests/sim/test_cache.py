@@ -294,7 +294,7 @@ class TestShortSpans:
         frames.nid[2] = 7
         frames.gen[3] = 5
         frames.grow(10)
-        for name in ("st", "nid"):
+        for name in ("st", "gen", "nid"):
             buf, view = getattr(frames, name + "_buf"), getattr(frames, name)
             assert view.size == len(buf) == 10, name
             # Writes through the buffer show in the view and vice versa.
@@ -303,10 +303,11 @@ class TestShortSpans:
             view[8] = 0
             assert buf[8] == 0, name
         assert len(frames.pf_buf) == 10
-        assert frames.own.size == frames.gen.size == 10
+        assert frames.own.size == len(frames.gen) == 10
         # Contents survive the grow; new frames are absent, on no node.
         assert frames.st[1] == 3 and frames.nid_buf[2] == 7 and frames.gen[3] == 5
         assert list(frames.nid_buf[4:8]) == [-1] * 4
+        assert list(frames.gen_buf[4:8]) == [0] * 4
 
 
 class TestSSDPenalties:

@@ -8,6 +8,7 @@ from repro.sim.config import DiskConfig
 from repro.sim.devices import DiskModel
 from repro.sim.events import Engine
 from repro.util.errors import SimulationError
+from repro.util.rng import derive_rng
 
 
 class TestEngine:
@@ -140,6 +141,21 @@ class TestDiskModel:
         b = DiskModel(DiskConfig(), seed=7)
         for off in (0, 999999, 123):
             assert a.service_time(1, off, 4096) == b.service_time(1, off, 4096)
+
+    def test_rotations_are_the_scalar_draws_in_order(self):
+        # 150 first touches each pay a full seek and one rotational
+        # delay; 150 draws refill the model's delay block twice.  Each
+        # delay must be the next scalar draw of the model's own stream.
+        cfg = DiskConfig()
+        disk = DiskModel(cfg, seed=11)
+        rng = derive_rng(11, "disk")
+        seek = cfg.min_seek_s + (cfg.max_seek_s - cfg.min_seek_s) * 1.0
+        transfer = 4096 / cfg.bandwidth_bytes_per_sec
+        for file_id in range(150):
+            r = float(rng.uniform(0.0, cfg.rotation_period_s))
+            expected = cfg.base_overhead_s + seek + r + transfer
+            assert disk.service_time(file_id, 0, 4096) == expected, file_id
+        assert disk.sequential_requests == 0
 
     def test_finite_disks_interfere(self):
         # Two files interleaved: private spindles stay sequential; one
