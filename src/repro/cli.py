@@ -78,7 +78,7 @@ from repro.trace.io import read_trace_array, write_trace_array
 from repro.util.errors import SweepError, TraceFormatError
 from repro.util.rng import DEFAULT_SEED
 from repro.util.units import MB
-from repro.workloads.base import available_models, generate_workload
+from repro.workloads.base import available_models, check_scale, generate_workload
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -339,6 +339,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _scale(text: str) -> float:
+    """argparse type for ``--scale``: a number in (0, 1], else a usage error."""
+    try:
+        return check_scale(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="reproduce one table/figure/claim")
     p_run.add_argument("experiment", help="experiment id (see `experiments`)")
     p_run.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_scale, default=None,
         help="workload scale in (0,1]; default: per-app presets",
     )
     p_run.add_argument(
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("experiment", help="experiment id (see `experiments`)")
     p_prof.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_scale, default=None,
         help="workload scale in (0,1]; default: per-app presets",
     )
     p_prof.add_argument(
@@ -391,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a synthetic trace file")
     p_gen.add_argument("app", help="application model name")
     p_gen.add_argument("-o", "--output", required=True)
-    p_gen.add_argument("--scale", type=float, default=0.1)
+    p_gen.add_argument("--scale", type=_scale, default=0.1)
     p_gen.add_argument("--seed", type=int, default=19910616)
 
     p_an = sub.add_parser("analyze", help="summarize a trace file")
@@ -512,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figures", help="render the figures to SVG+CSV")
     p_fig.add_argument("--out", default="figures")
-    p_fig.add_argument("--scale", type=float, default=None)
+    p_fig.add_argument("--scale", type=_scale, default=None)
     return parser
 
 

@@ -26,6 +26,21 @@ heap comparisons.  ``run`` pops each event once; one that lies beyond
 ``until`` is pushed back as it was, keeping its ``(when, seq)`` slot.
 Observation is bound at wiring time: with a disabled registry the
 calendar makes no instrument call at all.
+
+Fast-forward
+------------
+Every event is counted and runs in time order, but not every event
+passes through the heap.  A callback about to schedule its own
+continuation as its last act may ask ``take(when)`` instead: when
+``run`` would pop that event next anyway -- it lies strictly before
+every pending event, not beyond the running ``until``, and the
+``max_events`` budget is not spent -- ``take`` moves the clock and
+counts the event exactly as a pop would, and the caller runs the
+continuation in its own frame.  A process alone on its CPU thus runs
+slice after slice without a heap round trip.  A taken event consumes no
+sequence number; sequence numbers only break ties between pending
+events, and a tie is never taken, so the order of every event is the
+one the heap would give.
 """
 
 from __future__ import annotations
@@ -46,6 +61,10 @@ class Engine:
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._events_run = 0
+        # The running ``run``'s horizon and event budget; outside ``run``
+        # ``take`` refuses every time.
+        self._until = -math.inf
+        self._budget = 0.0
         reg = obs if obs is not None else get_registry()
         self._observed = reg.enabled
         self._c_events = reg.counter("sim.engine.events_run")
@@ -69,6 +88,37 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         self.schedule_at(self.now + delay, fn, *args)
+
+    def take(self, when: float) -> bool:
+        """Claim the event due at ``when`` for the caller to run itself.
+
+        For a callback whose last act would be ``schedule_at(when, ...)``:
+        True when ``run`` would pop that event next -- ``when`` lies
+        strictly before every pending event (a tie goes to the heap,
+        whose entry is older), not beyond the running ``until``, and the
+        ``max_events`` budget is not spent; outside ``run`` it is False.
+        The clock then moves to ``when`` and the event is counted,
+        exactly as a pop would; the caller runs the continuation at once
+        and schedules nothing.  On False nothing changed and the caller
+        schedules as usual.
+        """
+        if when < self.now:
+            raise SimulationError(
+                f"cannot take event at {when} before now={self.now}"
+            )
+        heap = self._heap
+        if (
+            when > self._until
+            or self._events_run >= self._budget
+            or (heap and heap[0][0] <= when)
+        ):
+            return False
+        self.now = when
+        self._events_run += 1
+        if self._observed:
+            # Pending for this instant, as a scheduled event would be.
+            self._g_heap.set_max(len(heap) + 1)
+        return True
 
     @property
     def pending(self) -> int:
@@ -101,9 +151,12 @@ class Engine:
         heap = self._heap
         heappop = heapq.heappop
         limit = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
+        self._until = limit
+        self._budget = budget
         try:
             while heap:
-                if max_events is not None and self._events_run >= max_events:
+                if self._events_run >= budget:
                     raise SimulationError(
                         f"event budget exhausted after {self._events_run} events"
                     )
@@ -120,6 +173,7 @@ class Engine:
             if until is not None and advance_clock and self.now < until:
                 self.now = until
         finally:
+            self._until = -math.inf
             if self._observed:
                 self._c_events.inc(self._events_run - e0)
                 self._c_advanced.add(self.now - t0)

@@ -78,7 +78,11 @@ class RoundRobinScheduler:
         self._ready: deque[Runnable] = deque()
         self._running: dict[int, Runnable] = {}  # cpu index -> process
         self._free_cpus: list[int] = list(range(n_cpus))
-        self._last_on_cpu: list[Runnable | None] = [None] * n_cpus
+        # The id of the process that ran last on each CPU, not the
+        # process: a process refers to its scheduler, and an id keeps a
+        # finished simulation free of that reference cycle.  Process ids
+        # are unique within a system.
+        self._last_on_cpu: list[int | None] = [None] * n_cpus
         self._blocked: set[int] = set()
         self.dispatches = 0
         self.preemptions = 0
@@ -117,12 +121,13 @@ class RoundRobinScheduler:
             self.dispatches += 1
             if observed:
                 self._c_dispatches.inc()
+            pid = proc.process_id
             switch = (
                 self.config.switch_overhead_s
-                if self._last_on_cpu[cpu] is not proc
+                if self._last_on_cpu[cpu] != pid
                 else 0.0
             )
-            self._last_on_cpu[cpu] = proc
+            self._last_on_cpu[cpu] = pid
             if switch:
                 if observed:
                     self._c_switches.inc()
@@ -131,31 +136,48 @@ class RoundRobinScheduler:
             self.engine.schedule(switch, self._run_slice, proc, cpu)
 
     def _run_slice(self, proc: Runnable, cpu: int) -> None:
+        slice_s = self._start_slice(proc, cpu)
+        if slice_s is not None:
+            self._slice_done(proc, cpu, slice_s)
+
+    def _start_slice(self, proc: Runnable, cpu: int) -> float | None:
+        """The length of ``proc``'s next slice if it ends now or its end
+        was taken (the caller runs ``_slice_done`` at once); None once
+        the end is scheduled."""
         remaining = proc.compute_remaining()
         quantum = self.config.quantum_s
         slice_s = remaining if remaining < quantum else quantum
         if slice_s > 0:
-            self.engine.schedule(slice_s, self._slice_done, proc, cpu, slice_s)
-        else:
-            self._slice_done(proc, cpu, 0.0)
+            engine = self.engine
+            when = engine.now + slice_s
+            if not engine.take(when):
+                engine.schedule_at(when, self._slice_done, proc, cpu, slice_s)
+                return None
+        return slice_s
 
     def _slice_done(self, proc: Runnable, cpu: int, slice_s: float) -> None:
-        if slice_s > 0:
-            proc.consume_compute(slice_s)
-            metrics = self.metrics
-            now = self.engine.now
-            metrics.busy_seconds += slice_s
-            metrics.record_busy(now - slice_s, now)
-            proc.stats.cpu_seconds += slice_s
-        if proc.compute_remaining() > 0:
-            # Quantum expired mid-compute: rotate to the queue tail.
-            self.preemptions += 1
-            if self._observed:
-                self._c_expiries.inc()
-            wants_more = True
-        else:
-            wants_more = proc.on_cpu_available()
-        if wants_more and not self._ready:
+        # One pass per slice: while the calendar lets this process's next
+        # dispatch and slice end be taken (``Engine.take``), they run in
+        # this loop; the first one refused is scheduled instead.
+        engine = self.engine
+        metrics = self.metrics
+        while True:
+            if slice_s > 0:
+                proc.consume_compute(slice_s)
+                now = engine.now
+                metrics.busy_seconds += slice_s
+                metrics.record_busy(now - slice_s, now)
+                proc.stats.cpu_seconds += slice_s
+            if proc.compute_remaining() > 0:
+                # Quantum expired mid-compute: rotate to the queue tail.
+                self.preemptions += 1
+                if self._observed:
+                    self._c_expiries.inc()
+                wants_more = True
+            else:
+                wants_more = proc.on_cpu_available()
+            if not wants_more or self._ready:
+                break
             # The only ready process keeps its CPU.  This is what release,
             # append and ``_maybe_dispatch`` do here: the free-CPU stack
             # pops the CPU just released, and no switch is charged since
@@ -164,8 +186,14 @@ class RoundRobinScheduler:
             if self._observed:
                 self._g_ready.set_max(1)
                 self._c_dispatches.inc()
-            self.engine.schedule(0.0, self._run_slice, proc, cpu)
-            return
+            now = engine.now
+            if not engine.take(now):
+                engine.schedule_at(now, self._run_slice, proc, cpu)
+                return
+            # The dispatch, taken: ``_run_slice`` without the recursion.
+            slice_s = self._start_slice(proc, cpu)
+            if slice_s is None:
+                return
         self._release(cpu)
         if wants_more:
             self._ready.append(proc)

@@ -311,6 +311,34 @@ class TestSweepCommand:
         assert not results.exists()
 
 
+class TestScaleOption:
+    """Every verb with ``--scale`` rejects one outside (0, 1] while parsing."""
+
+    @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("nan", "nan")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig8"],
+            ["profile", "fig8", "--metrics-only"],
+            ["generate", "venus", "-o", "{out}"],
+            ["figures", "--out", "{out}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_scale_is_a_usage_error(self, argv, value, shown, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [str(out) if arg == "{out}" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--scale", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: argument --scale: scale must be in (0, 1], got {shown}\n"
+        )
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestJobsOption:
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize(

@@ -5,10 +5,15 @@ so delays scheduled between bounded runs were silently measured from the
 wrong origin.  A bounded run also pops the first event beyond ``until``
 and pushes it back: it must keep its place among later schedules.
 Event times are plain floats, so chained ``now + delay`` drifts off the
-trace's 10 microsecond tick base.
+trace's 10 microsecond tick base.  ``take`` runs a continuation off the
+heap only when ``run`` would pop it next, counted as a pop would.
 """
 
+import pytest
+
+from repro.obs import MetricsRegistry
 from repro.sim.events import Engine
+from repro.util.errors import SimulationError
 from repro.util.units import TICK_SECONDS
 
 
@@ -101,3 +106,120 @@ class TestTickSnapping:
         engine.schedule(0.123456789, lambda: log.append(engine.now))
         engine.run()
         assert log == [0.123456789]
+
+
+def chain(engine, n, delay, *, fast, log):
+    """Schedule an ``n``-step chain; with ``fast`` each step takes the next."""
+
+    def step(k):
+        log.append((k, engine.now))
+        if k + 1 < n:
+            when = engine.now + delay
+            if fast and engine.take(when):
+                step(k + 1)
+            else:
+                engine.schedule_at(when, step, k + 1)
+
+    engine.schedule(delay, step, 0)
+
+
+class TestTake:
+    """``take(when)``: run a tail-position continuation in the caller's
+    frame, but only when ``run`` would pop that event next."""
+
+    def test_taken_events_are_counted_in_order(self):
+        runs = {}
+        for fast in (False, True):
+            engine, log = Engine(), []
+            chain(engine, 6, 0.25, fast=fast, log=log)
+            engine.schedule_at(0.6, log.append, "other")
+            engine.run()
+            runs[fast] = (log, engine.events_run, engine.now)
+        assert runs[True] == runs[False]
+        assert runs[True][1] == 7
+
+    def test_refuses_a_tie_with_a_pending_event(self):
+        engine, got = Engine(), []
+        engine.schedule_at(1.0, got.append, "pending 1.0")
+        engine.schedule_at(0.5, lambda: got.append(engine.take(1.0)))
+        engine.run()
+        assert got == [False, "pending 1.0"]
+
+    def test_takes_just_before_a_pending_event(self):
+        engine, got = Engine(), []
+        engine.schedule_at(1.0, lambda: None)
+        engine.schedule_at(0.5, lambda: got.append(engine.take(0.75)))
+        engine.run()
+        assert got == [True] and engine.events_run == 3
+
+    def test_refuses_past_until_and_keeps_the_clock_contract(self):
+        engine, got = Engine(), []
+        engine.schedule_at(0.5, lambda: got.append(engine.take(2.5)))
+        engine.run(until=2.0)
+        assert got == [False]
+        assert engine.now == 2.0 and engine.events_run == 1
+
+    def test_takes_at_exactly_until(self):
+        engine, got = Engine(), []
+        engine.schedule_at(0.5, lambda: got.append(engine.take(2.0)))
+        engine.run(until=2.0)
+        assert got == [True]
+        assert engine.now == 2.0 and engine.events_run == 2
+
+    def test_refuses_outside_run(self):
+        engine = Engine()
+        assert not engine.take(0.0)
+        engine.run(until=1.0)
+        assert not engine.take(1.0)
+        assert engine.events_run == 0 and engine.now == 1.0
+
+    def test_refuses_a_time_before_now(self):
+        engine, errors = Engine(), []
+
+        def late():
+            try:
+                engine.take(0.25)
+            except SimulationError as exc:
+                errors.append(str(exc))
+
+        engine.schedule_at(0.5, late)
+        engine.run()
+        assert errors == ["cannot take event at 0.25 before now=0.5"]
+
+    def test_budget_is_spent_the_same_way(self):
+        errors = {}
+        for fast in (False, True):
+            engine, log = Engine(), []
+            chain(engine, 10, 0.25, fast=fast, log=log)
+            with pytest.raises(SimulationError) as exc:
+                engine.run(max_events=4)
+            errors[fast] = (str(exc.value), log, engine.events_run)
+        assert errors[True] == errors[False]
+        assert errors[True][0] == "event budget exhausted after 4 events"
+
+    def test_enabled_registry_counts_taken_events(self):
+        # The taken event is pending for its instant, on top of the two
+        # others: the heap's peak depth is 3 either way.
+        snaps = {}
+        for fast in (False, True):
+            reg = MetricsRegistry()
+            engine = Engine(obs=reg)
+            log = []
+
+            def first():
+                engine.schedule_at(5.0, log.append, 5.0)
+                if fast and engine.take(1.0):
+                    log.append(1.0)
+                else:
+                    engine.schedule_at(1.0, log.append, 1.0)
+
+            engine.schedule_at(3.0, log.append, 3.0)
+            engine.schedule_at(0.5, first)
+            engine.run()
+            snap = reg.snapshot()
+            snaps[fast] = (
+                log,
+                snap["sim.engine.events_run"],
+                snap["sim.engine.heap_depth"]["peak"],
+            )
+        assert snaps[True] == snaps[False] == ([1.0, 3.0, 5.0], 4, 3)

@@ -1,15 +1,19 @@
 """Round-robin scheduler and trace-replay processes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.sim.config import SimConfig
+from repro.sim.config import SimConfig, ssd_cache
 from repro.sim.procmodel import relabel_copies, split_trace_by_process
 from repro.sim.system import SimulatedSystem, simulate
 from repro.trace import flags as F
 from repro.trace.array import TraceArray
 from repro.util.errors import SimulationError
 from repro.util.units import KB, MB, seconds_to_ticks
+from repro.workloads.base import generate_workload
 
 
 def make_trace(
@@ -134,6 +138,47 @@ class TestMultiProcess:
         result = simulate([t1, t2], config)
         assert result.switch_seconds > 0
         assert result.accounted_busy_seconds > result.busy_seconds
+
+
+class TestLifetime:
+    """A finished simulation is freed by reference counting alone.
+
+    The scheduler remembers the last process on each CPU by id, not by
+    reference: a process refers to its scheduler, and that cycle would
+    keep every component of a finished point alive until the cyclic
+    collector ran.
+    """
+
+    @pytest.mark.parametrize(
+        "app, copies, config",
+        [
+            ("venus", 2, SimConfig().with_cache(size_bytes=16 * MB)),
+            ("les", 1, SimConfig(cache=ssd_cache(256 * MB))),
+            ("bvi", 1, SimConfig(cache=ssd_cache(256 * MB))),
+        ],
+        ids=["2x-venus-memory", "les-ssd", "bvi-ssd"],
+    )
+    def test_finished_system_freed_without_the_collector(self, app, copies, config):
+        trace = generate_workload(app, scale=0.02, seed=1).trace
+        traces = relabel_copies(trace, copies)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            system = SimulatedSystem(traces, config)
+            system.run()
+            names = ("engine", "cache", "scheduler", "metrics", "disk", "device")
+            components = {name: getattr(system, name) for name in names}
+            components.update(
+                (f"process {p.process_id}", p) for p in system.processes
+            )
+            refs = {name: weakref.ref(obj) for name, obj in components.items()}
+            del system, components
+            alive = sorted(name for name, ref in refs.items() if ref() is not None)
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == []
 
 
 class TestHelpers:
