@@ -124,6 +124,15 @@ class Engine:
     def pending(self) -> int:
         return len(self._heap)
 
+    def drop_pending(self) -> None:
+        """Discard every pending event unrun, as a crashed machine does.
+
+        Each heap entry holds a bound method of a component that refers
+        back to this engine, so a calendar left with events keeps the
+        whole simulation alive until the cyclic collector runs.
+        """
+        self._heap.clear()
+
     @property
     def events_run(self) -> int:
         return self._events_run

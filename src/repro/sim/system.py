@@ -128,6 +128,7 @@ class SimulatedSystem:
                 fs.crashed = True
                 fs.crash_time_s = self.engine.now
                 fs.lost_bytes += self.cache.dirty_bytes()
+                self.engine.drop_pending()
                 crashed = True
                 break
             self.cache.enter_degraded()

@@ -13,12 +13,13 @@ I/O start.  Per-process deltas (what the trace format stores) are derived
 on demand.
 
 This module is also the canonical *decode target*.  Producers that
-hold their rows as Python objects (the tracer's events, the packet-log
-merge, :meth:`TraceArray.from_records` over the ASCII decoder's records)
-read every field in one pass with :func:`int_table` and convert the
-table once with :meth:`TraceArray.from_table`.  The per-process clock
-deltas of the trace format, in both directions, are grouped NumPy
-passes (:func:`group_cumsum`, :func:`clock_deltas`).
+hold their rows as Python objects (the tracer's events,
+:meth:`TraceArray.from_records` over the ASCII decoder's records) read
+every field in one pass with :func:`int_table` and convert the table
+once with :meth:`TraceArray.from_table`; a trace packet keeps its events
+as such a table (:class:`~repro.trace.packets.EventRows`).  The
+per-process clock deltas of the trace format, in both directions, are
+grouped NumPy passes (:func:`group_cumsum`, :func:`clock_deltas`).
 """
 
 from __future__ import annotations

@@ -12,6 +12,14 @@ This module defines the packet objects and their text serialization, the
 *packet log*; the collector lives in :mod:`repro.trace.procstat` and the
 stream reconstruction in :mod:`repro.trace.reconstruct`.
 
+As on the Cray, a packet's entries are fixed-width integers, not objects:
+:attr:`TracePacket.events` is an :class:`EventRows`, the rows of an
+``(n, 9)`` integer table in :class:`IOEvent` field order.  It reads as a
+sequence of events, but an :class:`IOEvent` is built only when one is
+read, so the collection path -- collector, packet log, merge -- builds no
+Python object per event.  The packets :func:`load_packets` returns view
+consecutive slices of one table for the whole log.
+
 The packet log is written and parsed as one document, with NumPy
 (:mod:`repro.trace.digits`), not a ``str()`` or ``int()`` per field.
 :func:`dump_packets` writes only the strict grammar -- every value an
@@ -25,11 +33,11 @@ every error, with its line number, are the per-line loader's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,10 +60,10 @@ class IOEvent(NamedTuple):
     directly; deltas are computed later when the standard trace is
     written.
 
-    A named tuple: immutable, hashed by value, built by the C tuple
-    constructor when the packet log is loaded, and iterable in field
+    A named tuple: immutable, hashed by value, and iterable in field
     order, so :func:`~repro.trace.array.int_table` reads a list of them
-    into columns in one pass.
+    into one table in a single pass.  A packet keeps its events as rows
+    of such a table (:class:`EventRows`).
     """
 
     record_type: int
@@ -69,7 +77,57 @@ class IOEvent(NamedTuple):
     process_clock: int
 
 
-@dataclass
+#: Width of an event row: the :class:`IOEvent` fields.
+EVENT_WIDTH = len(IOEvent._fields)
+
+#: ``IOEvent`` from an iterable of its nine fields, without a Python frame.
+_new_event = partial(tuple.__new__, IOEvent)
+
+
+class EventRows(Sequence):
+    """A packet's events as the rows of a read-only ``(k, 9)`` table.
+
+    ``rows`` is an :func:`~repro.trace.array.int_table`: int64, or
+    ``dtype=object`` when a value lies beyond ``+-SAFE_INT``, in
+    :class:`IOEvent` field order.  The sequence reads like the list of
+    events it replaces -- ``len``, indexing, slicing, iteration and
+    equality with another ``EventRows`` or a list of events -- and
+    builds each :class:`IOEvent` only when it is read.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EventRows(self.rows[index])
+        return _new_event(self.rows[index].tolist())
+
+    def __iter__(self) -> Iterator[IOEvent]:
+        return map(_new_event, self.rows.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventRows):
+            return self.rows.shape == other.rows.shape and bool(
+                (self.rows == other.rows).all()
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # unhashable, like the list it replaces
+
+    def __repr__(self) -> str:
+        return f"EventRows({list(self)!r})"
+
+
+@dataclass(frozen=True)
 class TracePacket:
     """A batch of events for one (process, file) pair.
 
@@ -77,13 +135,23 @@ class TracePacket:
     ``flush_epoch`` counts how many global force-flushes preceded this
     packet; reconstruction sorts within epochs (events of epoch *k* are
     guaranteed to all be emitted in packets of epoch <= *k*).
+
+    ``events`` is always an :class:`EventRows`: any other sequence of
+    events is read into one with a single
+    :func:`~repro.trace.array.int_table` call.  The packet is frozen, so
+    it stays that way.
     """
 
     sequence: int
     flush_epoch: int
     process_id: int
     file_id: int
-    events: list[IOEvent] = field(default_factory=list)
+    events: Sequence[IOEvent] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.events, EventRows):
+            rows = EventRows(int_table(self.events, EVENT_WIDTH))
+            object.__setattr__(self, "events", rows)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -92,6 +160,17 @@ class TracePacket:
     def size_words(self) -> int:
         """Size of the packet in Cray words, header included."""
         return PACKET_HEADER_WORDS + ENTRY_WORDS * len(self.events)
+
+
+def event_table(packets: Sequence[TracePacket]) -> np.ndarray:
+    """Every event of ``packets`` as one ``(n, 9)`` table, in packet order.
+
+    One ``np.concatenate`` of the packets' rows: int64 unless some
+    packet holds an object table, whose values then all stay exact.
+    """
+    if not packets:
+        return np.zeros((0, EVENT_WIDTH), dtype=np.int64)
+    return np.concatenate([p.events.rows for p in packets])
 
 
 def packet_overhead_ratio(packets: Iterable[TracePacket]) -> float:
@@ -128,9 +207,6 @@ _PACKET_FIELDS = len(_PACKET_FIELD_NAMES)
 
 #: Exclusive bound of a value in the log: at most ``MAX_DIGITS`` digits.
 _VALUE_END = 10**MAX_DIGITS
-
-#: ``IOEvent`` from a tuple of its nine fields, without a Python frame.
-_new_event = partial(tuple.__new__, IOEvent)
 
 
 def dump_packets(path: str | Path, packets: Iterable[TracePacket]) -> None:
@@ -174,9 +250,7 @@ def _log_lines(packets: list[TracePacket]) -> tuple[list[np.ndarray], np.ndarray
         ],
         _PACKET_FIELDS,
     )
-    events = int_table(
-        list(chain.from_iterable(p.events for p in packets)), len(IOEvent._fields)
-    )
+    events = event_table(packets)
     _check_values(headers, _PACKET_FIELD_NAMES)
     _check_values(events, IOEvent._fields)
     # Packet k's header is line k + (events before it); its events follow.
@@ -286,30 +360,29 @@ def _log_fields(document: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _packets(headers: np.ndarray, events: np.ndarray) -> list[TracePacket]:
-    """Packets from :func:`_log_fields`' tables: one ``IOEvent`` per row."""
+    """Packets from :func:`_log_fields`' tables.
+
+    The ``E`` lines' seven columns and the file and process ids repeated
+    from their ``P`` lines make one ``(n, 9)`` event table; each packet
+    views its own consecutive slice of it.
+    """
     sizes = headers[:, 4]
-    rt, op, off, length, start, dur, clock = (
-        events[:, j].tolist() for j in range(len(_EVENT_LINE_FIELDS))
-    )
-    file_ids = np.repeat(headers[:, 3], sizes).tolist()
-    process_ids = np.repeat(headers[:, 2], sizes).tolist()
-    event_list = list(
-        map(
-            _new_event,
-            zip(rt, file_ids, process_ids, op, off, length, start, dur, clock),
-        )
-    )
+    table = np.empty((len(events), EVENT_WIDTH), dtype=np.int64)
+    table[:, _EVENT_LINE_FIELDS] = events
+    table[:, 1] = np.repeat(headers[:, 3], sizes)
+    table[:, 2] = np.repeat(headers[:, 2], sizes)
     packets = []
     end = 0
     for seq, epoch, pid, fid, size in headers.tolist():
         begin, end = end, end + size
-        packets.append(TracePacket(seq, epoch, pid, fid, event_list[begin:end]))
+        packets.append(TracePacket(seq, epoch, pid, fid, EventRows(table[begin:end])))
     return packets
 
 
 def _load_lines(path: str | Path) -> Iterator[TracePacket]:
     with open(path, "r", encoding="ascii") as fh:
-        current: TracePacket | None = None
+        header: tuple[int, int, int, int] | None = None
+        events: list[IOEvent] = []
         remaining = 0
         for line_number, line in enumerate(fh, start=1):
             parts = line.split()
@@ -322,31 +395,23 @@ def _load_lines(path: str | Path) -> Iterator[TracePacket]:
                         f"packet truncated: {remaining} events missing",
                         line_number=line_number,
                     )
-                if current is not None:
-                    yield current
+                if header is not None:
+                    yield TracePacket(*header, events)
                 seq, epoch, pid, fid, count = (int(x) for x in parts[1:6])
-                current = TracePacket(seq, epoch, pid, fid)
+                header = (seq, epoch, pid, fid)
+                events = []
                 remaining = count
             elif tag == _EVENT_TAG:
-                if current is None or remaining == 0:
+                if header is None or remaining == 0:
                     raise TraceFormatError(
                         "event line outside a packet", line_number=line_number
                     )
                 rt, opid, off, length, start, dur, pclock = (
                     int(x) for x in parts[1:8]
                 )
-                current.events.append(
-                    IOEvent(
-                        record_type=rt,
-                        file_id=current.file_id,
-                        process_id=current.process_id,
-                        operation_id=opid,
-                        offset=off,
-                        length=length,
-                        start_time=start,
-                        duration=dur,
-                        process_clock=pclock,
-                    )
+                _, _, pid, fid = header
+                events.append(
+                    IOEvent(rt, fid, pid, opid, off, length, start, dur, pclock)
                 )
                 remaining -= 1
             else:
@@ -355,5 +420,5 @@ def _load_lines(path: str | Path) -> Iterator[TracePacket]:
                 )
         if remaining:
             raise TraceFormatError(f"packet truncated: {remaining} events missing")
-        if current is not None:
-            yield current
+        if header is not None:
+            yield TracePacket(*header, events)

@@ -12,6 +12,12 @@ reproduces that collector's batching policy:
   ("trace packets were forced out every hundred thousand I/Os"), which
   bounds how stale a quiet file's events can become;
 * closing the collector flushes everything.
+
+An open packet is a plain list of the events submitted to it; the
+:class:`~repro.trace.packets.TracePacket` is built when the packet is
+emitted, its events read into one integer table
+(:class:`~repro.trace.packets.EventRows`), so an emitted packet holds no
+event object.
 """
 
 from __future__ import annotations
@@ -52,7 +58,10 @@ class ProcstatCollector:
         self._sink = sink
         self.max_events_per_packet = max_events_per_packet
         self.flush_interval = flush_interval
-        self._open: dict[tuple[int, int], TracePacket] = {}
+        # Each open packet's events, by (process id, file id).  Every
+        # open packet belongs to the current flush epoch: a flush emits
+        # them all before the epoch advances.
+        self._open: dict[tuple[int, int], list[IOEvent]] = {}
         self._sequence = 0
         self._epoch = 0
         self._events_since_flush = 0
@@ -65,23 +74,17 @@ class ProcstatCollector:
         if self._closed:
             raise RuntimeError("collector is closed")
         key = (event.process_id, event.file_id)
-        packet = self._open.get(key)
-        if packet is None:
-            packet = TracePacket(
-                sequence=-1,  # assigned at emission
-                flush_epoch=self._epoch,
-                process_id=event.process_id,
-                file_id=event.file_id,
-            )
-            self._open[key] = packet
-        packet.events.append(event)
+        events = self._open.get(key)
+        if events is None:
+            events = self._open[key] = []
+        events.append(event)
         self.total_events += 1
         self._events_since_flush += 1
         if self._observed:
             self._c_events.inc()
             self._g_open.set_max(len(self._open))
 
-        if len(packet.events) >= self.max_events_per_packet:
+        if len(events) >= self.max_events_per_packet:
             self._emit(key)
         if self._events_since_flush >= self.flush_interval:
             self.flush()
@@ -102,10 +105,10 @@ class ProcstatCollector:
             self._closed = True
 
     def _emit(self, key: tuple[int, int]) -> None:
-        packet = self._open.pop(key)
-        if not packet.events:
-            return
-        packet.sequence = self._sequence
+        process_id, file_id = key
+        packet = TracePacket(
+            self._sequence, self._epoch, process_id, file_id, self._open.pop(key)
+        )
         self._sequence += 1
         self.packets_emitted += 1
         if self._observed:

@@ -16,18 +16,19 @@ carry-over buffer reproduces the full global sort exactly, and a log
 that violates the contract is detected and rejected rather than
 silently emitted out of order.
 
-The merge runs over columns: every event's fields are read into one
-integer table (:func:`~repro.trace.array.int_table`), and the epoch loop
-moves index arrays, one NumPy step per epoch rather than a Python step
-per event.  Its result is a permutation of the events, which
-:func:`iter_events_in_time_order` applies to the events and
-:func:`reconstruct_records` to trace records; a columnar trace of the
+The merge runs over columns: the packets' event rows
+(:class:`~repro.trace.packets.EventRows`) are joined into one integer
+table with a single ``np.concatenate``, and the epoch loop moves index
+arrays, one NumPy step per epoch rather than a Python step per event.
+Its result is a permutation of the table's rows, which
+:func:`iter_events_in_time_order` turns into events and
+:func:`reconstruct_records` into trace records; a columnar trace of the
 log is ``TraceArray.from_records(reconstruct_records(packets))``.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,7 +36,13 @@ import numpy as np
 from repro.obs.registry import get_registry
 from repro.trace import flags as F
 from repro.trace.array import TraceArray, clock_deltas, int_table
-from repro.trace.packets import IOEvent, TracePacket
+from repro.trace.packets import (
+    EVENT_WIDTH,
+    EventRows,
+    IOEvent,
+    TracePacket,
+    event_table,
+)
 from repro.trace.record import TraceRecord
 
 # IOEvent field indexes in an int_table row.
@@ -64,11 +71,10 @@ def global_sort_events(packets: Iterable[TracePacket]) -> list[IOEvent]:
     return events
 
 
-def _merge(
-    packets: Iterable[TracePacket],
-) -> tuple[list[IOEvent], np.ndarray, np.ndarray]:
-    """``(events, table, order)``: the log's events in encounter order,
-    their :func:`int_table`, and the permutation that time-orders them.
+def _merge(packets: Iterable[TracePacket]) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, order)``: the log's events as one table of rows in
+    encounter order (:func:`~repro.trace.packets.event_table`), and the
+    permutation that time-orders them.
 
     Epoch-by-epoch merge with carry-over: when an epoch is fully read,
     every buffered event that starts strictly before the earliest start
@@ -84,8 +90,7 @@ def _merge(
     packet where the per-event merge would have found it.
     """
     packets = packets if isinstance(packets, list) else list(packets)
-    events = list(chain.from_iterable(p.events for p in packets))
-    table = int_table(events, len(IOEvent._fields))
+    table = event_table(packets)
     start = table[:, _START]
     operation = table[:, _OPERATION]
 
@@ -129,11 +134,11 @@ def _merge(
                     ready = time_ordered(pending[due])
                     if ready.size:
                         if last_key is not None and key(ready[0]) < last_key:
-                            first = events[ready[0]]
+                            first = table[ready[0]].tolist()
                             raise ValueError(
                                 "packet log violates the bounded-buffering "
-                                f"contract: event {first.operation_id} at "
-                                f"t={first.start_time} surfaced after later "
+                                f"contract: event {first[_OPERATION]} at "
+                                f"t={first[_START]} surfaced after later "
                                 "events were already final"
                             )
                         pending = pending[~due]
@@ -166,7 +171,7 @@ def _merge(
             )
         emitted.append(pending)
     order = np.concatenate(emitted) if emitted else np.zeros(0, dtype=np.intp)
-    return events, table, order
+    return table, order
 
 
 def iter_events_in_time_order(packets: Iterable[TracePacket]) -> Iterator[IOEvent]:
@@ -176,8 +181,8 @@ def iter_events_in_time_order(packets: Iterable[TracePacket]) -> Iterator[IOEven
     packet-log encounter order: the output is identical to
     :func:`global_sort_events`.  The errors are :func:`_merge`'s.
     """
-    events, _, order = _merge(packets)
-    yield from map(events.__getitem__, order.tolist())
+    table, order = _merge(packets)
+    yield from EventRows(table[order])
 
 
 def _check_rows(table: np.ndarray, deltas: np.ndarray) -> None:
@@ -220,7 +225,7 @@ def events_to_array(events: Sequence[IOEvent]) -> TraceArray:
     that does not fit its column raises as in
     :meth:`TraceArray.from_records`.
     """
-    table = int_table(events, len(IOEvent._fields))
+    table = int_table(events, EVENT_WIDTH)
     _check_rows(table, clock_deltas(table[:, _PROCESS], table[:, _CLOCK]))
     # The clock column is already what from_records integrates the
     # deltas back into.
@@ -237,7 +242,7 @@ def reconstruct_records(packets: Iterable[TracePacket]) -> list[TraceRecord]:
     checked over columns (:func:`_check_rows`), so the records are built
     by the C tuple constructor, with no Python call per record.
     """
-    _, table, order = _merge(packets)
+    table, order = _merge(packets)
     table = table[order]
     deltas = clock_deltas(table[:, _PROCESS], table[:, _CLOCK])
     _check_rows(table, deltas)

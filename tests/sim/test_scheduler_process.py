@@ -140,13 +140,18 @@ class TestMultiProcess:
         assert result.accounted_busy_seconds > result.busy_seconds
 
 
+#: Two venus copies cut by a crash with events still on the calendar.
+CRASH_CONFIG = SimConfig().with_cache(size_bytes=16 * MB).with_faults(crash_at_s=1.0)
+
+
 class TestLifetime:
     """A finished simulation is freed by reference counting alone.
 
     The scheduler remembers the last process on each CPU by id, not by
     reference: a process refers to its scheduler, and that cycle would
     keep every component of a finished point alive until the cyclic
-    collector ran.
+    collector ran.  A crash drops the events left on the calendar, each
+    of which holds a bound method of a component.
     """
 
     @pytest.mark.parametrize(
@@ -155,8 +160,9 @@ class TestLifetime:
             ("venus", 2, SimConfig().with_cache(size_bytes=16 * MB)),
             ("les", 1, SimConfig(cache=ssd_cache(256 * MB))),
             ("bvi", 1, SimConfig(cache=ssd_cache(256 * MB))),
+            ("venus", 2, CRASH_CONFIG),
         ],
-        ids=["2x-venus-memory", "les-ssd", "bvi-ssd"],
+        ids=["2x-venus-memory", "les-ssd", "bvi-ssd", "2x-venus-crash"],
     )
     def test_finished_system_freed_without_the_collector(self, app, copies, config):
         trace = generate_workload(app, scale=0.02, seed=1).trace
@@ -179,6 +185,14 @@ class TestLifetime:
             if enabled:
                 gc.enable()
         assert alive == []
+
+    def test_the_crash_case_stops_mid_run(self):
+        trace = generate_workload("venus", scale=0.02, seed=1).trace
+        system = SimulatedSystem(relabel_copies(trace, 2), CRASH_CONFIG)
+        result = system.run()
+        assert result.faults.crashed and result.wall_seconds == 1.0
+        assert not all(p.finished for p in system.processes)
+        assert system.engine.pending == 0
 
 
 class TestHelpers:

@@ -12,6 +12,7 @@ per-record code raised.
 """
 
 import dataclasses
+import gc
 import random
 
 import numpy as np
@@ -382,6 +383,26 @@ class TestPacketLog:
         dump_packets(path, packets)
         assert _as_tuples(load_packets(path)) == _as_tuples(packets)
 
+    def test_a_strict_log_loads_as_rows_of_one_table(self, tmp_path):
+        events = [_event(i, fid=i % 3, pid=1 + i % 2) for i in range(200)]
+        packets = collect_to_list(events, max_events_per_packet=16, flush_interval=50)
+        path = tmp_path / "p.log"
+        dump_packets(path, packets)
+        assert _log_fields(path.read_bytes()) is not None
+        before = live_events()
+        loaded = list(load_packets(path))
+        assert live_events() == before
+        assert _as_tuples(loaded) == _as_tuples(packets)
+        table = loaded[0].events.rows.base
+        assert table.shape == (200, 9) and table.dtype == np.int64
+        assert all(np.shares_memory(p.events.rows, table) for p in loaded)
+
+
+def live_events() -> int:
+    """How many :class:`IOEvent` objects are alive (a named tuple is
+    always tracked by the cyclic collector, so each one is listed)."""
+    return sum(type(o) is IOEvent for o in gc.get_objects())
+
 
 def test_io_event_is_a_value():
     a, b = _event(3), _event(3)
@@ -478,6 +499,51 @@ def test_merge_handles_values_past_int64():
     assert records[-1].process_time == big - 150
     with pytest.raises(OverflowError, match="too large to convert"):
         TraceArray.from_records(records)
+
+
+def test_a_value_past_safe_int_merges_through_the_object_table():
+    big = 2**62
+    packets = [
+        TracePacket(0, 0, 1, 1, [_event(1, start=big), _event(3, start=big + 2)]),
+        TracePacket(1, 0, 1, 2, [_event(2, fid=2, start=7, clock=50)]),
+        TracePacket(2, 1, 1, 1, [_event(4, start=big + 3, clock=big)]),
+    ]
+    assert [p.events.rows.dtype for p in packets] == [object, np.int64, object]
+    merged = list(iter_events_in_time_order(packets))
+    assert merged == global_sort_events(packets)
+    assert [e.operation_id for e in merged] == [2, 1, 3, 4]
+    expected = [
+        TraceRecord(
+            record_type=F.TRACE_LOGICAL_RECORD, offset=op * 1024, length=1024,
+            start_time=start, duration=5, operation_id=op, file_id=fid,
+            process_id=1, process_time=delta,
+        )
+        for op, fid, start, delta in [
+            (2, 2, 7, 50),
+            (1, 1, big, 50),
+            (3, 1, big + 2, 100),
+            (4, 1, big + 3, big - 200),
+        ]
+    ]
+    records = reconstruct_records(packets)
+    assert records == expected
+    assert all(type(v) is int for r in records for v in r)
+
+
+@pytest.mark.parametrize("base", [0, 2**62], ids=["int64", "object"])
+def test_a_late_event_is_named_from_its_row(base):
+    starts = [(1, 500), (2, 600), (3, 100), (4, 9999), (5, 10000)]
+    packets = [
+        TracePacket(k, k, 1, 1, [_event(op, start=base + start, clock=0)])
+        for k, (op, start) in enumerate(starts)
+    ]
+    message = (
+        "packet log violates the bounded-buffering contract: event 3 at "
+        f"t={base + 100} surfaced after later events were already final"
+    )
+    with pytest.raises(ValueError) as info:
+        reconstruct_records(packets)
+    assert str(info.value) == message
 
 
 # -- errors the per-record conversions raised ----------------------------------

@@ -1,15 +1,21 @@
 """Packet batching, the procstat collector and stream reconstruction."""
 
+import dataclasses
+import gc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trace import flags as F
-from repro.trace.array import TraceArray
+from repro.trace.array import TraceArray, int_table
 from repro.trace.packets import (
     ENTRY_WORDS,
     PACKET_HEADER_WORDS,
+    EventRows,
     IOEvent,
+    TracePacket,
     dump_packets,
     load_packets,
     packet_overhead_ratio,
@@ -87,6 +93,53 @@ class TestCollector:
             ProcstatCollector(lambda p: None, max_events_per_packet=0)
         with pytest.raises(ValueError):
             ProcstatCollector(lambda p: None, flush_interval=0)
+
+    def test_emitted_packets_hold_rows_not_events(self):
+        def live_events():
+            return sum(type(o) is IOEvent for o in gc.get_objects())
+
+        before = live_events()
+        packets = collect_to_list(
+            (event(i, fid=i % 3) for i in range(100)),
+            max_events_per_packet=8,
+            flush_interval=30,
+        )
+        assert live_events() == before
+        assert sum(len(p) for p in packets) == 100
+        assert all(
+            type(p.events) is EventRows and p.events.rows.dtype == np.int64
+            for p in packets
+        )
+        restored = sorted(
+            (e for p in packets for e in p.events), key=lambda e: e.operation_id
+        )
+        assert restored == [event(i, fid=i % 3) for i in range(100)]
+
+
+class TestEventRows:
+    def test_a_packet_from_a_list_equals_one_from_its_rows(self):
+        events = [event(i) for i in range(5)]
+        listed = TracePacket(3, 1, 1, 1, events)
+        from_rows = TracePacket(3, 1, 1, 1, EventRows(int_table(events, 9)))
+        assert listed == from_rows
+        assert listed.events.rows.shape == (5, 9)
+        assert all(type(e) is IOEvent for e in listed.events)
+        assert list(listed.events) == events
+        assert listed.events == events and events == listed.events
+        assert listed.events[1] == events[1] and listed.events[-1] == events[-1]
+        assert listed.events[1:3] == events[1:3]
+        assert listed != TracePacket(3, 1, 1, 1, events[:4])
+        assert TracePacket(0, 0, 1, 1) == TracePacket(0, 0, 1, 1, [])
+        assert len(TracePacket(0, 0, 1, 1).events) == 0
+
+    def test_rows_are_read_only(self):
+        packet = TracePacket(0, 0, 1, 1, [event(1)])
+        with pytest.raises(ValueError):
+            packet.events.rows[0, 4] = 7
+        with pytest.raises(TypeError):
+            hash(packet.events)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            packet.events = [event(2)]
 
 
 class TestPacketFiles:

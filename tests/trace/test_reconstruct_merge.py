@@ -113,7 +113,7 @@ class TestTieBreaking:
         ]
         out = merged(packets)
         assert out == global_sort_events(packets)
-        assert out[0] is a and out[1] is b
+        assert out[0] == a and out[1] == b
 
 
 class TestCarryOver:
