@@ -16,17 +16,22 @@ This module is also the canonical *decode target*.  Producers that
 hold their rows as Python objects (the tracer's events,
 :meth:`TraceArray.from_records` over the ASCII decoder's records) read
 every field in one pass with :func:`int_table` and convert the table
-once with :meth:`TraceArray.from_table`; a trace packet keeps its events
-as such a table (:class:`~repro.trace.packets.EventRows`).  The
-per-process clock deltas of the trace format, in both directions, are
-grouped NumPy passes (:func:`group_cumsum`, :func:`clock_deltas`).
+once with :meth:`TraceArray.from_table`.  The collection path keeps its
+rows in such tables from end to end: a trace packet's events
+(:class:`~repro.trace.packets.EventRows`) and the reconstructed records
+(:class:`RecordRows`) are :class:`TableRows`, read-only sequences that
+build a row's tuple only when it is read.  The per-process clock deltas
+of the trace format, in both directions, are grouped NumPy passes
+(:func:`group_cumsum`, :func:`clock_deltas`).
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,9 +82,87 @@ def int_table(rows: Sequence, width: int) -> np.ndarray:
         flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n * width)
     except OverflowError:
         flat = None
-    if flat is None or (n and (flat.min() <= -SAFE_INT or flat.max() >= SAFE_INT)):
+    if flat is None or not within_safe_int(flat):
         flat = np.fromiter(chain.from_iterable(rows), dtype=object, count=n * width)
     return flat.reshape(n, width)
+
+
+def within_safe_int(values: np.ndarray) -> bool:
+    """Whether every value lies strictly within ``+-SAFE_INT``: the
+    values an int64 :func:`int_table` may hold."""
+    return not values.size or bool(
+        -SAFE_INT < values.min() and values.max() < SAFE_INT
+    )
+
+
+class TableRows(Sequence):
+    """The rows of a read-only ``(k, width)`` :func:`int_table`, read as
+    a sequence of tuples of one named tuple type.
+
+    A subclass names its type (``class EventRows(TableRows,
+    row_type=IOEvent)``), whose fields are the table's columns in order.
+    The sequence reads like the list of tuples it replaces -- ``len``,
+    indexing, slicing (to rows of the same table), iteration, equality
+    with rows of its own type or with a list, and ``repr`` -- and builds
+    each tuple, with ``tuple.__new__``, only when it is read.
+    """
+
+    __slots__ = ("rows",)
+
+    #: A row's named tuple from the list of its values, set from the
+    #: subclass's ``row_type`` (no Python frame, no field checks).
+    _new: partial
+
+    def __init_subclass__(cls, *, row_type: type, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._new = partial(tuple.__new__, row_type)
+
+    def __init__(self, rows: np.ndarray):
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(self.rows[index])
+        return self._new(self.rows[operator.index(index)].tolist())
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(self._new, self.rows.tolist())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self.rows.shape == other.rows.shape and bool(
+                (self.rows == other.rows).all()
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # unhashable, like the list it replaces
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        # Unpickling goes through __init__, so the table stays read-only.
+        return type(self), (self.rows,)
+
+
+class RecordRows(TableRows, row_type=TraceRecord):
+    """A trace's records as the rows of one ``(n, 9)`` table in
+    :class:`~repro.trace.record.TraceRecord` field order, ``process_time``
+    a per-process clock delta.
+
+    What :func:`~repro.trace.reconstruct.reconstruct_records` returns,
+    its values already checked as the record constructor checks them.
+    :meth:`TraceArray.from_records` and the trace writer read the table
+    itself; a :class:`TraceRecord` is built only when a row is read.
+    """
+
+    __slots__ = ()
 
 
 def group_order(keys: np.ndarray) -> np.ndarray:
@@ -211,11 +294,15 @@ class TraceArray:
 
         The per-process ``process_time`` deltas in the records are
         integrated into absolute ``process_clock`` values.  The fields
-        are read in one pass (:func:`int_table`) and integrated per
-        process with one grouped cumulative sum.
+        are read in one pass (:func:`int_table`; a :class:`RecordRows`'
+        table is gathered as it is) and integrated per process with one
+        grouped cumulative sum.
         """
-        rows = records if isinstance(records, list) else list(records)
-        table = int_table(rows, len(_FIELDS))[:, _RECORD_COLUMNS]
+        if isinstance(records, RecordRows):
+            table = records.rows[:, _RECORD_COLUMNS]
+        else:
+            rows = records if isinstance(records, list) else list(records)
+            table = int_table(rows, len(_FIELDS))[:, _RECORD_COLUMNS]
         deltas = table[:, -1]
         if table.dtype != object and (
             float(np.abs(deltas).sum(dtype=np.float64)) >= SAFE_INT

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.trace import flags as F
-from repro.trace.array import SAFE_INT, int_table, previous_in_group
+from repro.trace.array import SAFE_INT, RecordRows, int_table, previous_in_group
 from repro.trace.digits import format_rows
 from repro.trace.record import AnyRecord, CommentRecord, TraceRecord
 from repro.util.errors import TraceFormatError
@@ -232,13 +232,18 @@ RECORD_FIELDS = TraceRecord._fields
 def record_columns(records: Sequence[AnyRecord]) -> list[np.ndarray] | None:
     """The records' fields as :data:`RECORD_FIELDS` int64 columns.
 
+    A :class:`~repro.trace.array.RecordRows`' columns are its table's;
+    other records are read in one pass (:func:`~repro.trace.array.int_table`).
     None if one of them is a comment or holds a value beyond
     :data:`~repro.trace.array.SAFE_INT`: :func:`encode_columns` would
     refuse those anyway.
     """
-    if set(map(type, records)) - {TraceRecord}:
+    if isinstance(records, RecordRows):
+        table = records.rows
+    elif set(map(type, records)) - {TraceRecord}:
         return None
-    table = int_table(records, len(RECORD_FIELDS))
+    else:
+        table = int_table(records, len(RECORD_FIELDS))
     if table.dtype == object:
         return None
     return [table[:, j] for j in range(len(RECORD_FIELDS))]

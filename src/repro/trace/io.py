@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.trace.array import TraceArray
+from repro.trace.array import RecordRows, TraceArray
 from repro.trace.decode import decode_array
 from repro.trace.encode import (
     RECORD_FIELDS,
@@ -70,8 +70,15 @@ def write_trace(
     header_comments: Iterable[str] = (),
     omit_operation_ids: bool = False,
 ) -> EncoderStats:
-    """Write records to ``path``; returns the encoder's compression stats."""
-    records = records if isinstance(records, list) else list(records)
+    """Write records to ``path``; returns the encoder's compression stats.
+
+    A :class:`~repro.trace.array.RecordRows` (what
+    :func:`~repro.trace.reconstruct.reconstruct_records` returns) is
+    encoded from its table, with no record built unless the streaming
+    encoder runs.
+    """
+    if not isinstance(records, (list, RecordRows)):
+        records = list(records)
     return _write(
         path,
         header_comments,

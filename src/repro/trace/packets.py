@@ -16,9 +16,11 @@ As on the Cray, a packet's entries are fixed-width integers, not objects:
 :attr:`TracePacket.events` is an :class:`EventRows`, the rows of an
 ``(n, 9)`` integer table in :class:`IOEvent` field order.  It reads as a
 sequence of events, but an :class:`IOEvent` is built only when one is
-read, so the collection path -- collector, packet log, merge -- builds no
-Python object per event.  The packets :func:`load_packets` returns view
-consecutive slices of one table for the whole log.
+read.  The reconstructed records are rows too
+(:class:`~repro.trace.array.RecordRows`), so the collection path --
+collector, packet log, merge, trace writer -- builds no Python object
+per event.  The packets :func:`load_packets` returns view consecutive
+slices of one table for the whole log.
 
 The packet log is written and parsed as one document, with NumPy
 (:mod:`repro.trace.digits`), not a ``str()`` or ``int()`` per field.
@@ -35,13 +37,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.trace.array import int_table
+from repro.trace.array import TableRows, int_table
 from repro.trace.digits import MAX_DIGITS, format_rows, parse_digits
 from repro.util.errors import TraceFormatError
 
@@ -80,51 +81,18 @@ class IOEvent(NamedTuple):
 #: Width of an event row: the :class:`IOEvent` fields.
 EVENT_WIDTH = len(IOEvent._fields)
 
-#: ``IOEvent`` from an iterable of its nine fields, without a Python frame.
-_new_event = partial(tuple.__new__, IOEvent)
 
-
-class EventRows(Sequence):
+class EventRows(TableRows, row_type=IOEvent):
     """A packet's events as the rows of a read-only ``(k, 9)`` table.
 
     ``rows`` is an :func:`~repro.trace.array.int_table`: int64, or
     ``dtype=object`` when a value lies beyond ``+-SAFE_INT``, in
-    :class:`IOEvent` field order.  The sequence reads like the list of
-    events it replaces -- ``len``, indexing, slicing, iteration and
-    equality with another ``EventRows`` or a list of events -- and
-    builds each :class:`IOEvent` only when it is read.
+    :class:`IOEvent` field order.  It reads like the list of events it
+    replaces (:class:`~repro.trace.array.TableRows`) and builds each
+    :class:`IOEvent` only when it is read.
     """
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray):
-        rows.flags.writeable = False
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return EventRows(self.rows[index])
-        return _new_event(self.rows[index].tolist())
-
-    def __iter__(self) -> Iterator[IOEvent]:
-        return map(_new_event, self.rows.tolist())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EventRows):
-            return self.rows.shape == other.rows.shape and bool(
-                (self.rows == other.rows).all()
-            )
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    __hash__ = None  # unhashable, like the list it replaces
-
-    def __repr__(self) -> str:
-        return f"EventRows({list(self)!r})"
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -201,6 +169,7 @@ _SPACE = 0x20
 #: Fields of an ``E`` line, as :class:`IOEvent` indexes: the packet
 #: header carries the file and process ids.
 _EVENT_LINE_FIELDS = [0, 3, 4, 5, 6, 7, 8]
+_EVENT_LINE_NAMES = [IOEvent._fields[j] for j in _EVENT_LINE_FIELDS]
 #: Fields of a ``P`` line.
 _PACKET_FIELD_NAMES = ("sequence", "flush_epoch", "process_id", "file_id", "events")
 _PACKET_FIELDS = len(_PACKET_FIELD_NAMES)
@@ -276,8 +245,9 @@ def load_packets(path: str | Path) -> Iterator[TracePacket]:
 
     A log in the strict grammar is parsed as one document; anything
     else is read line by line, which raises the
-    :class:`~repro.util.errors.TraceFormatError` (with its line number)
-    of the first malformed line.
+    :class:`~repro.util.errors.TraceFormatError` of the first malformed
+    line, with its line number (a packet cut short by the end of the
+    file has none).
     """
     with open(path, "rb") as fh:
         fields = _log_fields(fh.read())
@@ -379,9 +349,32 @@ def _packets(headers: np.ndarray, events: np.ndarray) -> list[TracePacket]:
     return packets
 
 
+def _line_values(parts: list[str], names: Sequence[str], line_number: int) -> list[int]:
+    """The integers of a log line's fields after its tag, one per name;
+    tokens past the last name are ignored."""
+    values = []
+    for name, token in zip(names, parts[1:]):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise TraceFormatError(
+                f"non-integer {name} {token!r}", line_number=line_number
+            ) from None
+    if len(values) < len(names):
+        raise TraceFormatError(
+            f"{parts[0]} line truncated before {names[len(values)]}",
+            line_number=line_number,
+        )
+    return values
+
+
 def _load_lines(path: str | Path) -> Iterator[TracePacket]:
+    """The per-line loader: blank lines, tabs, CRLF and extra tokens are
+    accepted, and the first malformed line raises its
+    :class:`~repro.util.errors.TraceFormatError` with its line number (a
+    packet cut short by the end of the file has none)."""
     with open(path, "r", encoding="ascii") as fh:
-        header: tuple[int, int, int, int] | None = None
+        header: list[int] | None = None
         events: list[IOEvent] = []
         remaining = 0
         for line_number, line in enumerate(fh, start=1):
@@ -397,17 +390,21 @@ def _load_lines(path: str | Path) -> Iterator[TracePacket]:
                     )
                 if header is not None:
                     yield TracePacket(*header, events)
-                seq, epoch, pid, fid, count = (int(x) for x in parts[1:6])
-                header = (seq, epoch, pid, fid)
+                *header, remaining = _line_values(
+                    parts, _PACKET_FIELD_NAMES, line_number
+                )
+                if remaining < 0:
+                    raise TraceFormatError(
+                        f"negative event count {remaining}", line_number=line_number
+                    )
                 events = []
-                remaining = count
             elif tag == _EVENT_TAG:
                 if header is None or remaining == 0:
                     raise TraceFormatError(
                         "event line outside a packet", line_number=line_number
                     )
-                rt, opid, off, length, start, dur, pclock = (
-                    int(x) for x in parts[1:8]
+                rt, opid, off, length, start, dur, pclock = _line_values(
+                    parts, _EVENT_LINE_NAMES, line_number
                 )
                 _, _, pid, fid = header
                 events.append(

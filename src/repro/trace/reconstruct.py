@@ -22,20 +22,27 @@ table with a single ``np.concatenate``, and the epoch loop moves index
 arrays, one NumPy step per epoch rather than a Python step per event.
 Its result is a permutation of the table's rows, which
 :func:`iter_events_in_time_order` turns into events and
-:func:`reconstruct_records` into trace records; a columnar trace of the
-log is ``TraceArray.from_records(reconstruct_records(packets))``.
+:func:`reconstruct_records` into a table of trace records
+(:class:`~repro.trace.array.RecordRows`); a columnar trace of the log
+is ``TraceArray.from_records(reconstruct_records(packets))``, which
+reads that table as it is.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.obs.registry import get_registry
 from repro.trace import flags as F
-from repro.trace.array import TraceArray, clock_deltas, int_table
+from repro.trace.array import (
+    RecordRows,
+    TraceArray,
+    clock_deltas,
+    int_table,
+    within_safe_int,
+)
 from repro.trace.packets import (
     EVENT_WIDTH,
     EventRows,
@@ -232,21 +239,25 @@ def events_to_array(events: Sequence[IOEvent]) -> TraceArray:
     return TraceArray.from_table(table)
 
 
-def reconstruct_records(packets: Iterable[TracePacket]) -> list[TraceRecord]:
-    """Packet log -> time-ordered list of trace records.
+def reconstruct_records(packets: Iterable[TracePacket]) -> RecordRows:
+    """Packet log -> time-ordered trace records, as the rows of one table.
 
     Each record's ``process_time`` is its clock delta since the same
     process's previous record.  Raises the first error in time order: a
     process clock going backwards, or a field
     :class:`~repro.trace.record.TraceRecord` rejects.  The rows are
-    checked over columns (:func:`_check_rows`), so the records are built
-    by the C tuple constructor, with no Python call per record.
+    checked over columns (:func:`_check_rows`); the
+    :class:`~repro.trace.array.RecordRows` returned own one ``(n, 9)``
+    table, gathered from the ordered event table with the clock deltas
+    in the place of the clocks, and build a record only when one is read.
     """
     table, order = _merge(packets)
     table = table[order]
-    deltas = clock_deltas(table[:, _PROCESS], table[:, _CLOCK])
+    clock = table[:, _CLOCK]
+    deltas = clock_deltas(table[:, _PROCESS], clock)
     _check_rows(table, deltas)
-    columns = [table[:, j].tolist() for j in _RECORD_FIELDS]
-    rows = zip(*columns, deltas.tolist())
-    return list(map(tuple.__new__, repeat(TraceRecord), rows))
-
+    clock[:] = deltas  # process_time, in the clock's column
+    rows = table[:, [*_RECORD_FIELDS, _CLOCK]]
+    if rows.dtype == object and within_safe_int(rows):
+        rows = rows.astype(np.int64)  # the wide values were clocks
+    return RecordRows(rows)

@@ -52,9 +52,11 @@ class TraceRecord(_TraceRecordFields):
     the plain tuple of its fields), iterable in field order.  Every way
     to build one -- the constructor, :meth:`make`, :meth:`replaced`,
     ``_make``, ``_replace``, unpickling -- checks its fields.  Bulk
-    producers that have checked their columns already
-    (:func:`~repro.trace.reconstruct.reconstruct_records`) build rows
-    with ``tuple.__new__`` instead.
+    producers check columns instead:
+    :func:`~repro.trace.reconstruct.reconstruct_records` returns its
+    records as the rows of one checked table
+    (:class:`~repro.trace.array.RecordRows`), which builds a record with
+    ``tuple.__new__`` only when one is read.
     """
 
     __slots__ = ()

@@ -13,6 +13,7 @@ per-record code raised.
 
 import dataclasses
 import gc
+import pickle
 import random
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, use_registry
 from repro.trace import flags as F
-from repro.trace.array import TraceArray
+from repro.trace.array import RecordRows, TraceArray
 from repro.trace.encode import TraceEncoder, encode_columns, record_columns
 from repro.trace.io import write_trace, write_trace_array
 from repro.trace.packets import (
@@ -336,23 +337,37 @@ class TestPacketLog:
         assert info.value.line_number == line
 
     @pytest.mark.parametrize(
-        "text, message",
+        "text, message, line",
         [
-            ("P 0 0 1\n", "not enough values to unpack (expected 5, got 3)"),
-            ("P 0 0 1 1 1\nE 128 0 0\n", "not enough values to unpack (expected 7, got 3)"),
+            ("P 0 0 1\n", "line 1: P line truncated before file_id", 1),
+            ("P 0 0 1 1 1\nE 128 0 0\n", "line 2: E line truncated before length", 2),
             (
                 "P 0 0 1 1 1\nE 128 0 0 abc 0 5 50\n",
-                "invalid literal for int() with base 10: 'abc'",
+                "line 2: non-integer length 'abc'",
+                2,
+            ),
+            # A negative count fails at its own line, before any event.
+            (
+                "P 0 0 1 1 -1\nE 128 0 0 1024 0 5 50\nE 128 1 0 1024 0 5 50\n",
+                "line 1: negative event count -1",
+                1,
+            ),
+            ("P 0 0 1 1 -1\n", "line 1: negative event count -1", 1),
+            (
+                "P 0 0 1 1 1\nE 128 0 0 1024 0 5 50\nP 1 0 1 1 -2\n",
+                "line 3: negative event count -2",
+                3,
             ),
         ],
     )
-    def test_unparsable_fields_keep_their_value_error(self, tmp_path, text, message):
+    def test_unparsable_fields_keep_their_value_error(self, tmp_path, text, message, line):
         path = tmp_path / "bad.log"
         path.write_text(text)
-        with pytest.raises(ValueError) as info:
+        assert _log_fields(path.read_bytes()) is None
+        with pytest.raises(TraceFormatError) as info:
             list(load_packets(path))
-        assert type(info.value) is ValueError
         assert str(info.value) == message
+        assert info.value.line_number == line
 
     @pytest.mark.parametrize(
         "text",
@@ -497,8 +512,9 @@ def test_merge_handles_values_past_int64():
     records = reconstruct_records(packets)
     assert [r.start_time for r in records] == [big, big + 5, big + 9]
     assert records[-1].process_time == big - 150
-    with pytest.raises(OverflowError, match="too large to convert"):
-        TraceArray.from_records(records)
+    for given in (records, list(records)):
+        with pytest.raises(OverflowError, match="too large to convert"):
+            TraceArray.from_records(given)
 
 
 def test_a_value_past_safe_int_merges_through_the_object_table():
@@ -544,6 +560,133 @@ def test_a_late_event_is_named_from_its_row(base):
     with pytest.raises(ValueError) as info:
         reconstruct_records(packets)
     assert str(info.value) == message
+
+
+# -- records as rows ------------------------------------------------------------
+
+
+def live_records() -> int:
+    """How many :class:`TraceRecord` objects are alive (tracked by the
+    cyclic collector, like :class:`IOEvent`)."""
+    return sum(type(o) is TraceRecord for o in gc.get_objects())
+
+
+def _rows_log(base=0, pid=1):
+    """A collected log of 30 events over three files, with start times
+    from ``base`` (from ``2**62`` on, the tables hold Python ints)."""
+    events = [
+        _event(i, fid=i % 3, pid=pid, start=base + i * 100) for i in range(30)
+    ]
+    return collect_to_list(events, max_events_per_packet=4, flush_interval=7)
+
+
+def test_reconstruct_records_builds_no_record(tmp_path, monkeypatch):
+    path = tmp_path / "p.log"
+    dump_packets(path, _rows_log())
+    loaded = list(load_packets(path))
+    before = live_records()
+    records = reconstruct_records(loaded)
+    assert live_records() == before
+    assert type(records) is RecordRows and len(records) == 30
+    # The rows own their table: no loaded packet's rows are shared.
+    assert records.rows.shape == (30, 9) and records.rows.dtype == np.int64
+    assert not any(np.shares_memory(records.rows, p.events.rows) for p in loaded)
+
+    # The whole-trace writer and from_records read the table, not a row.
+    def read_a_row(*args):
+        raise AssertionError("a row was read")
+
+    monkeypatch.setattr(RecordRows, "__iter__", read_a_row)
+    monkeypatch.setattr(RecordRows, "__getitem__", read_a_row)
+    write_trace(tmp_path / "t.trace", records)
+    TraceArray.from_records(records)
+
+
+@pytest.mark.parametrize("base", [0, 2**62], ids=["int64", "object"])
+def test_records_read_as_the_list_did(base):
+    packets = _rows_log(base)
+    rows = reconstruct_records(packets)
+    assert rows.rows.dtype == (object if base else np.int64)
+    listed = list(events_to_array(global_sort_events(packets)).to_records())
+    assert list(rows) == listed
+    assert all(type(r) is TraceRecord for r in rows)
+    assert all(type(v) is int for r in rows for v in r)
+    assert len(rows) == len(listed) == 30
+    for i in (0, 7, 29, -1, -30):
+        assert rows[i] == listed[i] and type(rows[i]) is TraceRecord
+    for i in (30, -31):
+        with pytest.raises(IndexError):
+            rows[i]
+    for index in ([0, 1], 1.0):
+        with pytest.raises(TypeError):
+            rows[index]
+    assert rows[True] == listed[1]
+    part = rows[3:20:4]
+    assert type(part) is RecordRows and part == listed[3:20:4]
+    assert rows[::-1] == listed[::-1] and rows[5:5] == []
+    assert rows == listed and listed == rows and rows != listed[:-1]
+    assert rows == reconstruct_records(packets) and rows != part
+    assert rows[1:] != rows[:-1] and rows[1:] != listed[:-1]
+    assert repr(rows) == repr(listed)
+    assert rows.index(listed[4]) == 4 and listed[4] in rows
+    with pytest.raises(ValueError, match="read-only"):
+        rows.rows[0, 1] = 7
+    restored = pickle.loads(pickle.dumps(rows))
+    assert type(restored) is RecordRows and restored == rows
+    assert not restored.rows.flags.writeable
+    with pytest.raises(TypeError):
+        rows[0] = listed[1]
+    with pytest.raises(TypeError):
+        hash(rows)
+
+
+@pytest.mark.parametrize(
+    "base, pid, whole",
+    [(0, 1, True), (2**62, 1, False), (0, -3, False)],
+    ids=["whole-trace", "fallback-object", "fallback-negative-id"],
+)
+@pytest.mark.parametrize("omit", [False, True])
+def test_write_trace_reads_rows_as_their_records(tmp_path, base, pid, whole, omit):
+    rows = reconstruct_records(_rows_log(base, pid))
+    columns = record_columns(rows)
+    assert (columns is not None and encode_columns(columns) is not None) == whole
+    header = ["identifying comment"]
+    stats = write_trace(
+        tmp_path / "rows.trace", rows, header_comments=header, omit_operation_ids=omit
+    )
+    listed_stats = write_trace(
+        tmp_path / "list.trace", list(rows), header_comments=header,
+        omit_operation_ids=omit,
+    )
+    assert (tmp_path / "rows.trace").read_bytes() == (
+        tmp_path / "list.trace"
+    ).read_bytes()
+    assert dataclasses.asdict(stats) == dataclasses.asdict(listed_stats)
+    assert stats.records == 30
+
+
+@pytest.mark.parametrize("case", ["int64", "object", "clocks-past-safe-int"])
+def test_from_records_reads_rows_as_their_records(case):
+    if case == "clocks-past-safe-int":
+        # A clock at SAFE_INT makes the event table an object table, but
+        # every record value, the deltas included, fits an int64 table;
+        # the deltas sum past SAFE_INT, so from_records integrates them
+        # over Python ints.
+        half = 2**61
+        packets = [
+            TracePacket(0, 0, 1, 1, [_event(1, clock=half), _event(2, clock=2 * half)]),
+            TracePacket(1, 0, 2, 1, [_event(3, pid=2, clock=half)]),
+        ]
+        assert packets[0].events.rows.dtype == object
+    else:
+        packets = _rows_log(2**62 if case == "object" else 0)
+    rows = reconstruct_records(packets)
+    assert rows.rows.dtype == (object if case == "object" else np.int64)
+    a, b = TraceArray.from_records(rows), TraceArray.from_records(list(rows))
+    assert len(a) == len(b) == len(rows)
+    for name, column in a.columns().items():
+        assert column.dtype == getattr(b, name).dtype
+        assert np.array_equal(column, getattr(b, name)), name
 
 
 # -- errors the per-record conversions raised ----------------------------------
