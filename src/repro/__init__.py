@@ -3,8 +3,8 @@ Supercomputing Applications* (UCB/CSD 91/616, 1991).
 
 Subpackages, bottom to top:
 
-* :mod:`repro.util` -- units (10 us trace ticks, Cray megawords),
-  statistics, time series, text rendering;
+* :mod:`repro.util` -- units (10 us trace ticks, binary KB and MB),
+  time series, text rendering;
 * :mod:`repro.trace` -- the paper's compressed ASCII trace format and
   the procstat collection pipeline;
 * :mod:`repro.runtime` -- the simulated application runtime the workload

@@ -36,17 +36,12 @@ from repro.analysis.classify import (
 from repro.analysis.cycles import CycleReport, analyze_cycles, peak_spacing_regularity
 from repro.analysis.perfile import (
     FileStats,
-    access_size_table,
     large_file_io_fraction,
     per_file_stats,
     split_large_small,
     unique_sizes_per_file,
 )
-from repro.analysis.rates import (
-    data_rate_series,
-    rate_series_csv,
-    request_rate_series,
-)
+from repro.analysis.rates import data_rate_series, rate_series_csv
 from repro.analysis.report import render_table1, render_table2, table1_rows, table2_rows
 from repro.analysis.sequentiality import (
     FileConcentrationReport,
@@ -85,14 +80,12 @@ __all__ = [
     "analyze_cycles",
     "peak_spacing_regularity",
     "FileStats",
-    "access_size_table",
     "large_file_io_fraction",
     "per_file_stats",
     "split_large_small",
     "unique_sizes_per_file",
     "data_rate_series",
     "rate_series_csv",
-    "request_rate_series",
     "render_table1",
     "render_table2",
     "table1_rows",

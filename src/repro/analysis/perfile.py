@@ -88,15 +88,6 @@ def large_file_io_fraction(
     return sum(s.total_bytes for s in large) / total
 
 
-def access_size_table(
-    stats: dict[int, FileStats], *, large_threshold_bytes: int = 2 * MB
-) -> list[tuple[int, float, int]]:
-    """(file_id, avg access bytes, n_ios) for large files, busiest first."""
-    large, _ = split_large_small(stats, large_threshold_bytes=large_threshold_bytes)
-    large.sort(key=lambda s: s.n_ios, reverse=True)
-    return [(s.file_id, s.avg_io_bytes, s.n_ios) for s in large]
-
-
 def unique_sizes_per_file(trace: TraceArray) -> dict[int, int]:
     """Number of distinct request sizes per file (regularity check)."""
     out: dict[int, int] = {}

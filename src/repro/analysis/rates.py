@@ -59,21 +59,6 @@ def data_rate_series(
     return RateSeries.from_binned(binned)
 
 
-def request_rate_series(
-    trace: TraceArray,
-    *,
-    clock: Clock = "cpu",
-    direction: Direction = "both",
-    bin_seconds: float = 1.0,
-) -> RateSeries:
-    """I/Os-per-second curve of a trace on the chosen clock."""
-    selected = _select(trace, direction)
-    binned = BinnedSeries(bin_seconds)
-    times = _clock_seconds(selected, clock)
-    binned.add_many(times, np.ones(len(selected)))
-    return RateSeries.from_binned(binned)
-
-
 def rate_series_csv(series: RateSeries, *, header: str = "seconds,mb_per_sec") -> str:
     """Render a rate series as CSV text (the figures' data dump)."""
     lines = [header]

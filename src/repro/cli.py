@@ -327,7 +327,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for ``--jobs``: an integer >= 1, else a usage error."""
+    """argparse type for a count (``--jobs``, ``--workers``,
+    ``--queue-size``): an integer >= 1, else a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -497,11 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (default 8177; 0 picks an ephemeral port)",
     )
     p_srv.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=_positive_int, default=2,
         help="concurrent job executions (default 2)",
     )
     p_srv.add_argument(
-        "--queue-size", type=int, default=16,
+        "--queue-size", type=_positive_int, default=16,
         help="pending-job bound; a full queue answers 429 (default 16)",
     )
     p_srv.add_argument(

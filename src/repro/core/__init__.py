@@ -6,18 +6,12 @@
 >>> print(run_experiment("fig8", study))  # doctest: +SKIP
 """
 
-from repro.core.registry import (
-    EXPERIMENTS,
-    Experiment,
-    experiment_ids,
-    run_experiment,
-)
+from repro.core.registry import EXPERIMENTS, Experiment, run_experiment
 from repro.core.study import DEFAULT_SCALES, Study
 
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
-    "experiment_ids",
     "run_experiment",
     "DEFAULT_SCALES",
     "Study",

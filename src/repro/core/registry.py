@@ -315,7 +315,3 @@ def run_experiment(exp_id: str, study: Study | None = None) -> str:
             f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
     return experiment.run(study)
-
-
-def experiment_ids() -> tuple[str, ...]:
-    return tuple(EXPERIMENTS)

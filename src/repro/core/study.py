@@ -72,14 +72,6 @@ class Study:
         """MB per CPU second at 1 s bins (the Figure 3/4 curves)."""
         return data_rate_series(self.workload(name).trace, clock="cpu")
 
-    def figure3(self) -> RateSeries:
-        """Figure 3: data rate over process CPU time for venus."""
-        return self.app_rate_series("venus")
-
-    def figure4(self) -> RateSeries:
-        """Figure 4: data rate over process CPU time for les."""
-        return self.app_rate_series("les")
-
     def cycles(self, name: str) -> CycleReport:
         return analyze_cycles(self.app_rate_series(name))
 

@@ -92,8 +92,9 @@ def parse_toggles(text: str) -> tuple[bool, ...]:
 class GridSpec:
     """The cross product defining one sweep.
 
-    A scale outside (0, 1] raises :class:`ValueError` here, so a bad
-    grid fails when it is given, not when its first point runs.
+    A scale outside (0, 1] or fewer than one copy raises
+    :class:`ValueError` here, so a bad grid fails when it is given, not
+    when its first point runs.
     """
 
     app: str = "venus"
@@ -109,6 +110,8 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         check_scale(self.scale)
+        if self.n_copies < 1:
+            raise ValueError(f"n_copies must be >= 1: {self.n_copies}")
 
     @property
     def n_points(self) -> int:

@@ -10,7 +10,7 @@ The default registry is disabled and near-zero-cost; ``python -m repro
 profile <experiment>`` installs an enabled one and renders the report.
 """
 
-from repro.obs.events import JsonlEventSink, read_events
+from repro.obs.events import JsonlEventSink
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -19,7 +19,6 @@ from repro.obs.registry import (
     NULL_REGISTRY,
     Span,
     get_registry,
-    set_registry,
     use_registry,
 )
 from repro.obs.report import metrics_to_jsonl, render_report
@@ -34,8 +33,6 @@ __all__ = [
     "Span",
     "get_registry",
     "metrics_to_jsonl",
-    "read_events",
     "render_report",
-    "set_registry",
     "use_registry",
 ]

@@ -75,14 +75,3 @@ class JsonlEventSink:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def read_events(path: str | Path) -> list[dict]:
-    """Load a JSONL event log back into dicts (for tests and tooling)."""
-    out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

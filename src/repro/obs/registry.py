@@ -29,7 +29,7 @@ parallel sweep start with the null registry, so profiling is an
 in-process (``jobs=1``) affair by design.
 
 :func:`use_registry` installs its registry for the *calling thread*
-only (falling back to the process default set by :func:`set_registry`).
+only; a thread with no override gets :data:`NULL_REGISTRY`.
 Single-threaded callers see no difference, but concurrent jobs -- e.g.
 the sweep server executing several requests in a worker-thread pool --
 each get their own isolated instruments instead of trampling one
@@ -285,23 +285,16 @@ class MetricsRegistry:
 #: Shared disabled registry: the default for every instrumented component.
 NULL_REGISTRY = MetricsRegistry(enabled=False)
 
-_default: MetricsRegistry = NULL_REGISTRY
 _local = threading.local()
 
 
 def get_registry() -> MetricsRegistry:
-    """The active registry: this thread's override, else the process
-    default (the null registry out of the box)."""
+    """The active registry: this thread's override, else the null
+    registry."""
     registry = getattr(_local, "registry", None)
-    return registry if registry is not None else _default
-
-
-def set_registry(registry: MetricsRegistry | None) -> None:
-    """Install ``registry`` as the process default (None restores the
-    null registry).  Threads inside a :func:`use_registry` context keep
-    their own override."""
-    global _default
-    _default = registry if registry is not None else NULL_REGISTRY
+    # ``is None``, not truthiness: an empty enabled registry is falsy
+    # through ``__len__``.
+    return registry if registry is not None else NULL_REGISTRY
 
 
 @contextmanager

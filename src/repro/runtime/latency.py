@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.units import KB, MB, seconds_to_ticks
+from repro.util.units import MB, seconds_to_ticks
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,3 @@ SSD_PROFILE = DeviceLatencyModel(
     bandwidth_bytes_per_sec=1024 * MB,
     suspends=False,
 )
-
-#: 1 us per KB transferred -- the SSD per-block penalty quoted in 6.3,
-#: provided for analysis code that wants the raw constant.
-SSD_US_PER_KB: float = 1.0
-
-
-def ssd_transfer_ticks(nbytes: int) -> int:
-    """SSD transfer ticks by the paper's 1 us/KB rule (rounded up)."""
-    if nbytes < 0:
-        raise ValueError("nbytes must be nonnegative")
-    us = SSD_US_PER_KB * nbytes / KB
-    return int(-(-us // 10))  # ceil(us / 10) in ticks

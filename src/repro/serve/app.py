@@ -156,10 +156,6 @@ class SweepServer:
             for n in range(self.config.workers)
         ]
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
     async def shutdown(self, *, drain: bool | None = None) -> None:
         """Stop accepting, then drain or cancel in-flight jobs.
 
@@ -480,7 +476,7 @@ def run_server(config: ServeConfig | None = None) -> int:
 
 
 class ServerThread:
-    """A server on a background thread (tests, the CI smoke script).
+    """A server on a background thread: the serve tests' in-process harness.
 
     >>> with ServerThread() as srv:                    # doctest: +SKIP
     ...     client = ServeClient(port=srv.port)

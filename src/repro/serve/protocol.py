@@ -187,18 +187,3 @@ def sse_event(record: dict, *, seq: int | None = None) -> bytes:
         lines.append(f"id: {seq}")
     lines.append(f"data: {json.dumps(record, sort_keys=True, default=str)}")
     return ("\n".join(lines) + "\n\n").encode("utf-8")
-
-
-def parse_sse_stream(lines) -> "list[dict]":
-    """Decode SSE frames from an iterable of text lines (client/tests).
-
-    Returns the ``data:`` JSON payloads in order; ``event:``/``id:``
-    lines are carried inside the payloads already (``kind``/``seq``), so
-    only data lines matter here.
-    """
-    events = []
-    for line in lines:
-        line = line.rstrip("\r\n")
-        if line.startswith("data:"):
-            events.append(json.loads(line[len("data:"):].strip()))
-    return events

@@ -18,7 +18,7 @@ processes over a buffer cache and a simple no-queueing disk:
   as canned runs, plus the fault-rate sweep.
 """
 
-from repro.sim.cache import BlockState, BufferCache
+from repro.sim.cache import BufferCache
 from repro.sim.config import (
     CacheConfig,
     DiskConfig,
@@ -33,7 +33,6 @@ from repro.sim.events import Engine
 from repro.sim.experiments import (
     FIG8_BLOCK_SIZES_KB,
     FIG8_CACHE_SIZES_MB,
-    PAPER_TWO_VENUS_NO_IDLE_SECONDS,
     AppSSDRun,
     BufferingRun,
     FaultSweepPoint,
@@ -49,7 +48,6 @@ from repro.sim.experiments import (
     readahead_ablation,
     run_two_venus,
     ssd_utilization_per_app,
-    two_copies,
     writebehind_ablation,
 )
 from repro.sim.faults import FaultDecision, FaultInjector, FaultKind, FaultPlan
@@ -60,13 +58,12 @@ from repro.sim.metrics import (
     ProcessStats,
     SimulationResult,
 )
-from repro.sim.procmodel import TraceProcess, relabel_copies, split_trace_by_process
+from repro.sim.procmodel import TraceProcess, relabel_copies
 from repro.sim.recovery import RecoveringDevice, backoff_delay
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.system import SimulatedSystem, simulate
 
 __all__ = [
-    "BlockState",
     "BufferCache",
     "CacheConfig",
     "DiskConfig",
@@ -79,7 +76,6 @@ __all__ = [
     "Engine",
     "FIG8_BLOCK_SIZES_KB",
     "FIG8_CACHE_SIZES_MB",
-    "PAPER_TWO_VENUS_NO_IDLE_SECONDS",
     "AppSSDRun",
     "BufferingRun",
     "FaultSweepPoint",
@@ -95,7 +91,6 @@ __all__ = [
     "readahead_ablation",
     "run_two_venus",
     "ssd_utilization_per_app",
-    "two_copies",
     "writebehind_ablation",
     "FaultDecision",
     "FaultInjector",
@@ -108,7 +103,6 @@ __all__ = [
     "SimulationResult",
     "TraceProcess",
     "relabel_copies",
-    "split_trace_by_process",
     "RoundRobinScheduler",
     "RecoveringDevice",
     "backoff_delay",

@@ -77,7 +77,6 @@ import re
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -92,21 +91,12 @@ from repro.sim.recovery import RecoveringDevice
 from repro.util.errors import SimulationError
 
 
-class BlockState(Enum):
-    """Block lifecycle states (exported for API compatibility; the
-    columnar hot path stores them as small ints in the ``st`` column)."""
-
-    READING = 1  #: disk read in flight; frame pinned
-    VALID = 2  #: clean resident; evictable
-    DIRTY = 3  #: written, awaiting flush start
-    FLUSHING = 4  #: disk write in flight; frame pinned
-
-
+# Block lifecycle states, stored as small ints in the ``st`` column.
 _ABSENT = 0
-_READING = BlockState.READING.value
-_VALID = BlockState.VALID.value
-_DIRTY = BlockState.DIRTY.value
-_FLUSHING = BlockState.FLUSHING.value
+_READING = 1  #: disk read in flight; frame pinned
+_VALID = 2  #: clean resident; evictable
+_DIRTY = 3  #: written, awaiting flush start
+_FLUSHING = 4  #: disk write in flight; frame pinned
 _VALID_BYTE = bytes((_VALID,))
 _DIRTY_BYTE = bytes((_DIRTY,))
 

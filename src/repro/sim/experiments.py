@@ -28,16 +28,9 @@ from repro.exec.runner import (
 )
 from repro.sim.config import CacheConfig, SimConfig, ssd_cache
 from repro.sim.metrics import SimulationResult
-from repro.sim.procmodel import relabel_copies
 from repro.sim.system import simulate
-from repro.trace.array import TraceArray
 from repro.util.rng import DEFAULT_SEED
 from repro.util.units import KB, MB
-from repro.workloads.base import GeneratedWorkload
-
-#: Figure 8's caption: "Execution time would be 761 seconds if there were
-#: no idle time" (two venus runs back to back on one CPU).
-PAPER_TWO_VENUS_NO_IDLE_SECONDS = 761.0
 
 #: Per-app default scales: the heavier generators run fewer cycles so a
 #: full study stays interactive, while every app runs at least ~4
@@ -52,11 +45,6 @@ DEFAULT_SCALES: dict[str, float] = {
     "venus": 0.2,
     "upw": 0.2,
 }
-
-
-def two_copies(workload: GeneratedWorkload) -> list[TraceArray]:
-    """Two identical instances "running with ... and not sharing data sets"."""
-    return relabel_copies(workload.trace, 2)
 
 
 def _runner(runner: SweepRunner | None, jobs: int | None) -> SweepRunner:

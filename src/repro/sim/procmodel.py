@@ -160,11 +160,6 @@ def _noop(cpu_penalty_s: float = 0.0) -> None:
     return None
 
 
-def split_trace_by_process(trace: TraceArray) -> dict[int, TraceArray]:
-    """Per-process single-process traces from a merged trace."""
-    return {int(pid): trace.for_process(int(pid)) for pid in trace.process_ids()}
-
-
 def relabel_copies(
     trace: TraceArray, n_copies: int, *, file_id_stride: int = 1000
 ) -> list[TraceArray]:

@@ -22,7 +22,7 @@ Layers, bottom to top:
 from repro.trace import flags
 from repro.trace.array import TraceArray
 from repro.trace.decode import TraceDecoder, decode_array, decode_lines
-from repro.trace.encode import EncoderStats, TraceEncoder, encode_records
+from repro.trace.encode import EncoderStats, TraceEncoder
 from repro.trace.io import read_trace_array, write_trace, write_trace_array
 from repro.trace.packets import (
     IOEvent,
@@ -38,7 +38,6 @@ from repro.trace.record import (
     CommentRecord,
     TraceRecord,
     file_name_comment,
-    parse_file_name_comment,
 )
 from repro.trace.stats import TraceSizeReport, measure_trace_sizes
 from repro.trace.validate import ValidationReport, validate_array
@@ -51,7 +50,6 @@ __all__ = [
     "decode_lines",
     "EncoderStats",
     "TraceEncoder",
-    "encode_records",
     "read_trace_array",
     "write_trace",
     "write_trace_array",
@@ -67,7 +65,6 @@ __all__ = [
     "CommentRecord",
     "TraceRecord",
     "file_name_comment",
-    "parse_file_name_comment",
     "TraceSizeReport",
     "measure_trace_sizes",
     "ValidationReport",

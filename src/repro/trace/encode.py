@@ -216,14 +216,6 @@ class TraceEncoder:
         return line
 
 
-def encode_records(
-    records: Iterable[AnyRecord], *, omit_operation_ids: bool = False
-) -> list[str]:
-    """One-shot helper: encode all records and return the lines."""
-    encoder = TraceEncoder(omit_operation_ids=omit_operation_ids)
-    return list(encoder.encode_all(records))
-
-
 #: The fields of a :class:`TraceRecord`, in its order: the columns
 #: :func:`encode_columns` takes.
 RECORD_FIELDS = TraceRecord._fields

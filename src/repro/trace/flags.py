@@ -120,11 +120,6 @@ def make_record_type(
     return value
 
 
-def is_comment(record_type: int) -> bool:
-    """True if ``record_type`` marks a comment record."""
-    return record_type == TRACE_COMMENT
-
-
 def is_write(record_type: int) -> bool:
     return bool(record_type & TRACE_WRITE)
 
@@ -137,30 +132,5 @@ def is_async(record_type: int) -> bool:
     return bool(record_type & TRACE_ASYNC)
 
 
-def is_cache_miss(record_type: int) -> bool:
-    return bool(record_type & TRACE_CACHE_MISS)
-
-
-def is_readahead_hit(record_type: int) -> bool:
-    return bool(record_type & TRACE_RA_HIT)
-
-
 def data_kind(record_type: int) -> DataKind:
     return DataKind(record_type & TRACE_DATA_KIND_MASK)
-
-
-def describe_record_type(record_type: int) -> str:
-    """Human-readable summary of a ``recordType`` byte (for debugging)."""
-    if is_comment(record_type):
-        return "comment"
-    parts = [
-        "logical" if is_logical(record_type) else "physical",
-        "write" if is_write(record_type) else "read",
-        "async" if is_async(record_type) else "sync",
-        data_kind(record_type).name.lower(),
-    ]
-    if is_cache_miss(record_type):
-        parts.append("cache-miss")
-    if is_readahead_hit(record_type):
-        parts.append("ra-hit")
-    return "|".join(parts)

@@ -190,17 +190,3 @@ AnyRecord = Union[TraceRecord, CommentRecord]
 def file_name_comment(file_id: int, name: str) -> CommentRecord:
     """The conventional comment mapping a file id to a path."""
     return CommentRecord(f"file {file_id} = {name}")
-
-
-def parse_file_name_comment(comment: CommentRecord) -> tuple[int, str] | None:
-    """Parse a ``file <id> = <name>`` comment; None if not of that form."""
-    parts = comment.text.split(" = ", 1)
-    if len(parts) != 2:
-        return None
-    head = parts[0].split()
-    if len(head) != 2 or head[0] != "file":
-        return None
-    try:
-        return int(head[1]), parts[1]
-    except ValueError:
-        return None

@@ -18,21 +18,13 @@ from repro.util.units import (
     TICK_SECONDS,
     KB,
     MB,
-    GB,
-    WORD_BYTES,
-    MEGAWORD_BYTES,
     seconds_to_ticks,
     ticks_to_seconds,
-    bytes_to_mb,
-    mb_to_bytes,
-    megawords_to_bytes,
-    format_bytes,
-    format_seconds,
 )
 from repro.util.errors import ReproError, TraceFormatError, SimulationError, CalibrationError
-from repro.util.rng import make_rng, derive_rng
+from repro.util.rng import derive_rng
 from repro.util.timeseries import BinnedSeries, RateSeries
-from repro.util.tables import TextTable, format_table, format_si
+from repro.util.tables import TextTable, format_si
 from repro.util.asciiplot import ascii_line_plot, ascii_bar_plot, sparkline
 
 __all__ = [
@@ -40,26 +32,16 @@ __all__ = [
     "TICK_SECONDS",
     "KB",
     "MB",
-    "GB",
-    "WORD_BYTES",
-    "MEGAWORD_BYTES",
     "seconds_to_ticks",
     "ticks_to_seconds",
-    "bytes_to_mb",
-    "mb_to_bytes",
-    "megawords_to_bytes",
-    "format_bytes",
-    "format_seconds",
     "ReproError",
     "TraceFormatError",
     "SimulationError",
     "CalibrationError",
-    "make_rng",
     "derive_rng",
     "BinnedSeries",
     "RateSeries",
     "TextTable",
-    "format_table",
     "format_si",
     "ascii_line_plot",
     "ascii_bar_plot",

@@ -16,11 +16,6 @@ import numpy as np
 DEFAULT_SEED: int = 19910616  # UCB/CSD 91/616
 
 
-def make_rng(seed: int | None = None) -> np.random.Generator:
-    """Create a generator from an integer seed (default: the repo seed)."""
-    return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-
-
 def derive_seed(seed: int, label: str) -> int:
     """Derive a child seed from a parent seed and a string label.
 

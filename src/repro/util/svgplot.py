@@ -2,8 +2,8 @@
 
 matplotlib is unavailable offline, so the figure experiments render
 their curves to standalone SVG files with this tiny writer: enough for a
-time-series line chart and a grouped bar chart with axes, ticks and
-labels.  The output is plain SVG 1.1, viewable in any browser.
+time-series line chart with axes, ticks and labels.  The output is plain
+SVG 1.1, viewable in any browser.
 """
 
 from __future__ import annotations
@@ -162,48 +162,6 @@ class SVGChart:
                 f'fill="{color}">{escape(label)}</text>'
             )
 
-    def add_bars(
-        self,
-        labels: Sequence[str],
-        ys: Sequence[float],
-        *,
-        series: int = 0,
-        n_series: int = 1,
-        label: str | None = None,
-    ) -> None:
-        if len(labels) != len(ys):
-            raise ValueError("labels and ys must have equal length")
-        color = _COLORS[series % len(_COLORS)]
-        n = len(labels)
-        slot = self.plot_width / max(1, n)
-        bar_w = slot * 0.7 / max(1, n_series)
-        y1 = self.height - self.margin_bottom
-        for i, (text, y) in enumerate(zip(labels, ys)):
-            x = (
-                self.margin_left
-                + i * slot
-                + slot * 0.15
-                + series * bar_w
-            )
-            sy = self._sy(float(y))
-            self._elements.append(
-                f'<rect x="{x:.1f}" y="{sy:.1f}" width="{bar_w:.1f}" '
-                f'height="{y1 - sy:.1f}" fill="{color}" fill-opacity="0.85"/>'
-            )
-            if series == 0:
-                self._elements.append(
-                    f'<text x="{self.margin_left + (i + 0.5) * slot:.1f}" '
-                    f'y="{y1 + 18}" font-size="11" text-anchor="middle" '
-                    f'fill="#333">{escape(text)}</text>'
-                )
-        if label:
-            y = self.margin_top + 14 + 14 * series
-            x = self.width - self.margin_right - 8
-            self._elements.append(
-                f'<text x="{x}" y="{y}" font-size="11" text-anchor="end" '
-                f'fill="{color}">{escape(label)}</text>'
-            )
-
     # -- output --------------------------------------------------------------
     def render(self) -> str:
         body = "\n".join(self._elements)
@@ -232,20 +190,4 @@ def line_chart(
     chart.set_ranges(xs, ys)
     chart.add_axes()
     chart.add_line(xs, ys)
-    return chart
-
-
-def bar_chart(
-    labels: Sequence[str],
-    ys: Sequence[float],
-    *,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-) -> SVGChart:
-    """One-series bar chart, ready to render."""
-    chart = SVGChart(title=title, x_label=x_label, y_label=y_label)
-    chart.set_ranges(range(len(labels)), list(ys) or [1.0])
-    chart.add_axes()
-    chart.add_bars(labels, ys)
     return chart

@@ -70,30 +70,3 @@ class TextTable:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def format_table(
-    headers: Sequence[str],
-    rows: Iterable[Iterable[Any]],
-    title: str | None = None,
-) -> str:
-    """One-shot helper: build and render a :class:`TextTable`."""
-    table = TextTable(headers, title=title)
-    for row in rows:
-        table.add_row(row)
-    return table.render()
-
-
-def paper_vs_measured(
-    label: str,
-    paper: float,
-    measured: float,
-    unit: str = "",
-) -> str:
-    """Render one "paper vs measured" comparison line with the ratio."""
-    ratio = measured / paper if paper else float("inf")
-    unit_sfx = f" {unit}" if unit else ""
-    return (
-        f"{label}: paper={format_si(paper)}{unit_sfx} "
-        f"measured={format_si(measured)}{unit_sfx} (x{ratio:.2f})"
-    )

@@ -22,15 +22,6 @@ KB: int = 1024
 #: Binary megabyte.
 MB: int = 1024 * 1024
 
-#: Binary gigabyte.
-GB: int = 1024 * 1024 * 1024
-
-#: Cray Y-MP word size in bytes ("each word is eight bytes long").
-WORD_BYTES: int = 8
-
-#: One megaword (2**20 words) in bytes.  128 MW = 1 GB of main memory.
-MEGAWORD_BYTES: int = WORD_BYTES * 1024 * 1024
-
 #: Block size the trace format's *_IN_BLOCKS compression flags use.
 TRACE_BLOCK_SIZE: int = 512
 
@@ -43,54 +34,3 @@ def seconds_to_ticks(seconds: float) -> int:
 def ticks_to_seconds(ticks: int) -> float:
     """Convert integer trace ticks to floating-point seconds."""
     return ticks * TICK_SECONDS
-
-
-def bytes_to_mb(n_bytes: float) -> float:
-    """Convert a byte count to (binary) megabytes."""
-    return n_bytes / MB
-
-
-def mb_to_bytes(n_mb: float) -> int:
-    """Convert (binary) megabytes to an integer byte count."""
-    return int(round(n_mb * MB))
-
-
-def kb_to_bytes(n_kb: float) -> int:
-    """Convert (binary) kilobytes to an integer byte count."""
-    return int(round(n_kb * KB))
-
-
-def bytes_to_kb(n_bytes: float) -> float:
-    """Convert a byte count to (binary) kilobytes."""
-    return n_bytes / KB
-
-
-def megawords_to_bytes(n_mw: float) -> int:
-    """Convert Cray megawords (1 MW = 8 MB) to bytes."""
-    return int(round(n_mw * MEGAWORD_BYTES))
-
-
-def bytes_to_megawords(n_bytes: float) -> float:
-    """Convert bytes to Cray megawords."""
-    return n_bytes / MEGAWORD_BYTES
-
-
-def format_bytes(n_bytes: float) -> str:
-    """Render a byte count with a human-friendly binary suffix."""
-    value = float(n_bytes)
-    for suffix in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or suffix == "TB":
-            if suffix == "B":
-                return f"{int(value)} {suffix}"
-            return f"{value:.2f} {suffix}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def format_seconds(seconds: float) -> str:
-    """Render a duration, switching units below one second."""
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds * 1e6:.1f} us"

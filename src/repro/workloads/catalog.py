@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.units import KB, MB
+from repro.util.units import MB
 
 #: Application names in the tables' row order.
 APP_NAMES = ("bvi", "ccm", "forma", "gcm", "les", "venus", "upw")
@@ -236,8 +236,3 @@ def paper_row(name: str) -> PaperAppRow:
         raise KeyError(
             f"unknown application {name!r}; expected one of {APP_NAMES}"
         ) from None
-
-
-#: Per-CPU access sizes quoted in section 5.2: "accesses on the large files
-#: ranged from 32 KB to 512 KB", except bvi's SSD-backed 16 KB accesses.
-LARGE_FILE_ACCESS_RANGE_BYTES = (32 * KB, 512 * KB)

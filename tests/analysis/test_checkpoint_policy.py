@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from repro.analysis.checkpoint_policy import (
     simulate_run,
     sweep_intervals,
 )
-from repro.util.rng import make_rng
 
 
 def params(cost=4.0, mtbf=3600.0, work=1800.0):
@@ -73,13 +73,13 @@ class TestMonteCarlo:
     def test_no_failures_is_pure_overhead(self):
         # Effectively infinite MTBF: elapsed = work + #checkpoints * cost
         p = params(cost=5.0, mtbf=1e12, work=100.0)
-        rng = make_rng(0)
+        rng = np.random.default_rng(0)
         elapsed = simulate_run(25.0, p, rng)
         assert elapsed == pytest.approx(100.0 + 4 * 5.0)
 
     def test_failures_add_rework(self):
         p = params(cost=1.0, mtbf=50.0, work=200.0)
-        rng = make_rng(1)
+        rng = np.random.default_rng(1)
         lucky = simulate_run(10.0, params(cost=1.0, mtbf=1e12, work=200.0), rng)
         unlucky = measured_overhead_fraction(10.0, p, n_runs=50, seed=2)
         assert unlucky > (lucky - 200.0) / 200.0
@@ -102,7 +102,7 @@ class TestMonteCarlo:
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
-            simulate_run(0.0, params(), make_rng(0))
+            simulate_run(0.0, params(), np.random.default_rng(0))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -112,7 +112,7 @@ class TestMonteCarlo:
     )
     def test_elapsed_always_at_least_work(self, cost, mtbf, interval):
         p = CheckpointParams(checkpoint_cost_s=cost, mtbf_s=mtbf, work_s=300.0)
-        elapsed = simulate_run(interval, p, make_rng(42))
+        elapsed = simulate_run(interval, p, np.random.default_rng(42))
         assert elapsed >= p.work_s
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.rates import data_rate_series, rate_series_csv, request_rate_series
+from repro.analysis.rates import data_rate_series, rate_series_csv
 from repro.analysis.summary import (
     extrapolate_table1,
     scale_factor_to_full,
@@ -86,18 +86,17 @@ class TestRateSeries:
         assert rs.duration > cpu.duration
         assert rs.total == pytest.approx(cpu.total)
 
-    def test_request_rate_series(self, venus):
-        rs = request_rate_series(venus.trace, clock="cpu")
-        assert rs.total == pytest.approx(len(venus.trace))
-
     def test_cpu_series_rejects_multi_process(self, venus):
         two = TraceArray.concatenate(
             [venus.trace, venus.trace.with_process_id(2)]
         ).sorted_by_start()
         with pytest.raises(ValueError):
             data_rate_series(two, clock="cpu")
-        # wall clock is fine
+        # wall clock is fine, and so is the filter the error names
         data_rate_series(two, clock="wall")
+        alone = two.for_process(2)
+        assert len(alone) == len(venus.trace)
+        data_rate_series(alone, clock="cpu")
 
     def test_csv_rendering(self, venus):
         rs = data_rate_series(venus.trace, clock="cpu")

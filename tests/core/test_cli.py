@@ -236,25 +236,32 @@ class TestTraceFileErrors:
 
 
 class TestConfigRange:
-    """An out-of-range or non-finite cache geometry or CPU count is one
-    stderr line naming the value and exit 2, before anything runs."""
+    """An out-of-range or non-finite cache geometry, CPU count or sweep
+    copy count is one stderr line naming the value and exit 2, before
+    anything runs."""
 
     @pytest.mark.parametrize(
-        "flags, field, value",
+        "command, flags, field, value",
         [
-            (["--cache-mb", "-4"], "size_bytes", -4194304),
-            (["--cache-mb", "0"], "size_bytes", 0),
-            (["--block-kb", "0"], "block_bytes", 0),
-            (["--cpus", "0"], "n_cpus", 0),
-            (["--cache-mb", "inf"], "cache_mb", "inf"),
-            (["--block-kb", "inf"], "block_kb", "inf"),
-        ],
-        ids=[
-            "cache-mb-neg", "cache-mb-0", "block-kb-0", "cpus-0",
-            "cache-mb-inf", "block-kb-inf",
+            pytest.param(command, flags, field, value, id=f"{command}-{name}")
+            for command in ("simulate", "sweep")
+            for name, flags, field, value in [
+                ("cache-mb-neg", ["--cache-mb", "-4"], "size_bytes", -4194304),
+                ("cache-mb-0", ["--cache-mb", "0"], "size_bytes", 0),
+                ("block-kb-0", ["--block-kb", "0"], "block_bytes", 0),
+                ("cpus-0", ["--cpus", "0"], "n_cpus", 0),
+                ("cache-mb-inf", ["--cache-mb", "inf"], "cache_mb", "inf"),
+                ("block-kb-inf", ["--block-kb", "inf"], "block_kb", "inf"),
+            ]
+        ]
+        + [
+            pytest.param(
+                "sweep", ["--copies", copies], "n_copies", copies,
+                id=f"sweep-copies-{copies}",
+            )
+            for copies in ("0", "-1")
         ],
     )
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_rejected_before_running(
         self, command, flags, field, value, tmp_path, capsys
     ):
@@ -340,17 +347,25 @@ class TestScaleOption:
 
 
 class TestJobsOption:
+    # argparse rejects the value, so no runner or server is ever built.
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize(
         "argv",
-        [["run", "fig8"], ["sweep"]],
-        ids=lambda argv: argv[0],
+        [
+            ["run", "fig8", "--jobs"],
+            ["sweep", "--jobs"],
+            ["serve", "--workers"],
+            ["serve", "--queue-size"],
+        ],
+        ids=["run", "sweep", "serve-workers", "serve-queue-size"],
     )
     def test_nonpositive_jobs_is_a_usage_error(self, argv, value, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--jobs", value])
+            main([*argv, value])
         assert exc.value.code == 2
-        assert "--jobs: must be a positive integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{argv[-1]}: must be a positive integer" in err
+        assert "Traceback" not in err
 
     def test_sweep_bad_env_jobs_exits_2_naming_the_variable(
         self, monkeypatch, capsys

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.figures import save_figures
 from repro.core.study import Study
-from repro.util.svgplot import SVGChart, bar_chart, line_chart
+from repro.util.svgplot import SVGChart, line_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -26,13 +26,6 @@ class TestSVGWriter:
         assert len(polylines) == 1
         texts = [t.text for t in root.iter(f"{SVG_NS}text")]
         assert "t" in texts and "x" in texts and "y" in texts
-
-    def test_bar_chart_valid_svg(self):
-        chart = bar_chart(["a", "b"], [3.0, 7.0], title="bars")
-        root = parse(chart.render())
-        rects = root.findall(f"{SVG_NS}rect")
-        # background + frame + 2 bars
-        assert len(rects) == 4
 
     def test_escaping(self):
         chart = line_chart([0, 1], [1, 2], title="a < b & c")
@@ -58,8 +51,6 @@ class TestSVGWriter:
         chart.set_ranges([0, 1], [0, 1])
         with pytest.raises(ValueError):
             chart.add_line([0, 1], [0])
-        with pytest.raises(ValueError):
-            chart.add_bars(["a"], [1, 2])
 
     def test_save(self, tmp_path):
         path = tmp_path / "c.svg"

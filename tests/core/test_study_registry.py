@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EXPERIMENTS, Study, experiment_ids, run_experiment
+from repro.core import EXPERIMENTS, Study, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +24,8 @@ class TestStudy:
         assert "paper" in t1
 
     def test_figures_3_4(self, study):
-        fig3 = study.figure3()
-        fig4 = study.figure4()
+        fig3 = study.app_rate_series("venus")
+        fig4 = study.app_rate_series("les")
         assert fig3.peak > 60  # venus bursts
         assert fig4.peak > 60  # les bursts
         assert study.cycles("venus").is_cyclic
@@ -52,7 +52,7 @@ class TestStudy:
         monkeypatch.setattr(ApplicationModel, "generate", counting)
         clear_workload_memo()
         study = Study(scale=0.05)
-        study.figure3()
+        study.app_rate_series("venus")
         study.figure6()
         clear_workload_memo()
         assert generated == ["venus"]
@@ -81,7 +81,7 @@ class TestRegistry:
             "mss-staging",
             "fault-sweep",
         }
-        assert set(experiment_ids()) == expected
+        assert set(EXPERIMENTS) == expected
         for exp in EXPERIMENTS.values():
             assert exp.title
             assert exp.paper_section

@@ -16,12 +16,11 @@ from repro.fslayout.translate import (
     layout_for_trace,
     translate_trace,
 )
-from repro.trace import decode_lines, encode_records
+from repro.trace import TraceEncoder, decode_lines
 from repro.trace import flags as F
 from repro.trace.array import TraceArray
 from repro.trace.record import TraceRecord
 from repro.util.errors import SimulationError
-from repro.util.rng import make_rng
 from repro.util.units import TRACE_BLOCK_SIZE
 from repro.workloads import generate_workload
 
@@ -100,7 +99,8 @@ class TestAllocator:
         assert all(e.n_blocks <= 4 for e in layout.extents)
 
     def test_cap_with_rng_varies(self):
-        a = BlockAllocator(10_000, max_extent_blocks=8, rng=make_rng(0))
+        rng = np.random.default_rng(0)
+        a = BlockAllocator(10_000, max_extent_blocks=8, rng=rng)
         layout = a.allocate(1, 64 * BS)
         lengths = {e.n_blocks for e in layout.extents}
         assert len(lengths) > 1
@@ -195,7 +195,7 @@ class TestTranslation:
         assert np.all(np.diff(merged.start_time) >= 0)
         # the full logical+physical stream survives the ASCII format
         records = list(merged.to_records())
-        lines = encode_records(records)
+        lines = list(TraceEncoder().encode_all(records))
         decoded = [r for r in decode_lines(lines) if isinstance(r, TraceRecord)]
         assert decoded == records
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.events import JsonlEventSink, read_events
+from repro.obs.events import JsonlEventSink
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import metrics_to_jsonl, render_report
 
@@ -27,14 +27,15 @@ class TestJsonlEventSink:
         with JsonlEventSink(path, buffer_events=100) as sink:
             sink.emit("only")
         assert sink.flushes == 1
-        assert [e["kind"] for e in read_events(path)] == ["only"]
+        kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+        assert kinds == ["only"]
 
     def test_seq_numbers_are_monotone_across_flushes(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with JsonlEventSink(path, buffer_events=2) as sink:
             for i in range(5):
                 sink.emit("e", i=i)
-        events = read_events(path)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
         assert [e["seq"] for e in events] == [0, 1, 2, 3, 4]
         assert sink.events_emitted == 5
         assert sink.flushes == 3  # 2 full batches + the close flush
@@ -54,7 +55,7 @@ class TestJsonlEventSink:
         path = tmp_path / "e.jsonl"
         with JsonlEventSink(path) as sink:
             sink.emit("span", name="x", seconds=0.25, label="p1")
-        (event,) = read_events(path)
+        (event,) = [json.loads(line) for line in path.read_text().splitlines()]
         assert event == {
             "seq": 0, "kind": "span", "name": "x",
             "seconds": 0.25, "label": "p1",

@@ -9,7 +9,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    set_registry,
     use_registry,
 )
 
@@ -142,15 +141,6 @@ class TestActiveRegistry:
         with pytest.raises(RuntimeError):
             with use_registry(reg):
                 raise RuntimeError("boom")
-        assert get_registry() is NULL_REGISTRY
-
-    def test_set_registry_none_restores_null(self):
-        reg = MetricsRegistry()
-        set_registry(reg)
-        try:
-            assert get_registry() is reg
-        finally:
-            set_registry(None)
         assert get_registry() is NULL_REGISTRY
 
     def test_nested_use_registry(self):

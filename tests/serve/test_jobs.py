@@ -93,6 +93,14 @@ class TestSweepSpec:
             parse_job(sweep_body(scale=scale), "j000001")
         assert str(info.value) == f"bad sweep grid: scale must be in (0, 1], got {shown}"
 
+    @pytest.mark.parametrize("copies", [0, -1])
+    def test_copies_below_one_rejected(self, copies):
+        # Rejected at submission, not as a one-point job whose worker
+        # finds no trace to run.
+        with pytest.raises(JobSpecError) as info:
+            parse_job(sweep_body(copies=copies), "j000001")
+        assert str(info.value) == f"bad sweep grid: n_copies must be >= 1: {copies}"
+
 
 class TestSimulateSpec:
     def test_workload_and_config_mirror_the_cli(self):

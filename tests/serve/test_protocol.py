@@ -11,7 +11,6 @@ from repro.serve.protocol import (
     Request,
     error_response,
     json_response,
-    parse_sse_stream,
     read_request,
     response_bytes,
     sse_event,
@@ -136,5 +135,9 @@ class TestSse:
         ).decode()
         assert "event: sweep_start" in wire
         assert "id: 2" in wire
-        parsed = parse_sse_stream(wire.splitlines())
+        parsed = [
+            json.loads(line[len("data:"):])
+            for line in wire.splitlines()
+            if line.startswith("data:")
+        ]
         assert parsed == records

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.cache import BlockState, BufferCache
+from repro.sim.cache import _VALID, BufferCache
 from repro.sim.config import CacheConfig, DiskConfig, SimConfig, ssd_cache
 from repro.sim.devices import DiskModel
 from repro.sim.events import Engine
@@ -283,8 +283,8 @@ class TestShortSpans:
         h.read(16 * KB, 8 * KB, fid=2)  # two frames needed, none free
         h.run()
         frames = h.cache._files[1]
-        assert list(frames.st[:3]) == [0, BlockState.VALID.value, 0]
-        assert h.cache._files[2].st[0] == BlockState.VALID.value
+        assert list(frames.st[:3]) == [0, _VALID, 0]
+        assert h.cache._files[2].st[0] == _VALID
 
     def test_grow_keeps_buffers_and_views_aliased(self):
         from repro.sim.cache import _FileFrames

@@ -11,9 +11,9 @@ from repro.sim import (
     cache_size_sweep,
     no_idle_execution_seconds,
     readahead_ablation,
+    relabel_copies,
     run_two_venus,
     ssd_utilization_per_app,
-    two_copies,
     writebehind_ablation,
 )
 from repro.workloads import generate_workload
@@ -100,6 +100,6 @@ class TestSSD:
 class TestTwoCopies:
     def test_copies_do_not_share_files(self):
         venus = generate_workload("venus", scale=SCALE)
-        a, b = two_copies(venus)
+        a, b = relabel_copies(venus.trace, 2)
         assert set(a.file_id.tolist()).isdisjoint(set(b.file_id.tolist()))
         assert set(a.process_ids().tolist()) != set(b.process_ids().tolist())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.sim.config import SimConfig, ssd_cache
-from repro.sim.procmodel import relabel_copies, split_trace_by_process
+from repro.sim.procmodel import relabel_copies
 from repro.sim.system import SimulatedSystem, simulate
 from repro.trace import flags as F
 from repro.trace.array import TraceArray
@@ -207,14 +207,6 @@ class TestHelpers:
         t = TraceArray.concatenate([make_trace(2, pid=1), make_trace(2, pid=2)])
         with pytest.raises(SimulationError):
             relabel_copies(t, 2)
-
-    def test_split_trace_by_process(self):
-        t = TraceArray.concatenate(
-            [make_trace(2, pid=1), make_trace(3, pid=2)]
-        ).sorted_by_start()
-        parts = split_trace_by_process(t)
-        assert len(parts[1]) == 2
-        assert len(parts[2]) == 3
 
     def test_trace_process_rejects_multiprocess(self):
         t = TraceArray.concatenate([make_trace(2, pid=1), make_trace(2, pid=2)])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.trace import flags as F
 from repro.trace.decode import TraceDecoder, decode_lines
-from repro.trace.encode import TraceEncoder, encode_records
+from repro.trace.encode import TraceEncoder
 from repro.trace.record import CommentRecord, TraceRecord
 from repro.util.errors import TraceFormatError
 
@@ -40,7 +40,8 @@ def rec(
 
 class TestEncoder:
     def test_first_record_fully_explicit(self):
-        lines = encode_records([rec(100, offset=512, length=1024, op=7)])
+        record = rec(100, offset=512, length=1024, op=7)
+        lines = list(TraceEncoder().encode_all([record]))
         parts = lines[0].split()
         # recordType, compression, offset(blocks), length(blocks), start,
         # completion, opId, fileId, processId, processTime
@@ -56,7 +57,7 @@ class TestEncoder:
             rec(10, offset=1024, length=1024, op=1),
             rec(20, offset=2048, length=1024, op=2),
         ]
-        lines = encode_records(records, omit_operation_ids=True)
+        lines = list(TraceEncoder(omit_operation_ids=True).encode_all(records))
         # 2nd and 3rd records: only type, compression, start, completion,
         # processTime remain
         for line in lines[1:]:
@@ -70,7 +71,7 @@ class TestEncoder:
             assert compression & F.TRACE_NO_OPERATIONID
 
     def test_non_block_aligned_values_not_in_blocks(self):
-        lines = encode_records([rec(0, offset=100, length=999)])
+        lines = list(TraceEncoder().encode_all([rec(0, offset=100, length=999)]))
         compression = int(lines[0].split()[1])
         assert not compression & F.TRACE_OFFSET_IN_BLOCKS
         assert not compression & F.TRACE_LENGTH_IN_BLOCKS
@@ -93,7 +94,7 @@ class TestEncoder:
 
     def test_comment_does_not_disturb_state(self):
         records = [rec(0, offset=0), CommentRecord("x"), rec(10, offset=1024)]
-        lines = encode_records(records)
+        lines = list(TraceEncoder().encode_all(records))
         # third line should still compress offset as sequential
         assert int(lines[2].split()[1]) & F.TRACE_NO_BLOCK
 
@@ -116,7 +117,7 @@ class TestEncoder:
 
 class TestDecoder:
     def round_trip(self, records, **kw):
-        lines = encode_records(records, **kw)
+        lines = list(TraceEncoder(**kw).encode_all(records))
         return [r for r in decode_lines(lines) if isinstance(r, TraceRecord)]
 
     def test_simple_round_trip(self):
@@ -209,7 +210,7 @@ class TestDecoder:
             decode_lines([line])
 
     def test_error_reports_line_number(self):
-        lines = encode_records([rec(0)]) + ["garbage line here"]
+        lines = list(TraceEncoder().encode_all([rec(0)])) + ["garbage line here"]
         with pytest.raises(TraceFormatError, match="line 2"):
             decode_lines(lines)
 
@@ -248,7 +249,7 @@ def trace_strategy(draw):
 @settings(max_examples=200, deadline=None)
 @given(trace_strategy(), st.booleans())
 def test_round_trip_property(records, omit_ops):
-    lines = encode_records(records, omit_operation_ids=omit_ops)
+    lines = list(TraceEncoder(omit_operation_ids=omit_ops).encode_all(records))
     decoded = [r for r in decode_lines(lines) if isinstance(r, TraceRecord)]
     assert len(decoded) == len(records)
     for original, got in zip(records, decoded):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.trace import flags as F
 from repro.trace.array import TraceArray
 from repro.trace.decode import decode_lines
-from repro.trace.encode import TraceEncoder, encode_records
+from repro.trace.encode import TraceEncoder
 from repro.trace.record import CommentRecord, TraceRecord
 from repro.util.rng import derive_rng
 
@@ -74,20 +74,21 @@ def random_records(seed: int, n: int, n_files: int = 3, n_procs: int = 2):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120))
 def test_encode_decode_encode_byte_identical(seed, n):
     records = random_records(seed, n)
-    lines = encode_records(records)
+    lines = list(TraceEncoder().encode_all(records))
     decoded = decode_lines(lines)
     assert decoded == records
-    assert encode_records(decoded) == lines  # byte-identical re-encode
+    # byte-identical re-encode
+    assert list(TraceEncoder().encode_all(decoded)) == lines
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80))
 def test_roundtrip_through_trace_array(seed, n):
     records = random_records(seed, n)
-    lines = encode_records(records)
+    lines = list(TraceEncoder().encode_all(records))
     via_array = list(TraceArray.from_records(records).to_records())
     assert via_array == records
-    assert encode_records(via_array) == lines
+    assert list(TraceEncoder().encode_all(via_array)) == lines
 
 
 @settings(max_examples=50, deadline=None)
@@ -102,16 +103,16 @@ def test_roundtrip_with_interleaved_comments(seed, n, comment_every):
         if i % comment_every == 0:
             records.append(CommentRecord(f"file {i} = /tmp/f{i}"))
         records.append(record)
-    lines = encode_records(records)
+    lines = list(TraceEncoder().encode_all(records))
     decoded = decode_lines(lines)
     assert decoded == records
-    assert encode_records(decoded) == lines
+    assert list(TraceEncoder().encode_all(decoded)) == lines
 
 
 def test_generator_exercises_every_compression_flag():
     # The property tests are only as strong as the corpus: a fixed seed
     # must light up all seven compression bits.
-    lines = encode_records(random_records(seed=0, n=400))
+    lines = list(TraceEncoder().encode_all(random_records(seed=0, n=400)))
     seen = 0
     for line in lines:
         seen |= int(line.split()[1])
@@ -121,7 +122,7 @@ def test_generator_exercises_every_compression_flag():
 def test_sequential_extension_omits_offset():
     a = TraceRecord.make(write=False, offset=1024, length=512, start_time=0)
     b = TraceRecord.make(write=False, offset=1536, length=512, start_time=10)
-    lines = encode_records([a, b])
+    lines = list(TraceEncoder().encode_all([a, b]))
     compression = int(lines[1].split()[1])
     assert compression & F.TRACE_NO_BLOCK
     assert compression & F.TRACE_NO_LENGTH
@@ -131,7 +132,7 @@ def test_sequential_extension_omits_offset():
 def test_same_size_different_offset_omits_length_only():
     a = TraceRecord.make(write=False, offset=0, length=777, start_time=0)
     b = TraceRecord.make(write=False, offset=9001, length=777, start_time=10)
-    lines = encode_records([a, b])
+    lines = list(TraceEncoder().encode_all([a, b]))
     compression = int(lines[1].split()[1])
     assert compression & F.TRACE_NO_LENGTH
     assert not compression & F.TRACE_NO_BLOCK
@@ -143,7 +144,7 @@ def test_block_multiples_use_in_blocks_flags():
         write=True, offset=4 * F.TRACE_BLOCK_SIZE, length=2 * F.TRACE_BLOCK_SIZE,
         start_time=0,
     )
-    (line,) = encode_records([r])
+    (line,) = TraceEncoder().encode_all([r])
     compression = int(line.split()[1])
     assert compression & F.TRACE_OFFSET_IN_BLOCKS
     assert compression & F.TRACE_LENGTH_IN_BLOCKS

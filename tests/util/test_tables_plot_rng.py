@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.util.asciiplot import ascii_bar_plot, ascii_line_plot, sparkline
-from repro.util.rng import derive_rng, derive_seed, make_rng
-from repro.util.tables import TextTable, format_si, format_table, paper_vs_measured
+from repro.util.rng import derive_rng, derive_seed
+from repro.util.tables import TextTable, format_si
 
 
 class TestTables:
@@ -26,21 +26,12 @@ class TestTables:
         with pytest.raises(ValueError):
             t.add_row([1])
 
-    def test_format_table_oneshot(self):
-        out = format_table(["x"], [[1], [2]])
-        assert out.count("\n") == 3
-
     def test_format_si(self):
         assert format_si(0) == "0"
         assert format_si(1234567) == "1,234,567"
         assert format_si(44.1) == "44.1"
         assert format_si(0.016) == "0.016"
         assert format_si(1234.5) == "1,234"
-
-    def test_paper_vs_measured(self):
-        line = paper_vs_measured("venus MB/s", 44.1, 46.0, "MB/s")
-        assert "x1.04" in line
-        assert "44.1" in line and "46" in line
 
 
 class TestAsciiPlot:
@@ -80,11 +71,6 @@ class TestAsciiPlot:
 
 
 class TestRng:
-    def test_default_seed_reproducible(self):
-        a = make_rng().random(5)
-        b = make_rng().random(5)
-        np.testing.assert_array_equal(a, b)
-
     def test_derive_seed_stable_and_distinct(self):
         s1 = derive_seed(1, "venus/0")
         s2 = derive_seed(1, "venus/1")

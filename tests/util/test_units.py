@@ -1,4 +1,4 @@
-"""Unit conversions: the 10 us tick base and Cray word units."""
+"""Unit conversions: the 10 us tick base."""
 
 import pytest
 
@@ -20,31 +20,6 @@ def test_seconds_to_ticks_rounds_to_nearest():
     # 1.5 ticks of seconds rounds to 2 ticks
     assert units.seconds_to_ticks(1.5e-5) == 2
     assert units.seconds_to_ticks(1.4e-5) == 1
-
-
-def test_megawords():
-    # 128 MW is the Y-MP's 1 GB main memory
-    assert units.megawords_to_bytes(128) == 1024 * units.MB
-    assert units.bytes_to_megawords(units.megawords_to_bytes(256)) == pytest.approx(256)
-
-
-def test_mb_and_kb_conversions():
-    assert units.mb_to_bytes(1) == units.MB
-    assert units.bytes_to_mb(units.MB) == pytest.approx(1.0)
-    assert units.kb_to_bytes(32) == 32 * 1024
-    assert units.bytes_to_kb(units.MB) == pytest.approx(1024.0)
-
-
-def test_format_bytes():
-    assert units.format_bytes(512) == "512 B"
-    assert units.format_bytes(1536) == "1.50 KB"
-    assert units.format_bytes(9.6e6) == "9.16 MB"
-
-
-def test_format_seconds():
-    assert units.format_seconds(2.5) == "2.50 s"
-    assert units.format_seconds(0.015) == "15.00 ms"
-    assert units.format_seconds(2e-5) == "20.0 us"
 
 
 def test_trace_block_size_matches_header():

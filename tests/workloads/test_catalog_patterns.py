@@ -5,7 +5,6 @@ import pytest
 
 from repro.runtime.api import AppRuntime
 from repro.runtime.files import FileSystem
-from repro.util.rng import make_rng
 from repro.workloads.catalog import APP_NAMES, PAPER_APPS, paper_row
 from repro.workloads.patterns import (
     FileCursor,
@@ -123,7 +122,7 @@ class TestHelpers:
             split_evenly(5, 0)
 
     def test_jittered_ticks_bounds(self):
-        rng = make_rng(1)
+        rng = np.random.default_rng(1)
         for _ in range(100):
             v = jittered_ticks(100, rng)
             assert 50 <= v <= 150
@@ -131,7 +130,7 @@ class TestHelpers:
         assert jittered_ticks(100, rng, relative_sigma=0) == 100
 
     def test_jittered_array_matches_scalar_distribution(self):
-        rng = make_rng(2)
+        rng = np.random.default_rng(2)
         arr = jittered_array(1000, 5000, rng)
         assert arr.shape == (5000,)
         assert arr.min() >= 500 and arr.max() <= 1500
