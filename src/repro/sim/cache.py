@@ -1138,14 +1138,6 @@ class _PendingRead:
             missing = [m.span() for m in _ABSENTS.finditer(st, first, end)]
             reading = [m.span() for m in _ONES.finditer(st, first, end)]
             resident = [m.span() for m in _RESIDENTS.finditer(st, first, end)]
-        # Resident prefetched blocks are read-ahead hits; their bits are
-        # spent (in-flight ones keep theirs until they are resident).
-        n_ra_hit = 0
-        for lo, hi in resident:
-            k = pf.count(1, lo, hi)
-            if k:
-                n_ra_hit += k
-                pf[lo:hi] = bytes(hi - lo)
         if n_valid:
             cache._clean_touch(frames, first, end)
 
@@ -1158,6 +1150,16 @@ class _PendingRead:
                     cache._drop_frames(frames, done.lo, done.hi)
                 return False
             allocated.append(run)
+
+        # Resident prefetched blocks are read-ahead hits; their bits are
+        # spent (in-flight ones keep theirs until they are resident).
+        # Only now: a read that parked above keeps them for its retry.
+        n_ra_hit = 0
+        for lo, hi in resident:
+            k = pf.count(1, lo, hi)
+            if k:
+                n_ra_hit += k
+                pf[lo:hi] = bytes(hi - lo)
 
         stats = cache._stats
         stats.block_hits += span - n_miss - n_inflight

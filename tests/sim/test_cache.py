@@ -152,6 +152,28 @@ class TestReadAhead:
         h.read(128 * KB, 64 * KB)
         assert h.metrics.cache.readahead_hits > before
 
+    def test_parked_read_counts_its_readahead_hits_on_retry(self):
+        # 16 frames: blocks 0-3 demand-read, 4-5 prefetched, 10 dirty
+        # frames of file 2 in flight to the disk.  A read of blocks 4-13
+        # needs 8 frames with only 6 clean, so it parks; once the flush
+        # lands it retries and its 2 prefetched blocks are still hits.
+        h = Harness(
+            size_bytes=64 * KB, read_ahead=True, read_ahead_depth=1,
+            write_behind=True,
+        )
+        h.read(0, 8 * KB)
+        h.run()
+        h.read(8 * KB, 8 * KB)
+        h.run()
+        assert h.metrics.cache.prefetch_blocks == 2
+        h.write(0, 40 * KB, fid=2)
+        h.read(16 * KB, 40 * KB)
+        assert h.metrics.cache.frame_stalls == 1
+        assert len(h.completions) == 3  # the read is parked
+        h.run()
+        assert len(h.completions) == 4
+        assert h.metrics.cache.readahead_hits == 2
+
     def test_random_pattern_no_prefetch(self):
         h = Harness(read_ahead=True)
         h.read(0, 16 * KB)
