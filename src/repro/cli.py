@@ -51,21 +51,13 @@ from repro.core.registry import EXPERIMENTS, run_experiment
 from repro.core.study import Study
 from repro.exec.cache import ResultCache
 from repro.exec.grid import (
-    FIG8_BLOCK_SIZES_KB,
-    FIG8_CACHE_SIZES_MB,
-    GridSpec,
-    build_sim_config,
-    parse_floats,
-    parse_toggles,
+    SpecError,
     render_sweep_table,
+    simulate_points,
+    sweep_points,
     sweep_summary,
 )
-from repro.exec.runner import (
-    SweepPointSpec,
-    SweepRunner,
-    TraceFileSpec,
-    resolve_jobs,
-)
+from repro.exec.runner import SweepRunner, resolve_jobs
 from repro.obs import (
     JsonlEventSink,
     MetricsRegistry,
@@ -76,7 +68,6 @@ from repro.obs import (
 from repro.sim.faults import FaultPlan
 from repro.trace.io import read_trace_array, write_trace_array
 from repro.util.errors import SweepError, TraceFormatError
-from repro.util.rng import DEFAULT_SEED
 from repro.util.units import MB
 from repro.workloads.base import available_models, check_scale, generate_workload
 
@@ -202,37 +193,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec(args: argparse.Namespace, *keys: str) -> dict:
+    """The spec dict of the knob flags given.  A flag left unset is
+    ``None`` and stays out, so the spec parser's default holds."""
+    return {
+        key: getattr(args, key) for key in keys if getattr(args, key) is not None
+    }
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    spec = _spec(
+        args, "traces", "cache_mb", "block_kb", "ssd", "read_ahead",
+        "write_behind", "cpus", "share_files", "faults",
+    )
     try:
-        config = build_sim_config(
-            cache_mb=args.cache_mb,
-            block_kb=args.block_kb,
-            ssd=args.ssd,
-            read_ahead=not args.no_read_ahead,
-            write_behind=not args.no_write_behind,
-            n_cpus=args.cpus,
-        )
-    except ValueError as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        return 2
-    if args.faults and args.fault_plan:
-        print("use either --faults or --fault-plan, not both", file=sys.stderr)
-        return 2
-    try:
-        if args.fault_plan:
-            config = FaultPlan.load(args.fault_plan).apply(config)
-        elif args.faults:
-            config = FaultPlan.from_spec(args.faults).apply(config)
+        if args.fault_plan is not None:
+            spec["fault_plan"] = FaultPlan.load(args.fault_plan).to_dict()
     except (OSError, ValueError) as exc:
         print(f"bad fault plan: {exc}", file=sys.stderr)
         return 2
-    point = SweepPointSpec(
-        workload=TraceFileSpec(
-            paths=tuple(args.traces), share_files=args.share_files
-        ),
-        config=config,
-        label=f"simulate {' '.join(args.traces)}",
-    )
+    try:
+        (point,) = simulate_points(spec)
+    except SpecError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     point_cache = ResultCache() if args.cached else None
     runner = SweepRunner(jobs=1, cache=point_cache)
     registry = MetricsRegistry(enabled=args.metrics_out is not None)
@@ -255,29 +239,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    spec = _spec(
+        args, "app", "copies", "scale", "seed", "cache_mb", "block_kb",
+        "read_ahead", "write_behind", "ssd", "cpus",
+    )
     try:
-        grid = GridSpec(
-            app=args.app,
-            n_copies=args.copies,
-            scale=args.scale,
-            workload_seed=args.seed,
-            cache_sizes_mb=parse_floats(args.cache_mb),
-            block_sizes_kb=parse_floats(args.block_kb),
-            read_ahead=parse_toggles(args.read_ahead),
-            write_behind=parse_toggles(args.write_behind),
-            ssd=args.ssd,
-            n_cpus=args.cpus,
-        )
-        points = grid.points()
-    except ValueError as exc:
-        print(f"bad grid: {exc}", file=sys.stderr)
-        return 2
-    if args.app not in available_models():
-        print(
-            f"unknown application {args.app!r}; known: "
-            f"{', '.join(available_models())}",
-            file=sys.stderr,
-        )
+        points = sweep_points(spec)
+    except SpecError as exc:
+        print(exc, file=sys.stderr)
         return 2
     if args.no_cache:
         result_cache = None
@@ -296,13 +265,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0
+    workload = points[0].workload
     kind = "SSD" if args.ssd else "mem"
     print(
         render_sweep_table(
             results,
             title=(
-                f"sweep: {args.copies}x{args.app} ({kind}), "
-                f"scale={args.scale:g}, seed={args.seed}"
+                f"sweep: {workload.n_copies}x{workload.app} ({kind}), "
+                f"scale={workload.scale:g}, seed={workload.seed}"
             ),
         )
     )
@@ -336,6 +306,20 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type for ``--port``: an integer in [0, 65535], else a
+    usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 65535], got {text!r}"
         )
     return value
 
@@ -407,16 +391,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("trace")
 
     p_sim = sub.add_parser("simulate", help="replay traces through the cache")
+    # Knob flags default to None: unset, they stay out of the spec.
     p_sim.add_argument("traces", nargs="+")
-    p_sim.add_argument("--cache-mb", type=float, default=32.0)
-    p_sim.add_argument("--block-kb", type=float, default=4.0)
-    p_sim.add_argument("--ssd", action="store_true")
-    p_sim.add_argument("--no-read-ahead", action="store_true")
-    p_sim.add_argument("--no-write-behind", action="store_true")
-    p_sim.add_argument("--cpus", type=int, default=1)
+    p_sim.add_argument("--cache-mb", type=float, default=None)
+    p_sim.add_argument("--block-kb", type=float, default=None)
+    p_sim.add_argument("--ssd", action="store_true", default=None)
+    p_sim.add_argument(
+        "--no-read-ahead", dest="read_ahead", action="store_false", default=None
+    )
+    p_sim.add_argument(
+        "--no-write-behind", dest="write_behind", action="store_false",
+        default=None,
+    )
+    p_sim.add_argument("--cpus", type=int, default=None)
     p_sim.add_argument(
         "--share-files",
         action="store_true",
+        default=None,
         help="let the traces address the same files (default: each trace "
         "gets a private file-id space, like the paper's non-sharing copies)",
     )
@@ -446,31 +437,34 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a config grid through the parallel, memoized sweep runner",
     )
-    p_sweep.add_argument("--app", default="venus", help="application model")
+    # Knob flags default to None: unset, they stay out of the spec, and
+    # the GridSpec field is the default.
+    p_sweep.add_argument("--app", default=None, help="application model")
     p_sweep.add_argument(
-        "--copies", type=int, default=2,
+        "--copies", type=int, default=None,
         help="non-sharing instances per point (default 2, the paper's setup)",
     )
-    p_sweep.add_argument("--scale", type=float, default=0.25)
-    p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sweep.add_argument("--scale", type=float, default=None)
+    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument(
-        "--cache-mb", default=",".join(map(str, FIG8_CACHE_SIZES_MB)),
+        "--cache-mb", default=None,
         help="comma-separated cache sizes in MB (default: the Figure 8 axis)",
     )
     p_sweep.add_argument(
-        "--block-kb", default=",".join(map(str, FIG8_BLOCK_SIZES_KB)),
-        help="comma-separated cache block sizes in KB (default: %(default)s)",
+        "--block-kb", default=None,
+        help="comma-separated cache block sizes in KB (default: 4,8, the "
+        "Figure 8 axis)",
     )
     p_sweep.add_argument(
-        "--read-ahead", default="on",
+        "--read-ahead", default=None,
         help="read-ahead axis: on, off, or on,off to sweep the toggle",
     )
     p_sweep.add_argument(
-        "--write-behind", default="on",
+        "--write-behind", default=None,
         help="write-behind axis: on, off, or on,off to sweep the toggle",
     )
-    p_sweep.add_argument("--ssd", action="store_true")
-    p_sweep.add_argument("--cpus", type=int, default=1)
+    p_sweep.add_argument("--ssd", action="store_true", default=None)
+    p_sweep.add_argument("--cpus", type=int, default=None)
     p_sweep.add_argument(
         "--jobs", type=_positive_int, default=None,
         help="worker processes (default: $REPRO_JOBS, else all cores)",
@@ -494,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind address (default 127.0.0.1; 0.0.0.0 exposes the daemon)",
     )
     p_srv.add_argument(
-        "--port", type=int, default=8177,
+        "--port", type=_port, default=8177,
         help="bind port (default 8177; 0 picks an ephemeral port)",
     )
     p_srv.add_argument(

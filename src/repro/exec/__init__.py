@@ -12,7 +12,9 @@ The scaling layer the section-6 experiments run on:
 * :mod:`repro.exec.keys` -- stable point keys (exact-float canonical
   JSON + a code-version tag);
 * :mod:`repro.exec.grid` -- :class:`GridSpec`, the cross-product spec
-  behind the ``sweep`` CLI command and the canned Figure 8 experiments.
+  behind the ``sweep`` CLI command and the canned Figure 8 experiments,
+  and the one parser of ``simulate``/``sweep`` spec dicts that the CLI
+  and the sweep server share.
 """
 
 from repro.exec.cache import CacheCounters, ResultCache, default_cache_dir

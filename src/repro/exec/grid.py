@@ -1,10 +1,17 @@
-"""Grid specifications for the ``sweep`` CLI: axes -> sweep points.
+"""Knobs -> sweep points: the one parser of ``simulate`` and ``sweep`` specs.
 
 A :class:`GridSpec` is the cross product of cache sizes x block sizes x
 read-ahead x write-behind toggles over N copies of one application (the
 Figure 6-8 family of experiments).  Points come out in a fixed nested
 order -- block, cache, read-ahead, write-behind -- so tables, cache keys
 and derived seeds never depend on argument order.
+
+:func:`simulate_points` and :func:`sweep_points` build points from a
+JSON-shaped spec dict: ``repro simulate`` and ``repro sweep`` pass the
+flags given, the sweep server each job's ``spec``, so HTTP and the CLI
+build the same points -- keys, cached results, digests -- by
+construction.  A key left out takes the default of the
+:class:`GridSpec` field or :func:`build_sim_config` argument it sets.
 """
 
 from __future__ import annotations
@@ -12,12 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.exec.runner import AppWorkloadSpec, PointResult, SweepPointSpec
+from repro.exec.runner import (
+    AppWorkloadSpec,
+    PointResult,
+    SweepPointSpec,
+    TraceFileSpec,
+)
 from repro.sim.config import CacheConfig, SimConfig, ssd_cache
+from repro.sim.faults import FaultPlan
 from repro.util.rng import DEFAULT_SEED
 from repro.util.tables import TextTable
 from repro.util.units import KB, MB
-from repro.workloads.base import check_scale
+from repro.workloads.base import available_models, check_scale
 
 #: Figure 8's cache sizes, in MB.
 FIG8_CACHE_SIZES_MB = (4, 8, 16, 32, 64, 128, 256)
@@ -28,8 +41,8 @@ FIG8_BLOCK_SIZES_KB = (4, 8)
 
 def build_sim_config(
     *,
-    cache_mb: float,
-    block_kb: float,
+    cache_mb: float = 32.0,
+    block_kb: float = 4.0,
     ssd: bool = False,
     read_ahead: bool = True,
     write_behind: bool = True,
@@ -38,11 +51,10 @@ def build_sim_config(
     """One :class:`SimConfig` from CLI/server-shaped knobs.
 
     Single source of truth for turning user-facing units (MB caches, KB
-    blocks, on/off toggles) into a config: ``repro simulate``, the sweep
-    grid and the sweep server all build configs here, which is what
-    guarantees a job submitted over HTTP produces the *same* point key
-    -- and therefore the same cached result and digest -- as the CLI.
-    A non-finite size raises :class:`ValueError` naming the field.
+    blocks, on/off toggles) into a config: every ``simulate`` spec and
+    every :class:`GridSpec` point is built here.  The keyword defaults
+    are a ``simulate`` spec's.  A non-finite size raises
+    :class:`ValueError` naming the field.
     """
     for name, value in (("cache_mb", cache_mb), ("block_kb", block_kb)):
         if not math.isfinite(value):
@@ -155,6 +167,182 @@ class GridSpec:
                             )
                         )
         return out
+
+
+# -- spec dicts ----------------------------------------------------------------
+
+
+class SpecError(ValueError):
+    """A malformed ``simulate`` or ``sweep`` spec, as one line: ``repro
+    simulate``/``repro sweep`` print it and exit 2, the sweep server
+    answers it with a 400."""
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, never a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_number(value, name: str) -> float:
+    """A float key: any JSON number.  An integer past the float range
+    reads as infinity, as JSON reads ``1e400``."""
+    if not _is_number(value):
+        raise SpecError(f"bad {name} {value!r} (want a number)")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def read_integer(value, name: str) -> int:
+    """An integer key: a JSON number with no fractional part."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif _is_number(value):
+        return value
+    raise SpecError(f"bad {name} {value!r} (want an integer)")
+
+
+def read_toggle(value, name: str) -> bool:
+    """One toggle: a JSON bool, or a string ``parse_toggles`` reads as
+    exactly one value ("on", "off", "true", "false", "1", "0", ...)."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            (toggle,) = parse_toggles(value)
+            return toggle
+        except ValueError:
+            pass
+    raise SpecError(f"bad {name} toggle {value!r} (want true/false or on/off)")
+
+
+def _read_float_axis(value, name: str) -> tuple[float, ...]:
+    """A float axis from a JSON number, a non-empty list of them, or a
+    CLI-style "4,8,16" string."""
+    if isinstance(value, str):
+        try:
+            return parse_floats(value)
+        except ValueError as exc:
+            raise SpecError(f"bad {name} axis {value!r}: {exc}") from exc
+    elements = value if isinstance(value, list) and value else [value]
+    return tuple(read_number(v, name) for v in elements)
+
+
+def _read_toggle_axis(value, name: str) -> tuple[bool, ...]:
+    """A toggle axis from a JSON bool/list or a CLI-style "on,off" string."""
+    if isinstance(value, str):
+        try:
+            return parse_toggles(value)
+        except ValueError as exc:
+            raise SpecError(f"bad {name} axis {value!r}: {exc}") from exc
+    if isinstance(value, bool):
+        return (value,)
+    if isinstance(value, list) and value:
+        toggles = tuple(read_toggle(v, name) for v in value)
+        if len(set(toggles)) != len(toggles):
+            raise SpecError(f"bad {name} axis {value!r}: repeated toggle value")
+        return toggles
+    raise SpecError(f"bad {name} axis {value!r}")
+
+
+#: ``simulate`` spec keys: the :func:`build_sim_config` argument each
+#: sets, and the reader of its value.  ``share_files`` sets the
+#: :class:`TraceFileSpec` field of that name.
+_CONFIG_KEYS = {
+    "cache_mb": ("cache_mb", read_number),
+    "block_kb": ("block_kb", read_number),
+    "ssd": ("ssd", read_toggle),
+    "read_ahead": ("read_ahead", read_toggle),
+    "write_behind": ("write_behind", read_toggle),
+    "cpus": ("n_cpus", read_integer),
+}
+_TRACE_KEYS = {"share_files": ("share_files", read_toggle)}
+
+#: ``sweep`` spec keys: the :class:`GridSpec` field each sets, and the
+#: reader of its value.
+_GRID_KEYS = {
+    "app": ("app", lambda value, name: str(value)),
+    "copies": ("n_copies", read_integer),
+    "scale": ("scale", read_number),
+    "seed": ("workload_seed", read_integer),
+    "cache_mb": ("cache_sizes_mb", _read_float_axis),
+    "block_kb": ("block_sizes_kb", _read_float_axis),
+    "read_ahead": ("read_ahead", _read_toggle_axis),
+    "write_behind": ("write_behind", _read_toggle_axis),
+    "ssd": ("ssd", read_toggle),
+    "cpus": ("n_cpus", read_integer),
+}
+
+
+def _read_keys(spec: dict, keys: dict) -> dict:
+    """The arguments ``spec`` sets: a key it leaves out sets none, so
+    the callee's default holds."""
+    return {
+        arg: read(spec[key], key)
+        for key, (arg, read) in keys.items()
+        if key in spec
+    }
+
+
+def _with_faults(spec: dict, config: SimConfig) -> SimConfig:
+    """``config`` under the spec's ``faults`` string or ``fault_plan``
+    dict (:meth:`FaultPlan.to_dict`'s shape), if it has one."""
+    faults = spec.get("faults")
+    plan = spec.get("fault_plan")
+    if faults and plan:
+        raise SpecError("use either 'faults' or 'fault_plan', not both")
+    if faults and not isinstance(faults, str):
+        raise SpecError(f"'faults' must be a spec string: {faults!r}")
+    if plan and not isinstance(plan, dict):
+        raise SpecError(f"'fault_plan' must be a JSON object: {plan!r}")
+    try:
+        if faults:
+            return FaultPlan.from_spec(faults).apply(config)
+        if plan:
+            return FaultPlan.from_dict(plan).apply(config)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad fault plan: {exc}") from exc
+    return config
+
+
+def simulate_points(spec: dict) -> list[SweepPointSpec]:
+    """The one point of a ``simulate`` spec: its ``traces`` (required),
+    each replayed as one process, under one config, optionally with
+    ``faults`` or a ``fault_plan``."""
+    traces = spec.get("traces")
+    if (
+        not isinstance(traces, list)
+        or not traces
+        or not all(isinstance(t, str) for t in traces)
+    ):
+        raise SpecError("'traces' must be a non-empty list of paths")
+    knobs = _read_keys(spec, _CONFIG_KEYS)
+    try:
+        config = build_sim_config(**knobs)
+    except ValueError as exc:
+        raise SpecError(f"bad config: {exc}") from exc
+    config = _with_faults(spec, config)
+    workload = TraceFileSpec(paths=tuple(traces), **_read_keys(spec, _TRACE_KEYS))
+    label = spec.get("label") or f"simulate {' '.join(traces)}"
+    return [SweepPointSpec(workload=workload, config=config, label=str(label))]
+
+
+def sweep_points(spec: dict) -> list[SweepPointSpec]:
+    """The points of a ``sweep`` spec's :class:`GridSpec`."""
+    fields = _read_keys(spec, _GRID_KEYS)
+    try:
+        grid = GridSpec(**fields)
+        points = grid.points()
+    except ValueError as exc:
+        raise SpecError(f"bad grid: {exc}") from exc
+    if grid.app not in available_models():
+        raise SpecError(
+            f"unknown application {grid.app!r}; known: "
+            f"{', '.join(available_models())}"
+        )
+    return points
 
 
 def render_sweep_table(results: list[PointResult], *, title: str = "sweep") -> str:

@@ -288,20 +288,21 @@ class SweepRunner:
     the job count alone picks the backend, and every backend ships specs
     that workers materialize (see the module docstring).
 
-    Observation hooks (both optional, both outside the determinism
-    contract -- they never touch what is simulated):
+    Progress goes to the active registry's event sink (see
+    :mod:`repro.obs.registry`): one ``sweep_start`` event (``points``,
+    ``todo``, ``cached``) up front, then one ``point_done`` event
+    (``index``, ``label``, ``key``, ``cached``, ``elapsed_s``) per point
+    *as it completes* -- cache hits first, then live points in
+    completion order.  The sweep server bridges them into per-job
+    server-sent event streams.  A sink's exceptions propagate; a
+    disabled registry or one with no sink drops the events.  Neither
+    touches what is simulated.
 
-    * ``progress`` is called with one dict per lifecycle event:
-      ``{"event": "sweep_start", "points": N, "todo": M, "cached": K}``
-      once up front, then ``{"event": "point_done", "index", "label",
-      "key", "cached", "elapsed_s"}`` per point *as it completes* (cache
-      hits first, then live points in completion order).  The sweep
-      server bridges these into per-job server-sent event streams.
-    * ``should_cancel`` is polled between points (serial) and between
-      completions (queue, every
-      :data:`~repro.exec.executor.CANCEL_POLL_S`); once it returns true
-      the backend abandons queued work, terminates running workers and
-      raises :class:`~repro.util.errors.SweepCancelled`.
+    ``should_cancel`` (optional) is polled between points (serial) and
+    between completions (queue, every
+    :data:`~repro.exec.executor.CANCEL_POLL_S`); once it returns true
+    the backend abandons queued work, terminates running workers and
+    raises :class:`~repro.util.errors.SweepCancelled`.
     """
 
     jobs: int | None = 1
@@ -311,7 +312,6 @@ class SweepRunner:
     executor: str | None = None
     #: ignored; read by no code (see the class docstring)
     shared_memory: bool | None = None
-    progress: Callable[[dict], None] | None = None
     should_cancel: Callable[[], bool] | None = None
     #: points simulated (not served from cache) over this runner's lifetime
     simulated: int = field(default=0, init=False)
@@ -350,15 +350,25 @@ class SweepRunner:
             else:
                 todo.append(i)
 
-        self._notify(
-            event="sweep_start",
+        def point_done(i: int) -> None:
+            reg.emit(
+                "point_done",
+                index=i,
+                label=points[i].label or keys[i][:12],
+                key=keys[i],
+                cached=cached[i],
+                elapsed_s=elapsed[i],
+            )
+
+        reg.emit(
+            "sweep_start",
             points=len(points),
             todo=len(todo),
             cached=len(points) - len(todo),
         )
         for i in range(len(points)):
             if cached[i]:
-                self._notify_point(points, keys, elapsed, i, cached=True)
+                point_done(i)
 
         if todo:
             self._check_cancelled()
@@ -382,7 +392,7 @@ class SweepRunner:
             def deliver(task: PointTask, result, elapsed_s: float) -> None:
                 results[task.index] = result
                 elapsed[task.index] = elapsed_s
-                self._notify_point(points, keys, elapsed, task.index, cached=False)
+                point_done(task.index)
 
             backend.execute(
                 tasks, on_result=deliver, should_cancel=self.should_cancel
@@ -392,12 +402,6 @@ class SweepRunner:
                     self.cache.put(keys[i], results[i])
                 self.simulated += 1
                 reg.counter("exec.runner.points_simulated").inc()
-                reg.emit(
-                    "sweep_point",
-                    label=points[i].label or keys[i][:12],
-                    cached=False,
-                    elapsed_s=elapsed[i],
-                )
 
         return [
             PointResult(
@@ -410,34 +414,6 @@ class SweepRunner:
             )
             for i in range(len(points))
         ]
-
-    def _notify(self, **event) -> None:
-        """Deliver one progress event to the hook (if any).
-
-        Hook exceptions propagate: the hook belongs to the caller, and
-        swallowing its bugs here would hide them behind a sweep that
-        "worked" while reporting nothing.
-        """
-        if self.progress is not None:
-            self.progress(dict(event))
-
-    def _notify_point(
-        self,
-        points: list[SweepPointSpec],
-        keys: list[str],
-        elapsed: list[float],
-        i: int,
-        *,
-        cached: bool,
-    ) -> None:
-        self._notify(
-            event="point_done",
-            index=i,
-            label=points[i].label or keys[i][:12],
-            key=keys[i],
-            cached=cached,
-            elapsed_s=elapsed[i],
-        )
 
     def _cancelled(self) -> bool:
         return self.should_cancel is not None and bool(self.should_cancel())

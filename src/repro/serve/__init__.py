@@ -17,8 +17,8 @@ Modules
 * :mod:`repro.serve.queue` -- bounded priority job queue with admission
   control (a full queue rejects with 429 instead of buffering without
   bound);
-* :mod:`repro.serve.jobs` -- job model, spec parsing (JSON body ->
-  sweep points) and result payload serialization;
+* :mod:`repro.serve.jobs` -- job model (JSON body -> sweep points,
+  through the CLI's own spec parser) and result payload serialization;
 * :mod:`repro.serve.app` -- the server: routing, worker pool, SSE
   bridging of the obs event stream, graceful shutdown;
 * :mod:`repro.serve.client` -- blocking stdlib client helper used by
@@ -27,11 +27,10 @@ Modules
 
 from repro.serve.app import ServeConfig, ServerThread, SweepServer, run_server
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.jobs import JobSpecError, JobState
+from repro.serve.jobs import JobState
 from repro.serve.queue import QueueFull
 
 __all__ = [
-    "JobSpecError",
     "JobState",
     "QueueFull",
     "ServeClient",

@@ -5,11 +5,12 @@ subscribers); simulations run in a small thread pool so the loop never
 blocks on a multi-second sweep.  Each job executes on a plain
 :class:`~repro.exec.runner.SweepRunner` under a job-private
 :class:`~repro.obs.registry.MetricsRegistry` installed thread-locally,
-with an :class:`EventBridge` as the event sink -- runner progress events
-and obs events alike are marshalled onto the loop and fanned out to the
-job's server-sent-event subscribers.  The runner tier is exactly the CLI
-tier (same points, same result cache), which is what makes server
-results bit-identical to batch results.
+with an :class:`EventBridge` as the event sink -- every event the job
+emits, the runner's ``sweep_start`` and ``point_done`` among them, is
+marshalled onto the loop and fanned out to the job's server-sent-event
+subscribers.  The runner tier is exactly the CLI tier (same points,
+same result cache), which is what makes server results bit-identical
+to batch results.
 
 Cancellation is cooperative: the loop sets a per-job
 :class:`threading.Event` that the runner polls between points (and
@@ -31,10 +32,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exec.cache import ResultCache
+from repro.exec.grid import SpecError
 from repro.exec.runner import SweepRunner
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.report import render_report
-from repro.serve.jobs import Job, JobSpecError, JobState, parse_job, point_payload
+from repro.serve.jobs import Job, JobState, parse_job, point_payload
 from repro.serve.protocol import (
     ProtocolError,
     Request,
@@ -79,11 +81,9 @@ class EventBridge:
     """Event sink that marshals events from a worker thread to the loop.
 
     Implements the obs event-sink protocol (``emit(kind, **fields)``), so
-    a job's registry can point straight at it, and doubles as the
-    :class:`~repro.exec.runner.SweepRunner` progress hook via
-    :meth:`progress`.  Every record crosses to the event loop with
-    ``call_soon_threadsafe`` where the server appends it to the job
-    history and fans it out to SSE subscribers.
+    a job's registry points straight at it.  Every record crosses to the
+    event loop with ``call_soon_threadsafe`` where the server appends it
+    to the job history and fans it out to SSE subscribers.
 
     Fork guard: queue workers of a ``jobs > 1`` sweep are forked from the
     executing thread and inherit its thread-local registry -- and with it
@@ -106,12 +106,6 @@ class EventBridge:
             # Loop already closed (shutdown race); the event is
             # observability, never correctness -- drop it.
             pass
-
-    def progress(self, event: dict) -> None:
-        """Adapter for ``SweepRunner.progress`` dicts (``event`` -> kind)."""
-        fields = dict(event)
-        kind = fields.pop("event", "progress")
-        self.emit(kind, **fields)
 
     def flush(self) -> None:
         pass
@@ -234,7 +228,6 @@ class SweepServer:
             runner = SweepRunner(
                 jobs=job.runner_jobs,
                 cache=self._cache if job.use_result_cache else None,
-                progress=bridge.progress,
                 should_cancel=job.cancel.is_set,
             )
             point_results = runner.run(job.points)
@@ -356,7 +349,7 @@ class SweepServer:
         job_id = f"j{next(self._ids):06d}"
         try:
             job = parse_job(body, job_id)
-        except JobSpecError as exc:
+        except SpecError as exc:
             raise ProtocolError(400, str(exc)) from exc
         try:
             self._queue.put_nowait(job, priority=job.priority)

@@ -96,9 +96,6 @@ class ServeClient:
     def submit_sweep(self, spec: dict, *, priority: int = 0) -> dict:
         return self.submit("sweep", spec, priority=priority)
 
-    def submit_simulate(self, spec: dict, *, priority: int = 0) -> dict:
-        return self.submit("simulate", spec, priority=priority)
-
     def jobs(self) -> list[dict]:
         return self._json("GET", "/jobs")["jobs"]
 

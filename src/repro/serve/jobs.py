@@ -1,10 +1,10 @@
-"""Job model and spec parsing: JSON bodies -> sweep points -> payloads.
+"""Job model: JSON bodies -> sweep points -> payloads.
 
 A job is a list of :class:`~repro.exec.runner.SweepPointSpec`\\ s plus
-runner knobs, built from the same pieces the CLI uses -- ``simulate``
-bodies go through :class:`~repro.exec.runner.TraceFileSpec` and
-:func:`~repro.exec.grid.build_sim_config`, ``sweep`` bodies through
-:class:`~repro.exec.grid.GridSpec` -- so a job submitted over HTTP
+runner knobs.  Its points come from the body's ``spec`` through
+:func:`~repro.exec.grid.simulate_points` or
+:func:`~repro.exec.grid.sweep_points`, the functions ``repro simulate``
+and ``repro sweep`` call with their flags, so a job submitted over HTTP
 produces byte-for-byte the same point keys and result digests as the
 equivalent CLI invocation.  That bit-identity is the server's core
 contract and is what lets HTTP clients share the on-disk result cache
@@ -14,26 +14,17 @@ with batch runs.
 from __future__ import annotations
 
 import enum
-import math
 import threading
 from dataclasses import dataclass, field
 
 from repro.exec.grid import (
-    FIG8_BLOCK_SIZES_KB,
-    FIG8_CACHE_SIZES_MB,
-    GridSpec,
-    build_sim_config,
-    parse_floats,
-    parse_toggles,
+    SpecError,
+    read_integer,
+    read_toggle,
+    simulate_points,
+    sweep_points,
 )
-from repro.exec.runner import PointResult, SweepPointSpec, TraceFileSpec
-from repro.sim.faults import FaultPlan
-from repro.util.rng import DEFAULT_SEED
-from repro.workloads.base import available_models
-
-
-class JobSpecError(ValueError):
-    """A submitted job body is malformed (answered with HTTP 400)."""
+from repro.exec.runner import PointResult, SweepPointSpec
 
 
 class JobState(str, enum.Enum):
@@ -122,164 +113,7 @@ class Job:
         return record
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, never a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(value, name: str) -> float:
-    """A float key: any JSON number.  An integer past the float range
-    reads as infinity, as JSON reads ``1e400``."""
-    if not _is_number(value):
-        raise JobSpecError(f"bad {name} {value!r} (want a number)")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _integer(value, name: str) -> int:
-    """An integer key: a JSON number with no fractional part."""
-    if isinstance(value, float):
-        if value.is_integer():
-            return int(value)
-    elif _is_number(value):
-        return value
-    raise JobSpecError(f"bad {name} {value!r} (want an integer)")
-
-
-def _axis_floats(value, name: str) -> tuple[float, ...]:
-    """A float axis from a JSON number, a non-empty list of them, or a
-    CLI-style "4,8,16" string."""
-    if isinstance(value, str):
-        try:
-            return parse_floats(value)
-        except ValueError as exc:
-            raise JobSpecError(f"bad {name} axis {value!r}: {exc}") from exc
-    elements = value if isinstance(value, list) and value else [value]
-    return tuple(_number(v, name) for v in elements)
-
-
-def _toggle(value, name: str) -> bool:
-    """One toggle: a JSON bool, or a string ``parse_toggles`` reads as
-    exactly one value ("on", "off", "true", "false", "1", "0", ...)."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            (toggle,) = parse_toggles(value)
-            return toggle
-        except ValueError:
-            pass
-    raise JobSpecError(f"bad {name} toggle {value!r} (want true/false or on/off)")
-
-
-def _axis_toggles(value, name: str) -> tuple[bool, ...]:
-    """A toggle axis from a JSON bool/list or a CLI-style "on,off" string."""
-    if isinstance(value, str):
-        try:
-            return parse_toggles(value)
-        except ValueError as exc:
-            raise JobSpecError(f"bad {name} axis {value!r}: {exc}") from exc
-    if isinstance(value, bool):
-        return (value,)
-    if isinstance(value, list) and value:
-        toggles = tuple(_toggle(v, name) for v in value)
-        if len(set(toggles)) != len(toggles):
-            raise JobSpecError(f"bad {name} axis {value!r}: repeated toggle value")
-        return toggles
-    raise JobSpecError(f"bad {name} axis {value!r}")
-
-
-def _fault_config(spec: dict, base):
-    """Apply an inline ``faults`` spec or ``fault_plan`` dict to a config."""
-    faults = spec.get("faults")
-    plan_data = spec.get("fault_plan")
-    if faults and plan_data:
-        raise JobSpecError("use either 'faults' or 'fault_plan', not both")
-    try:
-        if faults:
-            if not isinstance(faults, str):
-                raise JobSpecError(f"'faults' must be a spec string: {faults!r}")
-            return FaultPlan.from_spec(faults).apply(base)
-        if plan_data:
-            if not isinstance(plan_data, dict):
-                raise JobSpecError(
-                    f"'fault_plan' must be a JSON object: {plan_data!r}"
-                )
-            return FaultPlan.from_dict(plan_data).apply(base)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, JobSpecError):
-            raise
-        raise JobSpecError(f"bad fault plan: {exc}") from exc
-    return base
-
-
-def _simulate_points(spec: dict) -> list[SweepPointSpec]:
-    """Points for a ``simulate`` job -- mirrors ``repro simulate``."""
-    traces = spec.get("traces")
-    if (
-        not isinstance(traces, list)
-        or not traces
-        or not all(isinstance(t, str) for t in traces)
-    ):
-        raise JobSpecError("'traces' must be a non-empty list of paths")
-    knobs = dict(
-        cache_mb=_number(spec.get("cache_mb", 32.0), "cache_mb"),
-        block_kb=_number(spec.get("block_kb", 4.0), "block_kb"),
-        ssd=_toggle(spec.get("ssd", False), "ssd"),
-        read_ahead=_toggle(spec.get("read_ahead", True), "read_ahead"),
-        write_behind=_toggle(spec.get("write_behind", True), "write_behind"),
-        n_cpus=_integer(spec.get("cpus", 1), "cpus"),
-    )
-    try:
-        config = build_sim_config(**knobs)
-    except ValueError as exc:
-        raise JobSpecError(f"bad simulate config: {exc}") from exc
-    config = _fault_config(spec, config)
-    workload = TraceFileSpec(
-        paths=tuple(traces),
-        share_files=_toggle(spec.get("share_files", False), "share_files"),
-    )
-    label = spec.get("label") or f"simulate {' '.join(traces)}"
-    return [SweepPointSpec(workload=workload, config=config, label=str(label))]
-
-
-def _sweep_points(spec: dict) -> list[SweepPointSpec]:
-    """Points for a ``sweep`` job -- mirrors ``repro sweep``."""
-    app = str(spec.get("app", "venus"))
-    if app not in available_models():
-        raise JobSpecError(
-            f"unknown application {app!r}; known: "
-            f"{', '.join(available_models())}"
-        )
-    try:
-        grid = GridSpec(
-            app=app,
-            n_copies=_integer(spec.get("copies", 2), "copies"),
-            scale=_number(spec.get("scale", 0.25), "scale"),
-            workload_seed=_integer(spec.get("seed", DEFAULT_SEED), "seed"),
-            cache_sizes_mb=_axis_floats(
-                spec.get("cache_mb", list(FIG8_CACHE_SIZES_MB)), "cache_mb"
-            ),
-            block_sizes_kb=_axis_floats(
-                spec.get("block_kb", list(FIG8_BLOCK_SIZES_KB)), "block_kb"
-            ),
-            read_ahead=_axis_toggles(spec.get("read_ahead", True), "read_ahead"),
-            write_behind=_axis_toggles(
-                spec.get("write_behind", True), "write_behind"
-            ),
-            ssd=_toggle(spec.get("ssd", False), "ssd"),
-            n_cpus=_integer(spec.get("cpus", 1), "cpus"),
-        )
-        return grid.points()
-    except JobSpecError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise JobSpecError(f"bad sweep grid: {exc}") from exc
-
-
-_KINDS = {"simulate": _simulate_points, "sweep": _sweep_points}
+_KINDS = {"simulate": simulate_points, "sweep": sweep_points}
 
 #: Bound on worker processes one job may request (`spec.jobs`); a
 #: client cannot fork-bomb the host through the API.
@@ -290,23 +124,23 @@ def parse_job(body: dict, job_id: str) -> Job:
     """Build a :class:`Job` from a submitted JSON body.
 
     Body shape: ``{"kind": "simulate" | "sweep", "spec": {...},
-    "priority": int}``.  Raises :class:`JobSpecError` on anything
-    malformed -- parsing happens at submission time so a bad job is a
-    400 for its submitter, never a late failure in a worker.
+    "priority": int}``.  Raises :class:`~repro.exec.grid.SpecError` on
+    anything malformed -- parsing happens at submission time so a bad
+    job is a 400 for its submitter, never a late failure in a worker.
     """
     kind = body.get("kind")
     builder = _KINDS.get(kind)
     if builder is None:
-        raise JobSpecError(
+        raise SpecError(
             f"unknown job kind {kind!r}; expected one of {sorted(_KINDS)}"
         )
     spec = body.get("spec") or {}
     if not isinstance(spec, dict):
-        raise JobSpecError(f"'spec' must be a JSON object: {spec!r}")
-    priority = _integer(body.get("priority", 0), "priority")
-    runner_jobs = _integer(spec.get("jobs", 1), "jobs")
+        raise SpecError(f"'spec' must be a JSON object: {spec!r}")
+    priority = read_integer(body.get("priority", 0), "priority")
+    runner_jobs = read_integer(spec.get("jobs", 1), "jobs")
     if not 1 <= runner_jobs <= MAX_RUNNER_JOBS:
-        raise JobSpecError(
+        raise SpecError(
             f"jobs must be in [1, {MAX_RUNNER_JOBS}], got {runner_jobs}"
         )
     return Job(
@@ -315,7 +149,7 @@ def parse_job(body: dict, job_id: str) -> Job:
         priority=priority,
         points=builder(spec),
         runner_jobs=runner_jobs,
-        use_result_cache=_toggle(spec.get("result_cache", True), "result_cache"),
+        use_result_cache=read_toggle(spec.get("result_cache", True), "result_cache"),
     )
 
 

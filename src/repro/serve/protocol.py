@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from urllib.parse import parse_qs, unquote, urlsplit
+from urllib.parse import unquote, urlsplit
 
 #: Largest accepted request body (a job spec is a few hundred bytes;
 #: anything near this bound is a client bug, not a bigger sweep).
@@ -53,7 +53,6 @@ class Request:
 
     method: str
     path: str
-    query: dict[str, list[str]] = field(default_factory=dict)
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
 
@@ -68,10 +67,6 @@ class Request:
         if not isinstance(data, dict):
             raise ProtocolError(400, "body must be a JSON object")
         return data
-
-    def param(self, name: str, default: str | None = None) -> str | None:
-        values = self.query.get(name)
-        return values[0] if values else default
 
 
 async def read_request(reader) -> Request | None:
@@ -126,7 +121,6 @@ async def read_request(reader) -> Request | None:
     return Request(
         method=method.upper(),
         path=unquote(split.path) or "/",
-        query=parse_qs(split.query),
         headers=headers,
         body=body,
     )

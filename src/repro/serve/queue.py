@@ -55,10 +55,6 @@ class JobQueue:
     def full(self) -> bool:
         return len(self._heap) >= self.max_pending
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def put_nowait(self, job, priority: int = 0) -> None:
         if self._closed:
             raise QueueClosed("job queue is shut down")

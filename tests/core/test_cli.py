@@ -1,9 +1,17 @@
 """Command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.exec.cache import ResultCache
+from repro.exec.grid import GridSpec, build_sim_config
+from repro.exec.runner import SweepPointSpec, SweepRunner, TraceFileSpec
+from repro.sim.faults import FaultPlan
+from repro.util.errors import SweepError
+
+EXAMPLE_FAULT_PLAN = Path(__file__).resolve().parents[2] / "examples" / "fault_plan.json"
 
 
 class TestExperimentsCommand:
@@ -169,6 +177,30 @@ class TestSimulateCommand:
         assert warm_tag == fresh_tag.replace("fresh simulation", "result cache")
         assert warm_summary == fresh_summary
 
+    def test_fault_plan_file_keys_like_the_loaded_plan(
+        self, trace_file, tmp_path, monkeypatch, capsys
+    ):
+        # The plan file enters the spec as its dict; the point must be the
+        # one the loaded plan applied to the same config builds.
+        results = tmp_path / "results"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(results))
+        capsys.readouterr()
+        assert main(
+            [
+                "simulate", str(trace_file), "--ssd", "--cache-mb", "16",
+                "--fault-plan", str(EXAMPLE_FAULT_PLAN), "--cached",
+            ]
+        ) == 0
+        config = FaultPlan.load(EXAMPLE_FAULT_PLAN).apply(
+            build_sim_config(cache_mb=16, block_kb=4, ssd=True)
+        )
+        key = SweepPointSpec(
+            workload=TraceFileSpec(paths=(str(trace_file),)), config=config
+        ).key(None)
+        out = capsys.readouterr().out.rstrip()
+        assert out.endswith(f"[fresh simulation, key {key[:16]}]")
+        assert ResultCache(results).get(key) is not None
+
     def test_simulate_ssd_options(self, trace_file, capsys):
         capsys.readouterr()
         assert main(
@@ -301,6 +333,19 @@ class TestSweepCommand:
         assert "0 simulated, 1 from cache" in footer()
         assert "1 simulated" in footer(["--no-cache"])
 
+    def test_unset_flags_take_the_grid_spec_defaults(self, monkeypatch, capsys):
+        seen = []
+
+        def run(self, points):
+            seen.extend(points)
+            raise SweepError("stop before simulating")
+
+        monkeypatch.setattr(SweepRunner, "run", run)
+        assert main(["sweep", "--no-cache", "--jobs", "1"]) == 1
+        assert [p.key(None) for p in seen] == [
+            p.key(None) for p in GridSpec().points()
+        ]
+
     @pytest.mark.parametrize(
         "scale, shown",
         [("0", "0.0"), ("-1", "-1.0"), ("2", "2.0"), ("1e400", "inf")],
@@ -365,6 +410,15 @@ class TestJobsOption:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"{argv[-1]}: must be a positive integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["70000", "-1"])
+    def test_port_outside_range_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--port: must be an integer in [0, 65535], got '{value}'" in err
         assert "Traceback" not in err
 
     def test_sweep_bad_env_jobs_exits_2_naming_the_variable(

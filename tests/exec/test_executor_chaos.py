@@ -117,20 +117,19 @@ class TestQueueCancellation:
         points = venus_points((8, 16, 32, 64))
         seen = []
 
-        def progress(event):
-            if event["event"] == "point_done":
-                seen.append(event["index"])
+        class Sink:
+            def emit(self, kind, **fields):
+                if kind == "point_done":
+                    seen.append(fields["index"])
 
         def should_cancel():
             return len(seen) >= 1
 
-        with pytest.raises(SweepCancelled, match="unfinished"):
-            SweepRunner(
-                jobs=2,
-                cache=None,
-                progress=progress,
-                should_cancel=should_cancel,
-            ).run(points)
+        with use_registry(MetricsRegistry(event_sink=Sink())):
+            with pytest.raises(SweepCancelled, match="unfinished"):
+                SweepRunner(
+                    jobs=2, cache=None, should_cancel=should_cancel
+                ).run(points)
 
     def test_cancel_before_start_raises_before_any_work(self):
         runner = SweepRunner(

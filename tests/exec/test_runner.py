@@ -16,11 +16,25 @@ from repro.exec.runner import (
     TraceFileSpec,
     resolve_jobs,
 )
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.sim.config import CacheConfig, SimConfig
 from repro.util.errors import SweepError
 from repro.util.units import MB
 
 SCALE = 0.05
+
+
+class ListSink:
+    """An event sink that keeps every event as a dict with its ``kind``."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, kind, **fields):
+        self.events.append({"kind": kind, **fields})
+
+    def of_kind(self, kind):
+        return [e for e in self.events if e["kind"] == kind]
 
 
 def two_venus_points():
@@ -291,53 +305,54 @@ class TestTraceFileKeys:
 
 
 class TestProgressHook:
+    """The runner's progress reaches the active registry's event sink."""
+
     def test_event_sequence_and_order(self):
-        events = []
-        runner = SweepRunner(jobs=1, progress=events.append)
-        runner.run(two_venus_points())
-        assert events[0] == {
-            "event": "sweep_start", "points": 2, "todo": 2, "cached": 0,
+        sink = ListSink()
+        with use_registry(MetricsRegistry(event_sink=sink)):
+            SweepRunner(jobs=1).run(two_venus_points())
+        assert sink.events[0] == {
+            "kind": "sweep_start", "points": 2, "todo": 2, "cached": 0,
         }
-        done = [e for e in events[1:] if e["event"] == "point_done"]
+        done = sink.of_kind("point_done")
         assert [e["index"] for e in done] == [0, 1]
         assert all(not e["cached"] for e in done)
         assert all(e["key"] for e in done)
+        assert sink.of_kind("sweep_point") == []
 
     def test_cache_hits_reported_as_cached(self, tmp_path):
         points = two_venus_points()
         cache = ResultCache(root=tmp_path)
         SweepRunner(jobs=1, cache=cache).run(points)
-        events = []
-        SweepRunner(jobs=1, cache=cache, progress=events.append).run(points)
-        assert events[0]["cached"] == 2 and events[0]["todo"] == 0
-        assert all(
-            e["cached"] for e in events[1:] if e["event"] == "point_done"
-        )
+        sink = ListSink()
+        with use_registry(MetricsRegistry(event_sink=sink)):
+            SweepRunner(jobs=1, cache=cache).run(points)
+        assert sink.events[0]["cached"] == 2 and sink.events[0]["todo"] == 0
+        done = sink.of_kind("point_done")
+        assert len(done) == 2 and all(e["cached"] for e in done)
 
     def test_hook_exceptions_propagate(self):
-        def hook(event):
-            raise ValueError("broken hook")
+        class BrokenSink:
+            def emit(self, kind, **fields):
+                raise ValueError("broken sink")
 
-        with pytest.raises(ValueError, match="broken hook"):
-            SweepRunner(jobs=1, progress=hook).run(two_venus_points())
+        with use_registry(MetricsRegistry(event_sink=BrokenSink())):
+            with pytest.raises(ValueError, match="broken sink"):
+                SweepRunner(jobs=1).run(two_venus_points())
 
 
 class TestCancellation:
     def test_serial_cancel_between_points(self):
         from repro.util.errors import SweepCancelled
 
-        done = []
-
-        def progress(event):
-            if event["event"] == "point_done":
-                done.append(event)
-
+        sink = ListSink()
         runner = SweepRunner(
-            jobs=1, progress=progress, should_cancel=lambda: len(done) >= 1
+            jobs=1, should_cancel=lambda: len(sink.of_kind("point_done")) >= 1
         )
-        with pytest.raises(SweepCancelled):
-            runner.run(two_venus_points())
-        assert len(done) == 1
+        with use_registry(MetricsRegistry(event_sink=sink)):
+            with pytest.raises(SweepCancelled):
+                runner.run(two_venus_points())
+        assert len(sink.of_kind("point_done")) == 1
 
     def test_parallel_cancel_abandons_pending(self):
         from repro.util.errors import SweepCancelled
@@ -353,10 +368,12 @@ class TestCancellation:
             runner.run(two_venus_points())
 
     def test_no_hooks_no_behavior_change(self):
+        # Neither an event sink nor a cancel poll changes a digest.
         plain = SweepRunner(jobs=1).run(two_venus_points())
-        hooked = SweepRunner(
-            jobs=1, progress=lambda e: None, should_cancel=lambda: False
-        ).run(two_venus_points())
+        with use_registry(MetricsRegistry(event_sink=ListSink())):
+            hooked = SweepRunner(jobs=1, should_cancel=lambda: False).run(
+                two_venus_points()
+            )
         assert [p.result.digest() for p in plain] == [
             p.result.digest() for p in hooked
         ]

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.exec.grid import GridSpec, build_sim_config
+from repro.exec.grid import GridSpec, SpecError, build_sim_config
 from repro.exec.runner import TraceFileSpec
-from repro.serve.jobs import JobSpecError, JobState, parse_job, MAX_RUNNER_JOBS
+from repro.serve.jobs import JobState, parse_job, MAX_RUNNER_JOBS
 from repro.util.rng import DEFAULT_SEED
 
 
@@ -69,16 +69,16 @@ class TestSweepSpec:
         assert job.points[0].config.cache.read_ahead is False
 
     def test_unknown_app_rejected(self):
-        with pytest.raises(JobSpecError, match="unknown application"):
+        with pytest.raises(SpecError, match="unknown application"):
             parse_job(sweep_body(app="fortran77"), "j000001")
 
     def test_bad_axis_rejected(self):
-        with pytest.raises(JobSpecError, match="cache_mb"):
+        with pytest.raises(SpecError, match="cache_mb"):
             parse_job(sweep_body(cache_mb="four,eight"), "j000001")
-        with pytest.raises(JobSpecError, match="read_ahead"):
+        with pytest.raises(SpecError, match="read_ahead"):
             parse_job(sweep_body(read_ahead="maybe"), "j000001")
         for spec, named in OUT_OF_RANGE:
-            with pytest.raises(JobSpecError, match=named):
+            with pytest.raises(SpecError, match=named):
                 parse_job(sweep_body(**spec), "j000001")
 
     @pytest.mark.parametrize(
@@ -89,17 +89,17 @@ class TestSweepSpec:
     def test_scale_outside_unit_interval_rejected(self, scale, shown):
         # Rejected at submission, with the workload models' message, not
         # when the first point runs in a worker.
-        with pytest.raises(JobSpecError) as info:
+        with pytest.raises(SpecError) as info:
             parse_job(sweep_body(scale=scale), "j000001")
-        assert str(info.value) == f"bad sweep grid: scale must be in (0, 1], got {shown}"
+        assert str(info.value) == f"bad grid: scale must be in (0, 1], got {shown}"
 
     @pytest.mark.parametrize("copies", [0, -1])
     def test_copies_below_one_rejected(self, copies):
         # Rejected at submission, not as a one-point job whose worker
         # finds no trace to run.
-        with pytest.raises(JobSpecError) as info:
+        with pytest.raises(SpecError) as info:
             parse_job(sweep_body(copies=copies), "j000001")
-        assert str(info.value) == f"bad sweep grid: n_copies must be >= 1: {copies}"
+        assert str(info.value) == f"bad grid: n_copies must be >= 1: {copies}"
 
 
 class TestSimulateSpec:
@@ -136,7 +136,7 @@ class TestSimulateSpec:
         assert job.points[0].config.faults is not None
 
     def test_faults_and_plan_conflict(self):
-        with pytest.raises(JobSpecError, match="not both"):
+        with pytest.raises(SpecError, match="not both"):
             parse_job(
                 {
                     "kind": "simulate",
@@ -156,31 +156,31 @@ class TestSimulateSpec:
     )
     def test_out_of_range_config_rejected(self, spec, named):
         body = {"kind": "simulate", "spec": {"traces": ["/t"], **spec}}
-        with pytest.raises(JobSpecError, match=named):
+        with pytest.raises(SpecError, match=named):
             parse_job(body, "j000006")
 
     def test_traces_required(self):
-        with pytest.raises(JobSpecError, match="traces"):
+        with pytest.raises(SpecError, match="traces"):
             parse_job({"kind": "simulate", "spec": {}}, "j000005")
 
 
 class TestEnvelope:
     def test_unknown_kind(self):
-        with pytest.raises(JobSpecError, match="unknown job kind"):
+        with pytest.raises(SpecError, match="unknown job kind"):
             parse_job({"kind": "compile"}, "j000001")
 
     def test_bad_priority(self):
-        with pytest.raises(JobSpecError, match="priority"):
+        with pytest.raises(SpecError, match="priority"):
             parse_job(sweep_body() | {"priority": "urgent"}, "j000001")
 
     def test_jobs_bound_enforced(self):
-        with pytest.raises(JobSpecError, match="jobs"):
+        with pytest.raises(SpecError, match="jobs"):
             parse_job(sweep_body(jobs=MAX_RUNNER_JOBS + 1), "j000001")
-        with pytest.raises(JobSpecError, match="jobs"):
+        with pytest.raises(SpecError, match="jobs"):
             parse_job(sweep_body(jobs=0), "j000001")
 
     def test_non_object_spec(self):
-        with pytest.raises(JobSpecError, match="spec"):
+        with pytest.raises(SpecError, match="spec"):
             parse_job({"kind": "sweep", "spec": [1]}, "j000001")
 
     def test_seed_defaults_to_default_seed(self):
@@ -231,7 +231,7 @@ class TestToggles:
     @pytest.mark.parametrize("key", SIMULATE_TOGGLES)
     def test_simulate_rejects_bad_toggles(self, key):
         for value in BAD_TOGGLES:
-            with pytest.raises(JobSpecError, match=key):
+            with pytest.raises(SpecError, match=key):
                 parse_job(simulate_body(**{key: value}), "j000009")
 
     def test_sweep_toggles(self):
@@ -255,15 +255,15 @@ class TestToggles:
     @pytest.mark.parametrize("key", ["read_ahead", "write_behind"])
     def test_sweep_rejects_bad_toggle_elements(self, key):
         for value in BAD_TOGGLES:
-            with pytest.raises(JobSpecError, match=key):
+            with pytest.raises(SpecError, match=key):
                 parse_job(sweep_body(**{key: [True, value]}), "j000011")
-        with pytest.raises(JobSpecError, match=key):
+        with pytest.raises(SpecError, match=key):
             parse_job(sweep_body(**{key: [True, "on"]}), "j000012")
 
     @pytest.mark.parametrize("key", ["ssd", "result_cache"])
     def test_sweep_rejects_bad_scalar_toggles(self, key):
         for value in BAD_TOGGLES:
-            with pytest.raises(JobSpecError, match=key):
+            with pytest.raises(SpecError, match=key):
                 parse_job(sweep_body(**{key: value}), "j000013")
 
 
@@ -320,5 +320,5 @@ class TestNumbers:
             "envelope": lambda **envelope: sweep_body() | envelope,
         }[kind]
         for value in values:
-            with pytest.raises(JobSpecError, match=key):
+            with pytest.raises(SpecError, match=key):
                 parse_job(body(**{key: value}), "j000015")

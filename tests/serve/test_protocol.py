@@ -41,9 +41,6 @@ class TestReadRequest:
         request = parse(raw)
         assert request.method == "POST"
         assert request.path == "/jobs"
-        assert request.query == {"x": ["1", "2"], "name": ["a b"]}
-        assert request.param("name") == "a b"
-        assert request.param("absent", "dflt") == "dflt"
         assert request.headers["host"] == "localhost"
         assert request.json() == {"kind": "sweep"}
 

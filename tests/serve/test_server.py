@@ -89,6 +89,22 @@ class TestLifecycle:
             assert "exec.runner.points_simulated" in report
             assert "serve.jobs" in report
 
+    def test_each_point_streams_once(self, cache_env):
+        """An N-point sweep streams N ``point_done`` events, cold or
+        served from the result cache, and no ``sweep_point``."""
+        with quick_server(cache_dir=cache_env / "results") as srv:
+            client = ServeClient(port=srv.port)
+            for cached in (False, True):
+                job = client.submit_sweep(SWEEP_SPEC)
+                events = list(client.events(job["id"]))
+                done = [e for e in events if e["kind"] == "point_done"]
+                assert [e["index"] for e in done] == [0, 1]
+                assert all(e["cached"] is cached for e in done)
+                assert not [e for e in events if e["kind"] == "sweep_point"]
+                status = client.wait(job["id"], timeout=120)
+                assert status["done_points"] == 2
+                assert status["cached_points"] == (2 if cached else 0)
+
     def test_resubmission_serves_from_result_cache(self, cache_env):
         with quick_server(cache_dir=cache_env / "results") as srv:
             client = ServeClient(port=srv.port)
@@ -196,6 +212,11 @@ class TestAdmissionControl:
             with pytest.raises(ServeClientError) as err:
                 client.submit_sweep({"app": "no-such-app"})
             assert err.value.status == 400
+            # The 400 carries the line ``repro sweep --scale 0`` prints.
+            with pytest.raises(ServeClientError) as err:
+                client.submit_sweep({"scale": 0})
+            assert err.value.status == 400
+            assert str(err.value) == "bad grid: scale must be in (0, 1], got 0.0"
             with pytest.raises(ServeClientError) as err:
                 client.job("j999999")
             assert err.value.status == 404
