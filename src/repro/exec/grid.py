@@ -183,7 +183,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def read_number(value, name: str) -> float:
+def _read_number(value, name: str) -> float:
     """A float key: any JSON number.  An integer past the float range
     reads as infinity, as JSON reads ``1e400``."""
     if not _is_number(value):
@@ -227,7 +227,7 @@ def _read_float_axis(value, name: str) -> tuple[float, ...]:
         except ValueError as exc:
             raise SpecError(f"bad {name} axis {value!r}: {exc}") from exc
     elements = value if isinstance(value, list) and value else [value]
-    return tuple(read_number(v, name) for v in elements)
+    return tuple(_read_number(v, name) for v in elements)
 
 
 def _read_toggle_axis(value, name: str) -> tuple[bool, ...]:
@@ -251,8 +251,8 @@ def _read_toggle_axis(value, name: str) -> tuple[bool, ...]:
 #: sets, and the reader of its value.  ``share_files`` sets the
 #: :class:`TraceFileSpec` field of that name.
 _CONFIG_KEYS = {
-    "cache_mb": ("cache_mb", read_number),
-    "block_kb": ("block_kb", read_number),
+    "cache_mb": ("cache_mb", _read_number),
+    "block_kb": ("block_kb", _read_number),
     "ssd": ("ssd", read_toggle),
     "read_ahead": ("read_ahead", read_toggle),
     "write_behind": ("write_behind", read_toggle),
@@ -265,7 +265,7 @@ _TRACE_KEYS = {"share_files": ("share_files", read_toggle)}
 _GRID_KEYS = {
     "app": ("app", lambda value, name: str(value)),
     "copies": ("n_copies", read_integer),
-    "scale": ("scale", read_number),
+    "scale": ("scale", _read_number),
     "seed": ("workload_seed", read_integer),
     "cache_mb": ("cache_sizes_mb", _read_float_axis),
     "block_kb": ("block_sizes_kb", _read_float_axis),
