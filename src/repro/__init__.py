@@ -24,31 +24,9 @@ Quick start::
     from repro.core import Study
     study = Study(scale=0.1)
     print(study.table1())
-
-Importing the package turns off NumPy's transparent huge page advice
-for the rest of the process (see :func:`_no_huge_page_advice`).
 """
 
-
-def _no_huge_page_advice() -> None:
-    """Stop NumPy advising huge pages (``MADV_HUGEPAGE``) on 4 MB+ arrays.
-
-    Under THP mode ``madvise``, ``khugepaged`` fills each partly used
-    advised 2 MB range whenever the machine-wide daemon reaches the
-    process, so one perfbench ``trace_pipeline`` run peaked at 156 MB
-    and the next at 165 MB (2-vCPU host).  The program's arrays are a
-    few MB and live for one pass, too short-lived for huge pages to pay.
-    """
-    try:
-        from numpy._core.multiarray import _set_madvise_hugepage
-    except ImportError:  # NumPy 1.x
-        from numpy.core.multiarray import _set_madvise_hugepage
-    _set_madvise_hugepage(False)
-
-
-_no_huge_page_advice()
-
-from repro.core import Study, run_experiment  # noqa: E402
+from repro.core import Study, run_experiment
 
 __version__ = "1.0.0"
 
