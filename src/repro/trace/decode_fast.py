@@ -57,7 +57,11 @@ _MAX_ACC = float(1 << 52)
 def decode_document(buf: bytes) -> TraceArray | None:
     """Decode a whole document; ``None`` means scalar fallback.
 
-    Only ASCII documents are taken, comment text included.
+    Only ASCII documents are taken, comment text included.  Each byte-
+    and token-level array is dropped once the next stage no longer needs
+    it: freed heap space stays resident, so the temporaries alive at
+    once set how far the process's heap grows (42 MB traced on bvi's
+    2.1 MB trace at scale 0.05, 20 bytes per document byte).
     """
     if not buf:
         return TraceArray.empty()
@@ -91,7 +95,10 @@ def decode_document(buf: bytes) -> TraceArray | None:
         delta = np.zeros(n + 1, dtype=np.int8)
         delta[line_starts[is_comment_line]] = 1
         delta[nl_pos[is_comment_line]] -= 1
-        in_comment = np.cumsum(delta[:n]) > 0
+        # Comment lines do not nest, so the running sum is 0 or 1.
+        in_comment = np.cumsum(delta[:n], dtype=np.int8) > 0
+        del delta
+    del line_starts, tail, is_comment_line
 
     # Byte-compare chains beat a classification LUT here: comparisons
     # vectorize (SIMD), per-element table gathers do not.
@@ -103,14 +110,17 @@ def decode_document(buf: bytes) -> TraceArray | None:
         grammar_ok |= in_comment
     if not grammar_ok.all():
         return None
+    del grammar_ok, isnl
 
     if has_comments:
         tok &= ~in_comment
+        del in_comment
     if not tok.any():
         return TraceArray.empty()
     tok_start = tok.copy()
     tok_start[1:] &= ~tok[:-1]
     ts = np.flatnonzero(tok_start)
+    del tok_start
     # Token lengths.  The encoder separates tokens with exactly one
     # byte (space or newline), in which case lengths follow from
     # consecutive starts alone; verify by total token bytes and only
@@ -120,16 +130,19 @@ def decode_document(buf: bytes) -> TraceArray | None:
         tok_end = tok.copy()
         tok_end[:-1] &= ~tok[1:]
         dig_len = np.flatnonzero(tok_end) - ts + 1
+    del tok
     if (dig_len > MAX_DIGITS).any():
         return None
 
     vals = parse_digits(a, ts, dig_len)
+    del dig_len
     if (vals > _MAX_ABS).any():
         return None
 
     # -- line structure of the token table: cumulative token count at
     # each line end gives both per-line counts and first-token offsets.
     tok_before_eol = np.searchsorted(ts, nl_pos, side="left")
+    del ts, nl_pos
     counts = np.diff(tok_before_eol, prepend=0)
     record_lines = np.flatnonzero(counts > 0)
     m = record_lines.size
